@@ -41,6 +41,7 @@ from .lexstats import (
 from .meter import (
     MeterVerdict,
     StressSequence,
+    UnscannableError,
     alignment_score,
     corpus_meter_stats,
     iambic_score,

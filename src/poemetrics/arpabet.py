@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -56,11 +56,20 @@ def _valid_phoneme(phoneme: str) -> bool:
 
 @dataclass(frozen=True)
 class PronouncingDictionary:
-    """Word -> pronunciation variants, keyed case-insensitively."""
+    """Word -> pronunciation variants, keyed case-insensitively.
+
+    The memo tables hold a word's rhyme parts and stress string, filled on
+    first use and only for words in the dictionary, so they never outgrow it.
+    Threads may fill them at once without a lock: a race stores the same value.
+    """
 
     entries: dict[str, tuple[Variant, ...]]
     source_sha256: str
     skipped_lines: int = 0
+    rhyme_part_memo: dict[str, frozenset[Variant]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    stress_memo: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def lookup(self, word: str) -> tuple[Variant, ...]:
         """All pronunciation variants for a word; empty tuple if missing."""

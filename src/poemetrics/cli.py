@@ -16,8 +16,9 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .arpabet import PronouncingDictionary, bundled_dictionary_path, load_dictionary
@@ -41,14 +42,21 @@ from .lexstats import (
     DEFAULT_TOUCHSTONE_GROUPS,
     PRONOUN_CATEGORIES,
     first_word_logodds,
+    fold_pronouns,
     logodds,
-    pronoun_profile,
+    pronoun_counts,
     touchstone_coverage,
 )
-from .meter import corpus_meter_stats
-from .rhyme import annotate_rhymes, corpus_rhyme_stats
-from .structure import length_summary, occupancy_heatmap, parse_structure, quatrain_stats
+from .meter import fold_meter_stats, scan_poem
+from .rhyme import RhymeCounts, annotate_rhymes, fold_rhyme_stats
+from .structure import LengthSummary, fold_quatrains, occupancy_heatmap, parse_structure, summarize_lengths
 from . import svgplot
+
+# Unused here; perfbench/tracing.py wraps these names on this module.
+from .lexstats import pronoun_profile  # noqa: F401
+from .meter import corpus_meter_stats  # noqa: F401
+from .rhyme import corpus_rhyme_stats  # noqa: F401
+from .structure import length_summary, quatrain_stats  # noqa: F401
 
 ALL_STYLES = "ALL"
 UNLABELED = "(none)"
@@ -65,17 +73,6 @@ class AnalysisSettings:
     heatmap_cols: int = 80
     strip_prefatory: bool = True
     top_k: int = 15
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min_docs": self.min_docs,
-            "alpha_total": self.alpha_total,
-            "iambic_threshold": self.iambic_threshold,
-            "heatmap_rows": self.heatmap_rows,
-            "heatmap_cols": self.heatmap_cols,
-            "strip_prefatory": self.strip_prefatory,
-            "top_k": self.top_k,
-        }
 
 
 def _fmt(value) -> str:
@@ -100,132 +97,134 @@ def _write_table(out_dir: Path, name: str, columns: list[str], rows: list[dict],
         )
 
 
-def _style_groups(corpus: Corpus) -> list[tuple[str, Corpus]]:
-    groups: list[tuple[str, Corpus]] = [(ALL_STYLES, corpus)]
-    labels = corpus.styles()
-    if any(r.style is None for r in corpus.records):
-        labels = labels + [UNLABELED]
-    for style in labels:
-        if style == UNLABELED:
-            records = tuple(r for r in corpus.records if r.style is None)
-        else:
-            records = tuple(r for r in corpus.records if r.style == style)
-        groups.append((style, Corpus(label=corpus.label, records=records)))
-    return groups
+class _PoemScores(NamedTuple):
+    """One poem's numbers, from which every table of a run is folded."""
+
+    line_count: int
+    stanza_sizes: tuple[int, ...]
+    rhyme: RhymeCounts | None
+    meter: tuple[float, bool] | None  # also None for an unscannable poem
+    pronouns: tuple[int, ...] | None
+    annotation: str | None  # the --per-poem JSON line
 
 
-def _map_rows(builder, groups, threads: int) -> list[dict]:
+def _score_corpora(corpora, families, dictionary, threshold, per_poem, threads):
+    """Score every poem once, in input order, computing only the families asked for."""
+
+    def score(record) -> _PoemScores:
+        poem = parse_structure(record)
+        rhyme = meter = pronouns = line = None
+        if "rhyme" in families:
+            annotation = annotate_rhymes(poem, dictionary)
+            rhyme = annotation.counts()
+            if per_poem:
+                line = json.dumps({**annotation.to_json_dict(), "id": record.id},
+                                  ensure_ascii=False, sort_keys=True)
+        if "meter" in families:
+            meter = scan_poem(poem, dictionary, threshold)
+        if "lexstats" in families:
+            pronouns = pronoun_counts(record.text)
+        return _PoemScores(poem.line_count, poem.stanza_sizes, rhyme, meter, pronouns, line)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(builder, groups))
-    return [builder(g) for g in groups]
+            return [list(pool.map(score, c.records)) for c in corpora]
+    return [[score(r) for r in c.records] for c in corpora]
 
 
-class _Analyzer:
-    def __init__(self, dictionary: PronouncingDictionary, settings: AnalysisSettings, threads: int):
-        self.dictionary = dictionary
-        self.settings = settings
-        self.threads = threads
+def _groups(corpus: Corpus, scores: list[_PoemScores]) -> list[tuple[str, list[_PoemScores]]]:
+    """(style, scores) per table row, in input order: ALL, each style, then unlabeled."""
+    by_style: dict[str | None, list[_PoemScores]] = {}
+    for record, poem in zip(corpus.records, scores):
+        by_style.setdefault(record.style, []).append(poem)
+    labels = corpus.styles() + ([UNLABELED] if None in by_style else [])
+    return [(ALL_STYLES, scores)] + [
+        (style, by_style.get(None if style == UNLABELED else style, [])) for style in labels
+    ]
 
-    def lengths(self, corpora: list[Corpus]) -> tuple[list[str], list[dict]]:
-        def build(item):
-            (label, style), sub = item
-            s = length_summary(sub)
-            return {
-                "source": label, "style": style, "poems": s.count,
-                "median": s.median, "q1": s.q1, "q3": s.q3,
-                "whisker_low": s.whisker_low, "whisker_high": s.whisker_high,
-                "outlier_count": len(s.outliers),
-            }
-        groups = [((c.label, style), sub) for c in corpora for style, sub in _style_groups(c)]
-        cols = ["source", "style", "poems", "median", "q1", "q3",
-                "whisker_low", "whisker_high", "outlier_count"]
-        return cols, _map_rows(build, groups, self.threads)
 
-    def quatrains(self, corpora: list[Corpus]) -> tuple[list[str], list[dict]]:
-        def build(item):
-            (label, style), sub = item
-            q = quatrain_stats(sub)
-            return {
-                "source": label, "style": style,
-                "poems": q.poem_count, "poems_with_quatrain": q.poems_with_quatrain,
-                "poems_with_quatrain_pct": q.poems_with_quatrain_pct,
-                "stanzas": q.stanza_count, "quatrain_stanzas": q.quatrain_stanzas,
-                "quatrain_stanza_pct": q.quatrain_stanza_pct,
-            }
-        groups = [((c.label, style), sub) for c in corpora for style, sub in _style_groups(c)]
-        cols = ["source", "style", "poems", "poems_with_quatrain", "poems_with_quatrain_pct",
-                "stanzas", "quatrain_stanzas", "quatrain_stanza_pct"]
-        return cols, _map_rows(build, groups, self.threads)
+def _group_rows(
+    group: list[_PoemScores], s: LengthSummary, families: tuple[str, ...]
+) -> dict[str, dict]:
+    """Each family table's row for one (corpus, style) group, folded from its scores.
 
-    def rhyme(self, corpora: list[Corpus]) -> tuple[list[str], list[dict]]:
-        def build(item):
-            (label, style), sub = item
-            r = corpus_rhyme_stats(sub, self.dictionary)
-            return {
-                "source": label, "style": style, "poems": r.poem_count,
-                "poems_with_rhyme_pct": r.poems_with_rhyme_pct,
-                "avg_rhymed_fraction": r.avg_rhymed_fraction,
-                "pooled_rhymed_fraction": r.pooled_rhymed_fraction,
-            }
-        groups = [((c.label, style), sub) for c in corpora for style, sub in _style_groups(c)]
-        cols = ["source", "style", "poems", "poems_with_rhyme_pct",
-                "avg_rhymed_fraction", "pooled_rhymed_fraction"]
-        return cols, _map_rows(build, groups, self.threads)
-
-    def meter(self, corpora: list[Corpus]) -> tuple[list[str], list[dict]]:
-        def build(item):
-            (label, style), sub = item
-            m = corpus_meter_stats(sub, self.dictionary, self.settings.iambic_threshold)
-            return {
-                "source": label, "style": style, "poems": m.poem_count,
-                "pct_dominant_iambic": m.pct_dominant_iambic,
-                "mean_iambic_score": m.mean_iambic_score,
-                "unscannable_poems": m.unscannable_poems,
-            }
-        groups = [((c.label, style), sub) for c in corpora for style, sub in _style_groups(c)]
-        cols = ["source", "style", "poems", "pct_dominant_iambic",
-                "mean_iambic_score", "unscannable_poems"]
-        return cols, _map_rows(build, groups, self.threads)
-
-    def pronouns(self, corpora: list[Corpus]) -> tuple[list[str], list[dict]]:
-        categories = sorted(PRONOUN_CATEGORIES)
-        def build(item):
-            (label, style), sub = item
-            p = pronoun_profile(sub)
-            row = {"source": label, "style": style, "tokens": p.total_tokens}
-            for c in categories:
-                row[c] = p.per_100_words[c]
-            return row
-        groups = [((c.label, style), sub) for c in corpora for style, sub in _style_groups(c)]
-        return ["source", "style", "tokens", *categories], _map_rows(build, groups, self.threads)
-
-    def touchstones(self, corpora: list[Corpus]) -> tuple[list[str], list[dict]]:
-        rows = []
-        for corpus in corpora:
-            for coverage in touchstone_coverage(corpus, DEFAULT_TOUCHSTONE_GROUPS):
-                rows.append({
-                    "source": corpus.label,
-                    "group": " ".join(coverage.patterns),
-                    "poems_matched": coverage.poems_matched,
-                    "poems": coverage.poem_count,
-                    "pct": coverage.pct,
-                })
-        return ["source", "group", "poems_matched", "poems", "pct"], rows
-
-    def compare_tables(self, a: Corpus, b: Corpus) -> dict[str, tuple[list[str], list[dict]]]:
-        cols = ["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"]
-        def rows_for(results):
-            return [
-                {"word": r.word, "delta": r.delta, "variance": r.variance,
-                 "z": r.z_score, "doc_freq_a": r.doc_freq_a, "doc_freq_b": r.doc_freq_b}
-                for r in results
-            ]
-        s = self.settings
-        return {
-            "logodds": (cols, rows_for(logodds(a, b, s.min_docs, True, s.alpha_total))),
-            "first_words": (cols, rows_for(first_word_logodds(a, b, s.min_docs, s.alpha_total))),
+    s is the group's line-count summary. A row's keys, in order, are its
+    table's columns after source and style.
+    """
+    rows = {}
+    if "structure" in families:
+        rows["lengths"] = {
+            "poems": s.count, "median": s.median, "q1": s.q1, "q3": s.q3,
+            "whisker_low": s.whisker_low, "whisker_high": s.whisker_high,
+            "outlier_count": len(s.outliers),
         }
+        q = fold_quatrains([p.stanza_sizes for p in group])
+        rows["quatrains"] = {
+            "poems": q.poem_count, "poems_with_quatrain": q.poems_with_quatrain,
+            "poems_with_quatrain_pct": q.poems_with_quatrain_pct,
+            "stanzas": q.stanza_count, "quatrain_stanzas": q.quatrain_stanzas,
+            "quatrain_stanza_pct": q.quatrain_stanza_pct,
+        }
+    if "rhyme" in families:
+        r = fold_rhyme_stats([p.rhyme for p in group])
+        rows["rhyme"] = {
+            "poems": r.poem_count, "poems_with_rhyme_pct": r.poems_with_rhyme_pct,
+            "avg_rhymed_fraction": r.avg_rhymed_fraction,
+            "pooled_rhymed_fraction": r.pooled_rhymed_fraction,
+        }
+    if "meter" in families:
+        m = fold_meter_stats([p.meter for p in group])
+        rows["meter"] = {
+            "poems": m.poem_count, "pct_dominant_iambic": m.pct_dominant_iambic,
+            "mean_iambic_score": m.mean_iambic_score,
+            "unscannable_poems": m.unscannable_poems,
+        }
+    if "lexstats" in families:
+        pr = fold_pronouns([p.pronouns for p in group])
+        rows["pronouns"] = {"tokens": pr.total_tokens,
+                            **{c: pr.per_100_words[c] for c in sorted(PRONOUN_CATEGORIES)}}
+    return rows
+
+
+def _fold_tables(corpora, scored, families):
+    """Fold the poem scores into the families' per-(corpus, style) tables.
+
+    Also returns, per corpus label, each group's line-count summary for the boxplots.
+    """
+    tables: dict[str, list[dict]] = {}
+    boxplots: dict[str, list[tuple[str, LengthSummary]]] = {}
+    for corpus, scores in zip(corpora, scored):
+        summaries = boxplots[corpus.label] = []
+        for style, group in _groups(corpus, scores):
+            lengths = summarize_lengths([p.line_count for p in group])
+            summaries.append((style, lengths))
+            for name, row in _group_rows(group, lengths, families).items():
+                tables.setdefault(name, []).append(
+                    {"source": corpus.label, "style": style, **row}
+                )
+    return {name: (list(rows[0]), rows) for name, rows in tables.items()}, boxplots
+
+
+def _touchstone_rows(corpora: list[Corpus]) -> list[dict]:
+    return [
+        {"source": corpus.label, "group": " ".join(c.patterns),
+         "poems_matched": c.poems_matched, "poems": c.poem_count, "pct": c.pct}
+        for corpus in corpora for c in touchstone_coverage(corpus, DEFAULT_TOUCHSTONE_GROUPS)
+    ]
+
+
+def _compare_tables(a: Corpus, b: Corpus, s: AnalysisSettings) -> dict:
+    cols = ["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"]
+    def rows_for(results):
+        return [
+            {"word": r.word, "delta": r.delta, "variance": r.variance,
+             "z": r.z_score, "doc_freq_a": r.doc_freq_a, "doc_freq_b": r.doc_freq_b}
+            for r in results
+        ]
+    return {
+        "logodds": (cols, rows_for(logodds(a, b, s.min_docs, True, s.alpha_total))),
+        "first_words": (cols, rows_for(first_word_logodds(a, b, s.min_docs, s.alpha_total))),
+    }
 
 
 def _load_corpora(paths: list[str], args) -> list[Corpus]:
@@ -262,7 +261,7 @@ def _write_report(
     dictionary: PronouncingDictionary,
     settings: AnalysisSettings,
     corpora: list[Corpus],
-    emit_plots: bool,
+    boxplots: dict[str, list[tuple[str, LengthSummary]]] | None,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(tables):
@@ -279,7 +278,7 @@ def _write_report(
         "tool": "poemetrics",
         "version": __version__,
         "dictionary_sha256": dictionary.source_sha256,
-        "settings": settings.to_json_dict(),
+        "settings": asdict(settings),
         "corpora": {c.label: len(c) for c in corpora},
     }
     report = {
@@ -289,19 +288,16 @@ def _write_report(
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if emit_plots:
-        _write_plots(out_dir, tables, grids, corpora, settings.top_k)
+    if boxplots is not None:
+        _write_plots(out_dir, tables, grids, boxplots, settings.top_k)
 
 
-def _write_plots(out_dir: Path, tables, grids, corpora: list[Corpus], top_k: int) -> None:
-    from .structure import length_summary as _ls
-
+def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
     plot_dir = out_dir / "plots"
     plot_dir.mkdir(parents=True, exist_ok=True)
-    for corpus in corpora:
-        summaries = [(style, _ls(sub)) for style, sub in _style_groups(corpus)]
-        (plot_dir / f"lengths_{corpus.label}.svg").write_text(
-            svgplot.boxplot_svg(summaries, title=f"line counts: {corpus.label}"),
+    for label, summaries in boxplots.items():
+        (plot_dir / f"lengths_{label}.svg").write_text(
+            svgplot.boxplot_svg(summaries, title=f"line counts: {label}"),
             encoding="utf-8",
         )
     if "rhyme" in tables:
@@ -334,14 +330,6 @@ def _write_plots(out_dir: Path, tables, grids, corpora: list[Corpus], top_k: int
         )
 
 
-_FAMILY_BUILDERS = {
-    "structure": ("lengths", "quatrains"),
-    "rhyme": ("rhyme",),
-    "meter": ("meter",),
-    "lexstats": ("pronouns", "touchstones"),
-}
-
-
 def _run_analysis(args, families: tuple[str, ...], with_grids: bool, compare: bool) -> int:
     dictionary = load_dictionary(args.dict)
     settings = AnalysisSettings(
@@ -354,25 +342,26 @@ def _run_analysis(args, families: tuple[str, ...], with_grids: bool, compare: bo
         top_k=args.top_k,
     )
     corpora = _load_corpora(args.corpus, args)
-    analyzer = _Analyzer(dictionary, settings, args.threads)
-    tables: dict[str, tuple[list[str], list[dict]]] = {}
-    for family in families:
-        for table in _FAMILY_BUILDERS[family]:
-            tables[table] = getattr(analyzer, table)(corpora)
+    per_poem = getattr(args, "per_poem", False) and "rhyme" in families
+    tables, boxplots = {}, {}
+    if families or args.emit_plots:
+        scored = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
+                                per_poem, args.threads)
+        tables, boxplots = _fold_tables(corpora, scored, families)
+        if per_poem:
+            annotations_dir = Path(args.out) / "annotations"
+            annotations_dir.mkdir(parents=True, exist_ok=True)
+            for corpus, scores in zip(corpora, scored):
+                with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
+                          encoding="utf-8") as handle:
+                    handle.writelines(p.annotation + "\n" for p in scores)
+    if "lexstats" in families:
+        tables["touchstones"] = (["source", "group", "poems_matched", "poems", "pct"],
+                                 _touchstone_rows(corpora))
     if compare:
         if len(corpora) < 2:
             raise CorpusError("--compare requires two corpora")
-        tables.update(analyzer.compare_tables(corpora[0], corpora[1]))
-    if getattr(args, "per_poem", False) and "rhyme" in families:
-        annotations_dir = Path(args.out) / "annotations"
-        annotations_dir.mkdir(parents=True, exist_ok=True)
-        for corpus in corpora:
-            with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
-                      encoding="utf-8") as handle:
-                for record in corpus.records:
-                    row = annotate_rhymes(parse_structure(record), dictionary).to_json_dict()
-                    row["id"] = record.id
-                    handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+        tables.update(_compare_tables(corpora[0], corpora[1], settings))
     grids = {}
     if with_grids:
         for corpus in corpora:
@@ -381,7 +370,7 @@ def _run_analysis(args, families: tuple[str, ...], with_grids: bool, compare: bo
             )
     _write_report(
         Path(args.out), args.format, tables, grids, dictionary, settings, corpora,
-        args.emit_plots,
+        boxplots if args.emit_plots else None,
     )
     print(f"report written to {args.out}")
     return 0

@@ -149,14 +149,6 @@ class Corpus:
         """Distinct style labels present, sorted; None is excluded."""
         return sorted({r.style for r in self.records if r.style is not None})
 
-    def filter_style(self, style: str) -> "Corpus":
-        kept = tuple(r for r in self.records if r.style == style)
-        return Corpus(label=self.label, records=kept)
-
-    def exclude_subjects(self, subjects: set[str]) -> "Corpus":
-        kept = tuple(r for r in self.records if r.subject not in subjects)
-        return Corpus(label=self.label, records=kept)
-
 
 def _normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 
@@ -77,6 +78,32 @@ class PronounProfile:
     total_tokens: int
 
 
+def pronoun_counts(text: str) -> tuple[int, ...]:
+    """A poem's token count, then its count of each PRONOUN_CATEGORIES entry in order."""
+    tokens = tokenize(text).tokens
+    return (len(tokens), *(
+        sum(1 for t in tokens if t in words) for words in PRONOUN_CATEGORIES.values()
+    ))
+
+
+def fold_pronouns(counts: Sequence[tuple[int, ...]], per_poem: bool = False) -> PronounProfile:
+    """Pronoun profile of a group from its poems' pronoun_counts, in input order.
+
+    Poems with no tokens are skipped.
+    """
+    counted = [c for c in counts if c[0]]
+    token_total = sum(c[0] for c in counted)
+    totals, freqs = {}, {}
+    for k, category in enumerate(PRONOUN_CATEGORIES, start=1):
+        totals[category] = sum(c[k] for c in counted)
+        if per_poem:
+            rates = [100.0 * c[k] / c[0] for c in counted]
+            freqs[category] = sum(rates) / len(rates) if rates else 0.0
+        else:
+            freqs[category] = 100.0 * totals[category] / token_total if token_total else 0.0
+    return PronounProfile(per_100_words=freqs, counts=totals, total_tokens=token_total)
+
+
 def pronoun_profile(
     corpus: Corpus,
     exclude_subjects: set[str] | None = None,
@@ -93,35 +120,7 @@ def pronoun_profile(
         records = [r for r in records if r.subject not in exclude_subjects]
     if not records:
         raise ValueError("no poems left after subject exclusion")
-
-    totals: Counter[str] = Counter()
-    token_total = 0
-    per_poem_rates: dict[str, list[float]] = {c: [] for c in PRONOUN_CATEGORIES}
-    for record in records:
-        tokens = tokenize(record.text).tokens
-        if not tokens:
-            continue
-        token_total += len(tokens)
-        for category, words in PRONOUN_CATEGORIES.items():
-            count = sum(1 for t in tokens if t in words)
-            totals[category] += count
-            per_poem_rates[category].append(100.0 * count / len(tokens))
-
-    if per_poem:
-        freqs = {
-            c: (sum(rates) / len(rates) if rates else 0.0)
-            for c, rates in per_poem_rates.items()
-        }
-    else:
-        freqs = {
-            c: (100.0 * totals[c] / token_total if token_total else 0.0)
-            for c in PRONOUN_CATEGORIES
-        }
-    return PronounProfile(
-        per_100_words=freqs,
-        counts={c: totals[c] for c in PRONOUN_CATEGORIES},
-        total_tokens=token_total,
-    )
+    return fold_pronouns([pronoun_counts(r.text) for r in records], per_poem)
 
 
 def load_stopwords() -> frozenset[str]:

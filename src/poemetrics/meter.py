@@ -9,6 +9,7 @@ per estimated syllable of out-of-vocabulary words.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .arpabet import PronouncingDictionary, stress_pattern
@@ -35,13 +36,16 @@ class StressSequence:
 
 def word_stress(word: str, dictionary: PronouncingDictionary) -> str:
     """Stress symbols for one word, using its first dictionary variant."""
-    variants = dictionary.lookup(word)
-    if not variants:
-        return "?" * estimate_syllables(word)
-    pattern = stress_pattern(variants[0])
-    if len(pattern) == 1:
-        return "x"
-    return pattern.replace("2", "1")
+    key = word.lower()
+    stress = dictionary.stress_memo.get(key)
+    if stress is None:
+        variants = dictionary.lookup(key)
+        if not variants:
+            return "?" * estimate_syllables(word)
+        pattern = stress_pattern(variants[0])
+        stress = "x" if len(pattern) == 1 else pattern.replace("2", "1")
+        dictionary.stress_memo[key] = stress
+    return stress
 
 
 def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
@@ -67,6 +71,10 @@ def alignment_score(digits: str, pattern: str = IAMB) -> float:
         elif symbol == pattern[k % len(pattern)]:
             credit += 1.0
     return credit / len(digits)
+
+
+class UnscannableError(ValueError):
+    """A poem has no line with two or more resolvable syllables."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ def iambic_score(
     sequences = [line_stress(line, dictionary, i) for i, line in enumerate(poem.lines)]
     scorable = [s for s in sequences if _resolved_syllables(s.digits) >= 2]
     if not scorable:
-        raise ValueError("no scannable lines")
+        raise UnscannableError("no scannable lines")
     score = sum(alignment_score(s.digits) for s in scorable) / len(scorable)
     return MeterVerdict(
         iambic_score=score,
@@ -119,29 +127,38 @@ class CorpusMeterStats:
         return 100.0 * self.dominant_poems / scanned if scanned else 0.0
 
 
+def scan_poem(
+    poem: PoemStructure,
+    dictionary: PronouncingDictionary,
+    threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
+) -> tuple[float, bool] | None:
+    """(iambic score, dominant) of one poem; None when it is unscannable."""
+    try:
+        verdict = iambic_score(poem, dictionary, threshold)
+    except UnscannableError:
+        return None
+    return verdict.iambic_score, verdict.dominant
+
+
+def fold_meter_stats(scans: Sequence[tuple[float, bool] | None]) -> CorpusMeterStats:
+    """Meter statistics of a group from its poems' scan_poem results, in input order."""
+    if not scans:
+        raise ValueError("empty corpus")
+    scores = [scan[0] for scan in scans if scan is not None]
+    return CorpusMeterStats(
+        dominant_poems=sum(1 for scan in scans if scan is not None and scan[1]),
+        poem_count=len(scans),
+        mean_iambic_score=sum(scores) / len(scores) if scores else 0.0,
+        unscannable_poems=len(scans) - len(scores),
+    )
+
+
 def corpus_meter_stats(
     corpus: Corpus,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
 ) -> CorpusMeterStats:
     """Share of poems whose mean line alignment is iambic-dominant."""
-    if not len(corpus):
-        raise ValueError("empty corpus")
-    dominant = 0
-    scores = []
-    unscannable = 0
-    for record in corpus.records:
-        try:
-            verdict = iambic_score(parse_structure(record), dictionary, threshold)
-        except ValueError:
-            unscannable += 1
-            continue
-        scores.append(verdict.iambic_score)
-        if verdict.dominant:
-            dominant += 1
-    return CorpusMeterStats(
-        dominant_poems=dominant,
-        poem_count=len(corpus),
-        mean_iambic_score=sum(scores) / len(scores) if scores else 0.0,
-        unscannable_poems=unscannable,
+    return fold_meter_stats(
+        [scan_poem(parse_structure(r), dictionary, threshold) for r in corpus.records]
     )

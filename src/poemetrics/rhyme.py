@@ -10,6 +10,7 @@ affect detection.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
@@ -32,13 +33,20 @@ def end_word(line: str) -> str | None:
 
 
 def _rhyme_parts(dictionary: PronouncingDictionary, word: str) -> frozenset[Variant]:
-    parts = set()
-    for variant in dictionary.lookup(word):
-        try:
-            parts.add(rhyme_part(variant))
-        except ValueError:
-            continue
-    return frozenset(parts)
+    key = word.lower()
+    parts = dictionary.rhyme_part_memo.get(key)
+    if parts is None:
+        variants = dictionary.lookup(key)
+        found = set()
+        for variant in variants:
+            try:
+                found.add(rhyme_part(variant))
+            except ValueError:
+                continue
+        parts = frozenset(found)
+        if variants:
+            dictionary.rhyme_part_memo[key] = parts
+    return parts
 
 
 def lines_rhyme(word_a: str | None, word_b: str | None, dictionary: PronouncingDictionary) -> bool:
@@ -48,10 +56,11 @@ def lines_rhyme(word_a: str | None, word_b: str | None, dictionary: PronouncingD
     """
     if word_a is None or word_b is None:
         return False
-    parts_a = _rhyme_parts(dictionary, word_a)
-    if not parts_a:
-        return False
-    return bool(parts_a & _rhyme_parts(dictionary, word_b))
+    return not _rhyme_parts(dictionary, word_a).isdisjoint(_rhyme_parts(dictionary, word_b))
+
+
+# One poem's (has a scheme, rhymed fraction, rhymed lines, lines).
+RhymeCounts = tuple[bool, float, int, int]
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,11 @@ class RhymeAnnotation:
     @property
     def scheme_names(self) -> set[str]:
         return {m.scheme for m in self.schemes}
+
+    def counts(self) -> RhymeCounts:
+        """The numbers of this annotation that corpus statistics fold."""
+        flags = self.rhymed_line_flags
+        return bool(self.schemes), self.rhymed_fraction, sum(flags), len(flags)
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,14 +107,11 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
     """
     n = poem.line_count
     words = tuple(end_word(line) for line in poem.lines)
-
-    cache: dict[tuple[int, int], bool] = {}
+    # lines_rhyme's test, with each end word's parts looked up once.
+    parts = [frozenset() if w is None else _rhyme_parts(dictionary, w) for w in words]
 
     def r(i: int, j: int) -> bool:
-        key = (i, j)
-        if key not in cache:
-            cache[key] = lines_rhyme(words[i], words[j], dictionary)
-        return cache[key]
+        return not parts[i].isdisjoint(parts[j])
 
     flags = [False] * n
     schemes: list[SchemeMatch] = []
@@ -147,28 +158,20 @@ class RhymeStats:
         return 100.0 * self.poems_with_rhyme / self.poem_count
 
 
+def fold_rhyme_stats(counts: Sequence[RhymeCounts]) -> RhymeStats:
+    """Rhyme statistics of a group from its poems' counts, summed in input order."""
+    if not counts:
+        raise ValueError("empty corpus")
+    with_rhyme, fraction_sum, rhymed_lines, lines = map(sum, zip(*counts))
+    return RhymeStats(with_rhyme, len(counts), fraction_sum / len(counts), rhymed_lines / lines)
+
+
 def corpus_rhyme_stats(corpus: Corpus, dictionary: PronouncingDictionary) -> RhymeStats:
     """Share of poems with any detected scheme and mean rhymed-line fraction.
 
     avg_rhymed_fraction is the unweighted mean of per-poem fractions;
     pooled_rhymed_fraction pools rhymed and total lines corpus-wide.
     """
-    if not len(corpus):
-        raise ValueError("empty corpus")
-    with_rhyme = 0
-    fractions = []
-    flagged_lines = 0
-    total_lines = 0
-    for record in corpus.records:
-        annotation = annotate_rhymes(parse_structure(record), dictionary)
-        if annotation.schemes:
-            with_rhyme += 1
-        fractions.append(annotation.rhymed_fraction)
-        flagged_lines += sum(annotation.rhymed_line_flags)
-        total_lines += len(annotation.rhymed_line_flags)
-    return RhymeStats(
-        poems_with_rhyme=with_rhyme,
-        poem_count=len(corpus),
-        avg_rhymed_fraction=sum(fractions) / len(fractions),
-        pooled_rhymed_fraction=flagged_lines / total_lines,
+    return fold_rhyme_stats(
+        [annotate_rhymes(parse_structure(r), dictionary).counts() for r in corpus.records]
     )

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .corpus import Corpus, PoemRecord
-from .lexstats import tokenize
+from .lexstats import tokenize  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,6 @@ class PoemStructure:
     lines: tuple[str, ...]
     stanza_sizes: tuple[int, ...]
     line_count: int
-    word_count: int
 
 
 def parse_structure(poem: PoemRecord | str) -> PoemStructure:
@@ -43,7 +43,6 @@ def parse_structure(poem: PoemRecord | str) -> PoemStructure:
         lines=tuple(lines),
         stanza_sizes=tuple(stanza_sizes),
         line_count=len(lines),
-        word_count=len(tokenize(text).tokens),
     )
 
 
@@ -63,26 +62,22 @@ class QuatrainStats:
         return 100.0 * self.quatrain_stanzas / self.stanza_count if self.stanza_count else 0.0
 
 
+def fold_quatrains(stanza_sizes: Sequence[tuple[int, ...]]) -> QuatrainStats:
+    """Quatrain counts over the stanza sizes of each poem of a group."""
+    if not stanza_sizes:
+        raise ValueError("empty corpus")
+    hits = [sizes.count(4) for sizes in stanza_sizes]
+    return QuatrainStats(
+        poems_with_quatrain=sum(1 for h in hits if h),
+        poem_count=len(stanza_sizes),
+        quatrain_stanzas=sum(hits),
+        stanza_count=sum(len(sizes) for sizes in stanza_sizes),
+    )
+
+
 def quatrain_stats(corpus: Corpus) -> QuatrainStats:
     """Share of poems containing a 4-line stanza and of stanzas that are quatrains."""
-    if not len(corpus):
-        raise ValueError("empty corpus")
-    poems_with = 0
-    quatrains = 0
-    stanzas = 0
-    for record in corpus.records:
-        sizes = parse_structure(record).stanza_sizes
-        stanzas += len(sizes)
-        hits = sum(1 for s in sizes if s == 4)
-        quatrains += hits
-        if hits:
-            poems_with += 1
-    return QuatrainStats(
-        poems_with_quatrain=poems_with,
-        poem_count=len(corpus),
-        quatrain_stanzas=quatrains,
-        stanza_count=stanzas,
-    )
+    return fold_quatrains([parse_structure(r).stanza_sizes for r in corpus.records])
 
 
 @dataclass(frozen=True)
@@ -96,17 +91,6 @@ class LengthSummary:
     whisker_high: int
     outliers: tuple[int, ...]
     count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-            "count": self.count,
-        }
 
 
 def _quantile(sorted_values: list[int], p: float) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -54,6 +55,66 @@ def test_analyze_is_deterministic_across_thread_counts(tmp_path):
     assert main([*args, "--out", str(out1), "--threads", "1"]) == 0
     assert main([*args, "--out", str(out8), "--threads", "8"]) == 0
     assert _tree_bytes(out1) == _tree_bytes(out8)
+
+
+# SHA-256 of every file analyze writes for the fixtures, recorded before the
+# per-poem single pass replaced the per-group rescoring. A change that alters
+# any of these bytes must say so and update the digests.
+GOLDEN_DIGESTS = {
+    "annotations/rhyme_fixture_gpt.jsonl":
+        "0013d64b0fded4d7f065b16b338434c11adc46f2620e1eb1d7ae2325b9320022",
+    "annotations/rhyme_fixture_human.jsonl":
+        "c4a908fc43c86d295e804bcc7b260c1ccb7cef5d5bdf110277a6c86c076e02e7",
+    "grids/occupancy_fixture_gpt.csv":
+        "7d0603fdf3c527d56ef85123e74c1e932acf239a3f75f025f03f13c387bb8a0f",
+    "grids/occupancy_fixture_gpt.json":
+        "bc2eee70dd809299f17aadc7c3bed0263bf055e546481988beb3d320ca5af7f1",
+    "grids/occupancy_fixture_human.csv":
+        "caf64aa722531bd66bd8e05cb1b7d425bb864be4d7071106eb849a8aa63b3f78",
+    "grids/occupancy_fixture_human.json":
+        "b6741ac8ab0a7932c0bbf980ee1b0ae83244ad3f3fd53e9e5d6c57d0911f75cd",
+    "plots/first_words_top15.svg":
+        "0b74ab5dabe54b74f7042f1903044aaedd478a57aeeddf111f9e8e73e7df65ac",
+    "plots/lengths_fixture_gpt.svg":
+        "fe2a1b6ef747f2d50afc4c4f2e9e0e698405da51262bd1cad995be051744eeeb",
+    "plots/lengths_fixture_human.svg":
+        "d4bcfb27add237f89537171a6aa06badd4a06b5f3fbc6dde057556c4a1ac8eb7",
+    "plots/logodds_top15.svg":
+        "299d722eceb7ed7e043bc1facefa63305027c764842d61fcab3c5ff9adab8017",
+    "plots/occupancy_fixture_gpt.svg":
+        "adba797fd260fd39395fd7affaca67b74210f94b4addaadc9c72ddb6ba6a9e01",
+    "plots/occupancy_fixture_human.svg":
+        "f3c8af817e9f513a2e3233ca33770d1015e9bbb2d351b0c643572aa90df65f0f",
+    "plots/rhyme_pct.svg":
+        "6a336616303bbc8b62cd29205d5984834bae49fb3b7a1a2096eef03c2e646342",
+    "report.json":
+        "bb76051bf31fcfd32c1e41b0c0b1e3968593a654616463e24c96736f86d2e069",
+    "tables/first_words.csv":
+        "f9f8ad43046840e9a6bc8a17a942b008e0c9b13188a699e408dc6b5cbc245599",
+    "tables/lengths.csv":
+        "83cd78ad07b28c547aea6508aa37dbb964cda42d49bd2a3cce634da17f5a1b66",
+    "tables/logodds.csv":
+        "24238565d7e34311730a05b856dfde2cd543af85b625bab55564f62b3ad1606f",
+    "tables/meter.csv":
+        "744e4437d76cd2d70e1a7c57eab6f9bb1cf9f25a324cfeb47bac54b2400a33ea",
+    "tables/pronouns.csv":
+        "4f752e247d518ec9996fd03fe38be3cbd492c44b5d5cf5a252729328f9bbc8f9",
+    "tables/quatrains.csv":
+        "d1f8dab7593464d576723fe7b8cab63b5dc9e539dae1d1dd1afec911e1eb58be",
+    "tables/rhyme.csv":
+        "055940cc1cd709c03fb7e3b8d90b4b3bc238841fd8f5ca53fc4d8a8ade64530d",
+    "tables/touchstones.csv":
+        "2428e09b305ecaebff5a74d09e30787cb21b3f70e164c0344ee401ab7aee39ae",
+}
+
+
+def test_analyze_output_bytes_match_recorded_digests(tmp_path):
+    out = tmp_path / "golden"
+    assert main(["analyze", HUMAN, GPT, "--compare", "--min-docs", "1", "--emit-plots",
+                 "--per-poem", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in _tree_bytes(out).items()}
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_analyze_rerun_is_byte_identical(tmp_path):

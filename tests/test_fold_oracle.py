@@ -1,0 +1,249 @@
+"""Oracles for analyze's fast path.
+
+analyze scores each poem once and folds every (corpus, style) table row
+from those per-poem results, with per-word dictionary work memoized on the
+dictionary. These tests rebuild the rows and the per-word results with
+plain loops over the reference functions and require exact equality.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from poemetrics.arpabet import load_bundled_dictionary, rhyme_part, stress_pattern
+from poemetrics.cli import main
+from poemetrics.corpus import EXPECTED_FORM_LENGTHS, Corpus, load_corpus, strip_prefatory
+from poemetrics.lexstats import PRONOUN_CATEGORIES, tokenize
+from poemetrics.meter import (
+    UnscannableError,
+    corpus_meter_stats,
+    estimate_syllables,
+    iambic_score,
+    word_stress,
+)
+from poemetrics.rhyme import _rhyme_parts, annotate_rhymes, corpus_rhyme_stats
+from poemetrics.structure import parse_structure, summarize_lengths
+
+from conftest import make_corpus
+
+STYLES = ("sonnet", "haiku", "free verse", "ballad", None)
+VOWEL_LESS = ("qzz", "xvv", "brr", "tsk", "pfft", "hmm")
+PRONOUNS = ("i", "we", "you", "thou", "she", "his", "they", "it", "our", "me")
+
+
+def _random_poem(rng: random.Random, words: list[str]) -> str:
+    if rng.random() < 0.1:  # unscannable: vowel-less unknown words only
+        return "\n".join(
+            " ".join(rng.choice(VOWEL_LESS) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 5))
+        )
+    rhymes = rng.sample(words, 3)
+    stanzas = []
+    for _ in range(rng.randint(1, 4)):
+        lines = []
+        for _ in range(rng.choice((1, 2, 3, 4, 4, 5, 6))):
+            body = [rng.choice(words + list(PRONOUNS)) for _ in range(rng.randint(1, 7))]
+            end = rng.choice(rhymes) if rng.random() < 0.6 else rng.choice(words)
+            lines.append(" ".join([*body, end]).capitalize())
+        stanzas.append("\n".join(lines))
+    return "\n\n".join(stanzas)
+
+
+def _write_corpus(path, rng, words, n):
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            record = {"id": f"p{i}", "text": _random_poem(rng, words), "source": "human"}
+            style = rng.choice(STYLES)
+            if style is not None:
+                record["style"] = style
+            handle.write(json.dumps(record) + "\n")
+
+
+def _reference_rows(corpus: Corpus, dictionary) -> dict[str, list[dict]]:
+    """Every per-group table row of one corpus, rebuilt poem by poem."""
+    groups = [("ALL", corpus.records)]
+    groups += [(s, [r for r in corpus.records if r.style == s]) for s in corpus.styles()]
+    if any(r.style is None for r in corpus.records):
+        groups.append(("(none)", [r for r in corpus.records if r.style is None]))
+    tables: dict[str, list[dict]] = {n: [] for n in ("lengths", "quatrains", "rhyme", "meter",
+                                                     "pronouns")}
+    for style, records in groups:
+        key = {"source": corpus.label, "style": style}
+        s = summarize_lengths([parse_structure(r).line_count for r in records])
+        tables["lengths"].append({
+            **key, "poems": s.count, "median": s.median, "q1": s.q1, "q3": s.q3,
+            "whisker_low": s.whisker_low, "whisker_high": s.whisker_high,
+            "outlier_count": len(s.outliers),
+        })
+
+        with_quatrain = stanzas = quatrains = 0
+        with_rhyme = flagged = lines = 0
+        fractions, scores = [], []
+        dominant = unscannable = tokens = 0
+        pronouns = {c: 0 for c in PRONOUN_CATEGORIES}
+        for record in records:
+            poem = parse_structure(record)
+            hits = sum(1 for size in poem.stanza_sizes if size == 4)
+            stanzas += len(poem.stanza_sizes)
+            quatrains += hits
+            with_quatrain += hits > 0
+
+            annotation = annotate_rhymes(poem, dictionary)
+            with_rhyme += bool(annotation.schemes)
+            fractions.append(annotation.rhymed_fraction)
+            flagged += sum(annotation.rhymed_line_flags)
+            lines += len(annotation.rhymed_line_flags)
+
+            try:
+                verdict = iambic_score(poem, dictionary)
+            except UnscannableError:
+                unscannable += 1
+            else:
+                scores.append(verdict.iambic_score)
+                dominant += verdict.dominant
+
+            words = tokenize(record.text).tokens
+            tokens += len(words)
+            for category, members in PRONOUN_CATEGORIES.items():
+                pronouns[category] += sum(1 for w in words if w in members)
+
+        n = len(records)
+        tables["quatrains"].append({
+            **key, "poems": n, "poems_with_quatrain": with_quatrain,
+            "poems_with_quatrain_pct": 100.0 * with_quatrain / n,
+            "stanzas": stanzas, "quatrain_stanzas": quatrains,
+            "quatrain_stanza_pct": 100.0 * quatrains / stanzas,
+        })
+        tables["rhyme"].append({
+            **key, "poems": n, "poems_with_rhyme_pct": 100.0 * with_rhyme / n,
+            "avg_rhymed_fraction": sum(fractions) / n,
+            "pooled_rhymed_fraction": flagged / lines,
+        })
+        scanned = n - unscannable
+        tables["meter"].append({
+            **key, "poems": n,
+            "pct_dominant_iambic": 100.0 * dominant / scanned if scanned else 0.0,
+            "mean_iambic_score": sum(scores) / len(scores) if scores else 0.0,
+            "unscannable_poems": unscannable,
+        })
+        tables["pronouns"].append({
+            **key, "tokens": tokens,
+            **{c: 100.0 * k / tokens if tokens else 0.0 for c, k in pronouns.items()},
+        })
+    return tables
+
+
+@pytest.mark.parametrize("seed,threads", [(1, 1), (2, 2), (3, 1)])
+def test_analyze_rows_equal_per_poem_reference(tmp_path, seed, threads):
+    rng = random.Random(seed)
+    dictionary = load_bundled_dictionary()
+    words = rng.sample(dictionary.words(), 300)
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        _write_corpus(path, rng, words, 80)
+    out = tmp_path / "out"
+    assert main(["analyze", *map(str, paths), "--out", str(out), "--format", "json",
+                 "--threads", str(threads)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+    expected: dict[str, list[dict]] = {}
+    for path in paths:
+        corpus = load_corpus(path)
+        records = tuple(
+            strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or "")) for r in corpus.records
+        )
+        for name, rows in _reference_rows(Corpus(corpus.label, records), dictionary).items():
+            expected.setdefault(name, []).extend(rows)
+    for name, rows in expected.items():
+        assert report["tables"][name] == rows, name
+    meter_rows = [r for r in expected["meter"] if r["style"] == "ALL"]
+    assert all(r["unscannable_poems"] > 0 for r in meter_rows)
+
+
+PROBE_WORDS = (
+    "qzz", "florbix", "zyxwvut", "don’t", "world’s", "o’er",
+    "naïve", "café", "straße", "déjà", "Day", "WHISPER", "don't",
+)
+
+
+def _reference_parts(dictionary, word):
+    parts = set()
+    for variant in dictionary.lookup(word):
+        try:
+            parts.add(rhyme_part(variant))
+        except ValueError:
+            pass
+    return frozenset(parts)
+
+
+def _reference_stress(dictionary, word):
+    variants = dictionary.lookup(word)
+    if not variants:
+        return "?" * estimate_syllables(word)
+    pattern = stress_pattern(variants[0])
+    return "x" if len(pattern) == 1 else pattern.replace("2", "1")
+
+
+def test_memoized_word_work_equals_uncached_reference():
+    dictionary = load_bundled_dictionary()
+    assert not dictionary.rhyme_part_memo and not dictionary.stress_memo
+    words = [*dictionary.words(), *PROBE_WORDS]
+    reference = {w: (_reference_parts(dictionary, w), _reference_stress(dictionary, w))
+                 for w in words}
+    for state in ("cold", "warm"):
+        for word, (parts, stress) in reference.items():
+            assert _rhyme_parts(dictionary, word) == parts, (state, word)
+            assert word_stress(word, dictionary) == stress, (state, word)
+    assert len(dictionary.rhyme_part_memo) == len(dictionary.stress_memo) == len(dictionary)
+
+
+def test_memo_filled_by_racing_threads_matches_reference():
+    dictionary = load_bundled_dictionary()
+    words = [*dictionary.words(), *PROBE_WORDS]
+    reference = {w: (_reference_parts(dictionary, w), _reference_stress(dictionary, w))
+                 for w in words}
+
+    def check(offset):
+        shifted = words[offset:] + words[:offset]
+        return all((_rhyme_parts(dictionary, w), word_stress(w, dictionary)) == reference[w]
+                   for w in shifted)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(check, 97 * i) for i in range(8)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(dictionary.rhyme_part_memo) == len(dictionary.stress_memo) == len(dictionary)
+
+
+def test_memo_holds_only_dictionary_words():
+    dictionary = load_bundled_dictionary()
+    rng = random.Random(7)
+    known = rng.sample(dictionary.words(), 50)
+    nonce = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyzé") for _ in range(7))
+             for _ in range(2000)]
+    nonce = [w for w in nonce if w not in dictionary]
+    texts = [
+        "\n".join(
+            " ".join(rng.choice(known) if rng.random() < 0.1 else rng.choice(nonce)
+                     for _ in range(6))
+            for _ in range(4)
+        )
+        for _ in range(200)
+    ]
+    corpus = make_corpus(texts)
+    corpus_rhyme_stats(corpus, dictionary)
+    corpus_meter_stats(corpus, dictionary)
+    assert dictionary.rhyme_part_memo and dictionary.stress_memo
+    # Line-end words can be dictionary words outside `known`: the ASCII end-word
+    # pattern splits a nonce word at "é".
+    assert set(dictionary.rhyme_part_memo) <= set(dictionary.entries)
+    assert set(dictionary.stress_memo) <= set(dictionary.entries)

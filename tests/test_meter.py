@@ -5,12 +5,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from poemetrics import meter
 from poemetrics.meter import (
+    UnscannableError,
     alignment_score,
     corpus_meter_stats,
     estimate_syllables,
     iambic_score,
     line_stress,
+    scan_poem,
     word_stress,
 )
 from poemetrics.structure import parse_structure
@@ -139,3 +142,23 @@ def test_corpus_meter_stats_skips_unscannable(dictionary):
     stats = corpus_meter_stats(make_corpus(["qzz xvv", "upon delight"]), dictionary)
     assert stats.unscannable_poems == 1
     assert stats.pct_dominant_iambic == 100.0
+
+
+def test_vowel_less_unknown_words_are_unscannable(dictionary):
+    assert issubclass(UnscannableError, ValueError)
+    text = "qzz xvv\nbrr tsk pfft"
+    with pytest.raises(UnscannableError, match="no scannable lines"):
+        iambic_score(parse_structure(text), dictionary)
+    assert scan_poem(parse_structure(text), dictionary) is None
+    stats = corpus_meter_stats(make_corpus([text, "upon delight"]), dictionary)
+    assert stats.unscannable_poems == 1
+    assert stats.mean_iambic_score == 1.0
+
+
+def test_corpus_meter_stats_does_not_hide_other_value_errors(dictionary, monkeypatch):
+    def broken(poem, dictionary, threshold):
+        raise ValueError("not an unscannable poem")
+
+    monkeypatch.setattr(meter, "iambic_score", broken)
+    with pytest.raises(ValueError, match="not an unscannable poem"):
+        corpus_meter_stats(make_corpus(["upon delight"]), dictionary)
