@@ -13,10 +13,13 @@ import argparse
 import csv
 import io
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,21 +42,30 @@ from .generate import (
     run_job,
 )
 from .lexstats import (
-    DEFAULT_TOUCHSTONE_GROUPS,
     PRONOUN_CATEGORIES,
-    first_word_logodds,
+    WordCounts,
+    fold_first_word_logodds,
+    fold_logodds,
     fold_pronouns,
-    logodds,
+    fold_touchstones,
+    load_stopwords,
     pronoun_counts,
-    touchstone_coverage,
+    touchstone_hits,
 )
 from .meter import fold_meter_stats, scan_poem
 from .rhyme import RhymeCounts, annotate_rhymes, fold_rhyme_stats
-from .structure import LengthSummary, fold_quatrains, occupancy_heatmap, parse_structure, summarize_lengths
+from .structure import (
+    LengthSummary,
+    fold_quatrains,
+    line_tokens,
+    occupancy_heatmap,
+    parse_structure,
+    summarize_lengths,
+)
 from . import svgplot
 
 # Unused here; perfbench/tracing.py wraps these names on this module.
-from .lexstats import pronoun_profile  # noqa: F401
+from .lexstats import first_word_logodds, logodds, pronoun_profile, touchstone_coverage  # noqa: F401
 from .meter import corpus_meter_stats  # noqa: F401
 from .rhyme import corpus_rhyme_stats  # noqa: F401
 from .structure import length_summary, quatrain_stats  # noqa: F401
@@ -105,15 +117,28 @@ class _PoemScores(NamedTuple):
     rhyme: RhymeCounts | None
     meter: tuple[float, bool] | None  # also None for an unscannable poem
     pronouns: tuple[int, ...] | None
+    touchstones: tuple[bool, ...] | None
     annotation: str | None  # the --per-poem JSON line
 
 
-def _score_corpora(corpora, families, dictionary, threshold, per_poem, threads):
-    """Score every poem once, in input order, computing only the families asked for."""
+def _score_corpora(corpora, families, dictionary, threshold, per_poem, threads, compared):
+    """Score every poem once, in input order, computing only the families asked for.
 
-    def score(record) -> _PoemScores:
+    Each non-blank line is tokenized once, and meter, pronouns, touchstones
+    and word counts all come from those tokens. Returns each corpus's poem
+    scores and the WordCounts of its first `compared` corpora, counted in
+    input order as the scores arrive, so no poem's tokens outlive it.
+    """
+    tokenized = compared or "meter" in families or "lexstats" in families
+    stopwords = load_stopwords() if compared else frozenset()
+
+    def score(record) -> tuple[_PoemScores, tuple[str, ...]]:
         poem = parse_structure(record)
-        rhyme = meter = pronouns = line = None
+        rhyme = meter = pronouns = touchstones = line = None
+        by_line, words = (), ()
+        if tokenized:
+            by_line = line_tokens(poem)
+            words = tuple(chain.from_iterable(by_line))
         if "rhyme" in families:
             annotation = annotate_rhymes(poem, dictionary)
             rhyme = annotation.counts()
@@ -121,15 +146,23 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, threads):
                 line = json.dumps({**annotation.to_json_dict(), "id": record.id},
                                   ensure_ascii=False, sort_keys=True)
         if "meter" in families:
-            meter = scan_poem(poem, dictionary, threshold)
+            meter = scan_poem(poem, dictionary, threshold, by_line)
         if "lexstats" in families:
-            pronouns = pronoun_counts(record.text)
-        return _PoemScores(poem.line_count, poem.stanza_sizes, rhyme, meter, pronouns, line)
+            pronouns = pronoun_counts(words)
+            touchstones = touchstone_hits(words)
+        return _PoemScores(poem.line_count, poem.stanza_sizes, rhyme, meter, pronouns,
+                           touchstones, line), words
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return [list(pool.map(score, c.records)) for c in corpora]
-    return [[score(r) for r in c.records] for c in corpora]
+    scored, counted = [], [WordCounts(stopwords) for _ in corpora[:compared]]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for i, corpus in enumerate(corpora):
+            scores = []
+            for poem, words in (pool.map if pool else map)(score, corpus.records):
+                scores.append(poem)
+                if i < compared:
+                    counted[i].add(words)
+            scored.append(scores)
+    return scored, counted
 
 
 def _groups(corpus: Corpus, scores: list[_PoemScores]) -> list[tuple[str, list[_PoemScores]]]:
@@ -205,15 +238,16 @@ def _fold_tables(corpora, scored, families):
     return {name: (list(rows[0]), rows) for name, rows in tables.items()}, boxplots
 
 
-def _touchstone_rows(corpora: list[Corpus]) -> list[dict]:
+def _touchstone_rows(corpora: list[Corpus], scored: list[list[_PoemScores]]) -> list[dict]:
     return [
         {"source": corpus.label, "group": " ".join(c.patterns),
          "poems_matched": c.poems_matched, "poems": c.poem_count, "pct": c.pct}
-        for corpus in corpora for c in touchstone_coverage(corpus, DEFAULT_TOUCHSTONE_GROUPS)
+        for corpus, scores in zip(corpora, scored)
+        for c in fold_touchstones([p.touchstones for p in scores])
     ]
 
 
-def _compare_tables(a: Corpus, b: Corpus, s: AnalysisSettings) -> dict:
+def _compare_tables(a: WordCounts, b: WordCounts, s: AnalysisSettings) -> dict:
     cols = ["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"]
     def rows_for(results):
         return [
@@ -222,8 +256,9 @@ def _compare_tables(a: Corpus, b: Corpus, s: AnalysisSettings) -> dict:
             for r in results
         ]
     return {
-        "logodds": (cols, rows_for(logodds(a, b, s.min_docs, True, s.alpha_total))),
-        "first_words": (cols, rows_for(first_word_logodds(a, b, s.min_docs, s.alpha_total))),
+        "logodds": (cols, rows_for(fold_logodds(a, b, s.min_docs, s.alpha_total))),
+        "first_words": (cols, rows_for(fold_first_word_logodds(a, b, s.min_docs,
+                                                               s.alpha_total))),
     }
 
 
@@ -343,25 +378,25 @@ def _run_analysis(args, families: tuple[str, ...], with_grids: bool, compare: bo
     )
     corpora = _load_corpora(args.corpus, args)
     per_poem = getattr(args, "per_poem", False) and "rhyme" in families
+    scored, counted = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
+                                     per_poem, args.threads, 2 if compare else 0)
     tables, boxplots = {}, {}
     if families or args.emit_plots:
-        scored = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
-                                per_poem, args.threads)
         tables, boxplots = _fold_tables(corpora, scored, families)
-        if per_poem:
-            annotations_dir = Path(args.out) / "annotations"
-            annotations_dir.mkdir(parents=True, exist_ok=True)
-            for corpus, scores in zip(corpora, scored):
-                with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
-                          encoding="utf-8") as handle:
-                    handle.writelines(p.annotation + "\n" for p in scores)
+    if per_poem:
+        annotations_dir = Path(args.out) / "annotations"
+        annotations_dir.mkdir(parents=True, exist_ok=True)
+        for corpus, scores in zip(corpora, scored):
+            with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
+                      encoding="utf-8") as handle:
+                handle.writelines(p.annotation + "\n" for p in scores)
     if "lexstats" in families:
         tables["touchstones"] = (["source", "group", "poems_matched", "poems", "pct"],
-                                 _touchstone_rows(corpora))
+                                 _touchstone_rows(corpora, scored))
     if compare:
         if len(corpora) < 2:
             raise CorpusError("--compare requires two corpora")
-        tables.update(_compare_tables(corpora[0], corpora[1], settings))
+        tables.update(_compare_tables(*counted, settings))
     grids = {}
     if with_grids:
         for corpus in corpora:
@@ -463,8 +498,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"poemetrics {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    logging_flags = argparse.ArgumentParser(add_help=False)
+    logging_flags.add_argument("-v", dest="log_level", action="store_const", const="INFO",
+                               help="log progress (same as --log-level INFO)")
+    logging_flags.add_argument("--log-level", default="WARNING",
+                               choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                               help="logging threshold (default WARNING)")
 
-    analyze = sub.add_parser("analyze", help="run all analyses")
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, parents=[logging_flags], **kwargs)
+
+    analyze = add_parser("analyze", help="run all analyses")
     analyze.add_argument("corpus", nargs="+", help="corpus file(s) or directory(ies)")
     analyze.add_argument("--compare", action="store_true",
                          help="also compare the first two corpora (log-odds tables)")
@@ -477,17 +521,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("meter", "iambic-dominance statistics"),
         ("lexstats", "pronoun and touchstone statistics"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = add_parser(name, help=help_text)
         p.add_argument("corpus", nargs="+")
         _add_common_flags(p)
         p.set_defaults(func=cmd_family)
 
-    compare = sub.add_parser("compare", help="distinctive-word comparison of two corpora")
+    compare = add_parser("compare", help="distinctive-word comparison of two corpora")
     compare.add_argument("corpus", nargs=2)
     _add_common_flags(compare)
     compare.set_defaults(func=cmd_compare)
 
-    generate = sub.add_parser("generate", help="collect poems over the prompt grid")
+    generate = add_parser("generate", help="collect poems over the prompt grid")
     generate.add_argument("--model", required=True, help="model identifier")
     generate.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
     generate.add_argument("--api-key-env", default="OPENAI_API_KEY",
@@ -515,6 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # At WARNING this prints just as logging's last-resort handler did.
+    logging.basicConfig(level=args.log_level, format="%(message)s")
     try:
         return args.func(args)
     except (CorpusError, ValueError, OSError) as exc:

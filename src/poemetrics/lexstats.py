@@ -22,7 +22,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import Corpus
@@ -78,12 +78,17 @@ class PronounProfile:
     total_tokens: int
 
 
-def pronoun_counts(text: str) -> tuple[int, ...]:
+_PRONOUN_INDEX = {
+    word: k for k, words in enumerate(PRONOUN_CATEGORIES.values(), start=1) for word in words
+}
+
+
+def pronoun_counts(tokens: Sequence[str]) -> tuple[int, ...]:
     """A poem's token count, then its count of each PRONOUN_CATEGORIES entry in order."""
-    tokens = tokenize(text).tokens
-    return (len(tokens), *(
-        sum(1 for t in tokens if t in words) for words in PRONOUN_CATEGORIES.values()
-    ))
+    counts = [len(tokens)] + [0] * len(PRONOUN_CATEGORIES)
+    for k in filter(None, map(_PRONOUN_INDEX.get, tokens)):
+        counts[k] += 1
+    return tuple(counts)
 
 
 def fold_pronouns(counts: Sequence[tuple[int, ...]], per_poem: bool = False) -> PronounProfile:
@@ -120,7 +125,7 @@ def pronoun_profile(
         records = [r for r in records if r.subject not in exclude_subjects]
     if not records:
         raise ValueError("no poems left after subject exclusion")
-    return fold_pronouns([pronoun_counts(r.text) for r in records], per_poem)
+    return fold_pronouns([pronoun_counts(tokenize(r.text).tokens) for r in records], per_poem)
 
 
 def load_stopwords() -> frozenset[str]:
@@ -187,39 +192,45 @@ def _score_counts(
     return results
 
 
-def _document_tokens(corpus: Corpus) -> list[tuple[str, ...]]:
-    return [tokenize(r.text).tokens for r in corpus.records]
+@dataclass
+class WordCounts:
+    """One corpus's log-odds inputs, counted poem by poem.
+
+    counts and doc_freq cover the tokens outside stopwords; firsts counts
+    each poem's first token, stopwords included.
+    """
+
+    stopwords: frozenset[str] = frozenset()
+    counts: Counter[str] = field(default_factory=Counter)
+    doc_freq: Counter[str] = field(default_factory=Counter)
+    firsts: Counter[str] = field(default_factory=Counter)
+
+    def add(self, tokens: Sequence[str]) -> None:
+        """Count one poem's tokens."""
+        if tokens:
+            self.firsts[tokens[0]] += 1
+        eligible = [t for t in tokens if t not in self.stopwords]
+        self.counts.update(eligible)
+        self.doc_freq.update(set(eligible))
 
 
-def logodds(
-    corpus_a: Corpus,
-    corpus_b: Corpus,
+def _word_counts(corpus: Corpus, stopwords: frozenset[str] = frozenset()) -> WordCounts:
+    """WordCounts of a corpus, each poem tokenized whole."""
+    counted = WordCounts(stopwords)
+    for record in corpus.records:
+        counted.add(tokenize(record.text).tokens)
+    return counted
+
+
+def fold_logodds(
+    a: WordCounts,
+    b: WordCounts,
     min_docs: int = 10,
-    remove_stopwords: bool = True,
     alpha_total: float | None = None,
     min_docs_mode: str = "pooled",
 ) -> list[LogOddsResult]:
-    """Distinctive words of corpus_a vs corpus_b, ranked by z descending.
-
-    The vocabulary is restricted to words appearing in at least min_docs
-    poems; min_docs_mode "pooled" counts poems across both corpora, "each"
-    requires min_docs poems in each corpus separately. Stopword removal
-    uses the shipped list.
-    """
-    stop = load_stopwords() if remove_stopwords else frozenset()
-    counts_a: Counter[str] = Counter()
-    counts_b: Counter[str] = Counter()
-    doc_freq_a: Counter[str] = Counter()
-    doc_freq_b: Counter[str] = Counter()
-    for tokens in _document_tokens(corpus_a):
-        eligible = [t for t in tokens if t not in stop]
-        counts_a.update(eligible)
-        doc_freq_a.update(set(eligible))
-    for tokens in _document_tokens(corpus_b):
-        eligible = [t for t in tokens if t not in stop]
-        counts_b.update(eligible)
-        doc_freq_b.update(set(eligible))
-
+    """Distinctive words of a vs b from their counts, ranked by z descending (see logodds)."""
+    doc_freq_a, doc_freq_b = a.doc_freq, b.doc_freq
     if min_docs_mode == "pooled":
         vocabulary = [
             w
@@ -238,8 +249,49 @@ def logodds(
         raise ValueError("empty vocabulary after document-frequency filtering")
     vocabulary.sort()
     return _score_counts(
-        counts_a, counts_b, sum(counts_a.values()), sum(counts_b.values()),
+        a.counts, b.counts, sum(a.counts.values()), sum(b.counts.values()),
         vocabulary, doc_freq_a, doc_freq_b, alpha_total,
+    )
+
+
+def logodds(
+    corpus_a: Corpus,
+    corpus_b: Corpus,
+    min_docs: int = 10,
+    remove_stopwords: bool = True,
+    alpha_total: float | None = None,
+    min_docs_mode: str = "pooled",
+) -> list[LogOddsResult]:
+    """Distinctive words of corpus_a vs corpus_b, ranked by z descending.
+
+    The vocabulary is restricted to words appearing in at least min_docs
+    poems; min_docs_mode "pooled" counts poems across both corpora, "each"
+    requires min_docs poems in each corpus separately. Stopword removal
+    uses the shipped list.
+    """
+    stop = load_stopwords() if remove_stopwords else frozenset()
+    return fold_logodds(_word_counts(corpus_a, stop), _word_counts(corpus_b, stop),
+                        min_docs, alpha_total, min_docs_mode)
+
+
+def fold_first_word_logodds(
+    a: WordCounts,
+    b: WordCounts,
+    min_docs: int = 10,
+    alpha_total: float | None = None,
+) -> list[LogOddsResult]:
+    """Distinctive opening words of a vs b from their counts (see first_word_logodds)."""
+    counts_a, counts_b = a.firsts, b.firsts
+    vocabulary = sorted(
+        w for w in set(counts_a) | set(counts_b) if counts_a[w] + counts_b[w] >= min_docs
+    )
+    if not vocabulary:
+        raise ValueError("empty first-word vocabulary after document-frequency filtering")
+    # Each poem contributes its first token once, so document frequency
+    # equals the feature count.
+    return _score_counts(
+        counts_a, counts_b, sum(counts_a.values()), sum(counts_b.values()),
+        vocabulary, counts_a, counts_b, alpha_total,
     )
 
 
@@ -250,21 +302,8 @@ def first_word_logodds(
     alpha_total: float | None = None,
 ) -> list[LogOddsResult]:
     """Distinctive opening words, one feature per poem, stopwords retained."""
-    firsts_a = [t[0] for t in _document_tokens(corpus_a) if t]
-    firsts_b = [t[0] for t in _document_tokens(corpus_b) if t]
-    counts_a = Counter(firsts_a)
-    counts_b = Counter(firsts_b)
-    vocabulary = sorted(
-        w for w in set(counts_a) | set(counts_b) if counts_a[w] + counts_b[w] >= min_docs
-    )
-    if not vocabulary:
-        raise ValueError("empty first-word vocabulary after document-frequency filtering")
-    # Each poem contributes its first token once, so document frequency
-    # equals the feature count.
-    return _score_counts(
-        counts_a, counts_b, len(firsts_a), len(firsts_b),
-        vocabulary, counts_a, counts_b, alpha_total,
-    )
+    return fold_first_word_logodds(_word_counts(corpus_a), _word_counts(corpus_b),
+                                   min_docs, alpha_total)
 
 
 # Word groups whose presence rate characterizes a corpus. A trailing "*"
@@ -286,8 +325,33 @@ class TouchstoneCoverage:
         return 100.0 * self.poems_matched / self.poem_count if self.poem_count else 0.0
 
 
-def _matches_any(token: str, exact: frozenset[str], prefixes: tuple[str, ...]) -> bool:
-    return token in exact or any(token.startswith(p) for p in prefixes)
+def touchstone_hits(
+    tokens: Sequence[str],
+    word_groups: tuple[frozenset[str], ...] = DEFAULT_TOUCHSTONE_GROUPS,
+) -> tuple[bool, ...]:
+    """Whether a poem's tokens hold a member of each word group, in order."""
+    words = set(tokens)
+    hits = []
+    for group in word_groups:
+        # No token holds "*", so a prefix entry never matches exactly.
+        prefixes = tuple(w[:-1] for w in group if w.endswith("*"))
+        hits.append(not words.isdisjoint(group)
+                    or bool(prefixes) and any(w.startswith(prefixes) for w in words))
+    return tuple(hits)
+
+
+def fold_touchstones(
+    hits: Sequence[tuple[bool, ...]],
+    word_groups: tuple[frozenset[str], ...] = DEFAULT_TOUCHSTONE_GROUPS,
+) -> list[TouchstoneCoverage]:
+    """Per-group coverage of a corpus from its poems' touchstone_hits."""
+    if not hits:
+        raise ValueError("empty corpus")
+    return [
+        TouchstoneCoverage(patterns=tuple(sorted(group)),
+                           poems_matched=sum(h[k] for h in hits), poem_count=len(hits))
+        for k, group in enumerate(word_groups)
+    ]
 
 
 def touchstone_coverage(
@@ -295,23 +359,7 @@ def touchstone_coverage(
     word_groups: tuple[frozenset[str], ...] = DEFAULT_TOUCHSTONE_GROUPS,
 ) -> list[TouchstoneCoverage]:
     """Per-group percentage of poems containing at least one member word."""
-    if not len(corpus):
-        raise ValueError("empty corpus")
-    doc_tokens = [set(tokenize(r.text).tokens) for r in corpus.records]
-    out = []
-    for group in word_groups:
-        exact = frozenset(w for w in group if not w.endswith("*"))
-        prefixes = tuple(sorted(w[:-1] for w in group if w.endswith("*")))
-        matched = sum(
-            1
-            for tokens in doc_tokens
-            if any(_matches_any(t, exact, prefixes) for t in tokens)
-        )
-        out.append(
-            TouchstoneCoverage(
-                patterns=tuple(sorted(group)),
-                poems_matched=matched,
-                poem_count=len(doc_tokens),
-            )
-        )
-    return out
+    return fold_touchstones(
+        [touchstone_hits(tokenize(r.text).tokens, word_groups) for r in corpus.records],
+        word_groups,
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .arpabet import PronouncingDictionary, stress_pattern
 from .corpus import Corpus
 from .lexstats import tokenize
-from .structure import PoemStructure, parse_structure
+from .structure import PoemStructure, line_tokens, parse_structure
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -48,10 +48,13 @@ def word_stress(word: str, dictionary: PronouncingDictionary) -> str:
     return stress
 
 
+def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary) -> str:
+    return "".join([word_stress(w, dictionary) for w in tokens])
+
+
 def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
     """Concatenated word stress patterns for one line of text."""
-    digits = "".join(word_stress(w, dictionary) for w in tokenize(line).tokens)
-    return StressSequence(digits=digits, line=line_index)
+    return StressSequence(digits=_stress_digits(tokenize(line).tokens, dictionary), line=line_index)
 
 
 def alignment_score(digits: str, pattern: str = IAMB) -> float:
@@ -94,21 +97,25 @@ def iambic_score(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
+    tokens: Sequence[Sequence[str]] | None = None,
 ) -> MeterVerdict:
     """Mean per-line iambic alignment; dominant when the mean meets threshold.
 
     Lines with fewer than two resolvable (non-"?") syllables are not
-    scored; they still contribute to syllables_per_line.
+    scored; they still contribute to syllables_per_line. tokens, when
+    given, are structure.line_tokens(poem), which spares tokenizing again.
     """
-    sequences = [line_stress(line, dictionary, i) for i, line in enumerate(poem.lines)]
-    scorable = [s for s in sequences if _resolved_syllables(s.digits) >= 2]
+    if tokens is None:
+        tokens = line_tokens(poem)
+    digits = [_stress_digits(t, dictionary) for t in tokens]
+    scorable = [d for d in digits if _resolved_syllables(d) >= 2]
     if not scorable:
         raise UnscannableError("no scannable lines")
-    score = sum(alignment_score(s.digits) for s in scorable) / len(scorable)
+    score = sum(alignment_score(d) for d in scorable) / len(scorable)
     return MeterVerdict(
         iambic_score=score,
         dominant=score >= threshold,
-        syllables_per_line=tuple(len(s.digits) for s in sequences),
+        syllables_per_line=tuple(len(d) for d in digits),
         threshold=threshold,
         scanned_lines=len(scorable),
     )
@@ -131,10 +138,17 @@ def scan_poem(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
+    tokens: Sequence[Sequence[str]] | None = None,
 ) -> tuple[float, bool] | None:
-    """(iambic score, dominant) of one poem; None when it is unscannable."""
+    """(iambic score, dominant) of one poem; None when it is unscannable.
+
+    tokens, when given, are passed on to iambic_score.
+    """
     try:
-        verdict = iambic_score(poem, dictionary, threshold)
+        if tokens is None:
+            verdict = iambic_score(poem, dictionary, threshold)
+        else:
+            verdict = iambic_score(poem, dictionary, threshold, tokens)
     except UnscannableError:
         return None
     return verdict.iambic_score, verdict.dominant

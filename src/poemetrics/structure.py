@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .corpus import Corpus, PoemRecord
-from .lexstats import tokenize  # noqa: F401  (wrapped by perfbench/tracing.py)
+from .lexstats import tokenize
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,15 @@ def parse_structure(poem: PoemRecord | str) -> PoemStructure:
         stanza_sizes=tuple(stanza_sizes),
         line_count=len(lines),
     )
+
+
+def line_tokens(poem: PoemStructure) -> tuple[tuple[str, ...], ...]:
+    """The tokens of each of the poem's lines.
+
+    Tokens never span a line break and blank lines hold none, so together
+    they are the tokens of the whole poem text, in order.
+    """
+    return tuple(tokenize(line).tokens for line in poem.lines)
 
 
 @dataclass(frozen=True)

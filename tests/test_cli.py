@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,3 +282,27 @@ def test_generate_against_mock_endpoint(tmp_path, monkeypatch):
     from poemetrics.corpus import load_corpus
 
     assert len(load_corpus(out)) == 1
+
+
+def _generate_in_subprocess(out: Path, url: str, *flags: str):
+    # A fresh process: pytest's own log handlers would make basicConfig a no-op.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "POEM_TEST_KEY": "k", "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "poemetrics.cli", "generate", "--model", "gpt-4",
+         "--out", str(out), "--endpoint", url, "--api-key-env", "POEM_TEST_KEY",
+         "--styles", "haiku", "--subjects", "nature", "--templates", "general", *flags],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_verbose_flag_logs_pending_count(tmp_path):
+    from mock_server import MockChatEndpoint
+
+    with MockChatEndpoint() as endpoint:
+        quiet = _generate_in_subprocess(tmp_path / "quiet.jsonl", endpoint.url)
+        verbose = _generate_in_subprocess(tmp_path / "verbose.jsonl", endpoint.url, "-v")
+    assert quiet.returncode == verbose.returncode == 0
+    assert quiet.stderr == ""
+    assert "model gpt-4: 1 specs requested, 0 already complete, 1 pending" in verbose.stderr
+    assert verbose.stdout == quiet.stdout.replace("quiet", "verbose")

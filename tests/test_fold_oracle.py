@@ -2,8 +2,11 @@
 
 analyze scores each poem once and folds every (corpus, style) table row
 from those per-poem results, with per-word dictionary work memoized on the
-dictionary. These tests rebuild the rows and the per-word results with
-plain loops over the reference functions and require exact equality.
+dictionary. Each line is tokenized once, and pronoun, touchstone and
+log-odds counts come from those tokens. These tests rebuild the rows and
+the per-word results with plain loops over the reference functions, or
+with the library functions that tokenize each poem whole, and require
+exact equality.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import pytest
 from poemetrics.arpabet import load_bundled_dictionary, rhyme_part, stress_pattern
 from poemetrics.cli import main
 from poemetrics.corpus import EXPECTED_FORM_LENGTHS, Corpus, load_corpus, strip_prefatory
-from poemetrics.lexstats import PRONOUN_CATEGORIES, tokenize
+from poemetrics.lexstats import (
+    PRONOUN_CATEGORIES,
+    first_word_logodds,
+    logodds,
+    pronoun_profile,
+    tokenize,
+    touchstone_coverage,
+)
 from poemetrics.meter import (
     UnscannableError,
     corpus_meter_stats,
@@ -34,6 +44,9 @@ from conftest import make_corpus
 STYLES = ("sonnet", "haiku", "free verse", "ballad", None)
 VOWEL_LESS = ("qzz", "xvv", "brr", "tsk", "pfft", "hmm")
 PRONOUNS = ("i", "we", "you", "thou", "she", "his", "they", "it", "our", "me")
+# Touchstone members and prefix matches, and tokens the tokenizer must keep whole.
+LEXICAL_PROBES = ("grace", "dance", "dreams", "echoes", "whispering", "embraced",
+                  "don’t", "o'er", "naïve", "1914", "café")
 
 
 def _random_poem(rng: random.Random, words: list[str]) -> str:
@@ -163,6 +176,70 @@ def test_analyze_rows_equal_per_poem_reference(tmp_path, seed, threads):
         assert report["tables"][name] == rows, name
     meter_rows = [r for r in expected["meter"] if r["style"] == "ALL"]
     assert all(r["unscannable_poems"] > 0 for r in meter_rows)
+
+
+def _loaded(path) -> Corpus:
+    """A corpus as the CLI sees it, prefatory lines stripped."""
+    corpus = load_corpus(path)
+    records = tuple(
+        strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or "")) for r in corpus.records
+    )
+    return Corpus(corpus.label, records)
+
+
+def _lexical_reference(a: Corpus, b: Corpus, min_docs: int) -> dict[str, list[dict]]:
+    """The lexical table rows, from the library functions that tokenize each poem whole."""
+    tables: dict[str, list[dict]] = {"pronouns": [], "touchstones": []}
+    for corpus in (a, b):
+        groups = [("ALL", corpus.records)]
+        groups += [(s, [r for r in corpus.records if r.style == s]) for s in corpus.styles()]
+        if any(r.style is None for r in corpus.records):
+            groups.append(("(none)", [r for r in corpus.records if r.style is None]))
+        for style, records in groups:
+            profile = pronoun_profile(Corpus(corpus.label, tuple(records)))
+            tables["pronouns"].append({
+                "source": corpus.label, "style": style, "tokens": profile.total_tokens,
+                **{c: profile.per_100_words[c] for c in sorted(PRONOUN_CATEGORIES)},
+            })
+        tables["touchstones"] += [
+            {"source": corpus.label, "group": " ".join(c.patterns),
+             "poems_matched": c.poems_matched, "poems": c.poem_count, "pct": c.pct}
+            for c in touchstone_coverage(corpus)
+        ]
+    for name, results in (("logodds", logodds(a, b, min_docs)),
+                          ("first_words", first_word_logodds(a, b, min_docs))):
+        tables[name] = [
+            {"word": r.word, "delta": r.delta, "variance": r.variance, "z": r.z_score,
+             "doc_freq_a": r.doc_freq_a, "doc_freq_b": r.doc_freq_b}
+            for r in results
+        ]
+    return tables
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lexical_rows_equal_whole_poem_reference(tmp_path, seed):
+    rng = random.Random(seed)
+    dictionary = load_bundled_dictionary()
+    words = rng.sample(dictionary.words(), 300) + list(LEXICAL_PROBES)
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        _write_corpus(path, rng, words, 80)
+    expected = _lexical_reference(*map(_loaded, paths), min_docs=3)
+    assert all(expected.values())
+    assert any(r["poems_matched"] for r in expected["touchstones"])
+    runs = {
+        "analyze-1": (["analyze", "--compare", "--threads", "1"], expected),
+        "analyze-2": (["analyze", "--compare", "--threads", "2"], expected),
+        "compare": (["compare"], {n: expected[n] for n in ("logodds", "first_words")}),
+        "lexstats": (["lexstats"], {n: expected[n] for n in ("pronouns", "touchstones")}),
+    }
+    for name, (command, want) in runs.items():
+        out = tmp_path / name
+        assert main([command[0], *map(str, paths), *command[1:], "--out", str(out),
+                     "--format", "json", "--min-docs", "3"]) == 0
+        tables = json.loads((out / "report.json").read_text(encoding="utf-8"))["tables"]
+        for table, rows in want.items():
+            assert tables[table] == rows, (name, table)
 
 
 PROBE_WORDS = (

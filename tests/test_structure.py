@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
 from poemetrics.corpus import Corpus, PoemRecord
+from poemetrics.lexstats import tokenize
 from poemetrics.structure import (
     length_summary,
+    line_tokens,
     occupancy_heatmap,
     parse_structure,
     quatrain_stats,
@@ -105,6 +108,20 @@ def test_stanza_sizes_partition_the_lines(lines):
 def _poem_with_stanzas(sizes, ident):
     text = "\n\n".join("\n".join(["line"] * k) for k in sizes)
     return PoemRecord(id=ident, text=text, source="human")
+
+
+# Line breaks and other whitespace, apostrophes straight and curly, the
+# underscore separator, digits and non-ASCII letters.
+TOKEN_EDGE_ALPHABET = "ab Zé\u00dfж\u4e2d07_'\u2019-.\n\r\t\x0b\x0c\x1c\x85\u00a0\u2028"
+
+
+@given(st.text(alphabet=TOKEN_EDGE_ALPHABET, max_size=80))
+def test_line_tokens_concatenate_to_the_text_tokens(text):
+    whole = tokenize(text).tokens
+    if not text.strip():
+        assert whole == ()
+        return
+    assert tuple(chain.from_iterable(line_tokens(parse_structure(text)))) == whole
 
 
 def test_quatrain_stats_direct_count():
