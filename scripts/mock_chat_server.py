@@ -11,16 +11,23 @@ API key:
 
 Responses are deterministic per prompt (seeded by a hash of the prompt) and
 assembled from a small stock of lines so the output parses, rhymes
-occasionally, and scans.
+occasionally, and scans. The HTTP side is tests/mock_server.MockChatEndpoint,
+the endpoint the generation tests use.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import random
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import sys
+import threading
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "tests"))
+
+from mock_server import MockChatEndpoint  # noqa: E402
 
 STOCK_LINES = [
     "Upon the hill the morning light",
@@ -41,35 +48,18 @@ def poem_for(prompt: str) -> str:
     return "\n\n".join("\n".join(s) for s in stanzas)
 
 
-class Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
-        payload = json.loads(self.rfile.read(length))
-        prompt = payload["messages"][0]["content"]
-        body = json.dumps(
-            {"choices": [{"message": {"content": poem_for(prompt)}}]}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args):
-        print(f"{self.address_string()} {fmt % args}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
     args = parser.parse_args()
-    server = ThreadingHTTPServer((args.host, args.port), Handler)
-    print(f"serving mock chat completions on http://{args.host}:{args.port}/v1/chat/completions")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+    with MockChatEndpoint(reply=lambda payload: poem_for(payload["messages"][0]["content"]),
+                          host=args.host, port=args.port) as endpoint:
+        print(f"serving mock chat completions on {endpoint.url}", flush=True)
+        try:
+            threading.Event().wait()
+        except KeyboardInterrupt:
+            pass
 
 
 if __name__ == "__main__":

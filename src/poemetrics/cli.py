@@ -4,7 +4,7 @@ Subcommands: analyze, structure, rhyme, meter, lexstats, compare, generate.
 Reports are written under an output directory as tables/ (CSV or JSON),
 grids/ (occupancy matrices), plots/ (optional SVG), and a combined
 report.json. Output is deterministic: identical inputs and flags produce
-byte-identical reports regardless of --threads.
+byte-identical reports; analysis runs in one thread (--threads has no effect).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -121,47 +119,42 @@ class _PoemScores(NamedTuple):
     annotation: str | None  # the --per-poem JSON line
 
 
-def _score_corpora(corpora, families, dictionary, threshold, per_poem, threads, compared):
+def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared):
     """Score every poem once, in input order, computing only the families asked for.
 
     Each non-blank line is tokenized once, and meter, pronouns, touchstones
     and word counts all come from those tokens. Returns each corpus's poem
-    scores and the WordCounts of its first `compared` corpora, counted in
-    input order as the scores arrive, so no poem's tokens outlive it.
+    scores and the WordCounts of its first `compared` corpora, counted as
+    each poem is scored, so no poem's tokens outlive it.
     """
     tokenized = compared or "meter" in families or "lexstats" in families
     stopwords = load_stopwords() if compared else frozenset()
-
-    def score(record) -> tuple[_PoemScores, tuple[str, ...]]:
-        poem = parse_structure(record)
-        rhyme = meter = pronouns = touchstones = line = None
-        by_line, words = (), ()
-        if tokenized:
-            by_line = line_tokens(poem)
-            words = tuple(chain.from_iterable(by_line))
-        if "rhyme" in families:
-            annotation = annotate_rhymes(poem, dictionary)
-            rhyme = annotation.counts()
-            if per_poem:
-                line = json.dumps({**annotation.to_json_dict(), "id": record.id},
-                                  ensure_ascii=False, sort_keys=True)
-        if "meter" in families:
-            meter = scan_poem(poem, dictionary, threshold, by_line)
-        if "lexstats" in families:
-            pronouns = pronoun_counts(words)
-            touchstones = touchstone_hits(words)
-        return _PoemScores(poem.line_count, poem.stanza_sizes, rhyme, meter, pronouns,
-                           touchstones, line), words
-
     scored, counted = [], [WordCounts(stopwords) for _ in corpora[:compared]]
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for i, corpus in enumerate(corpora):
-            scores = []
-            for poem, words in (pool.map if pool else map)(score, corpus.records):
-                scores.append(poem)
-                if i < compared:
-                    counted[i].add(words)
-            scored.append(scores)
+    for i, corpus in enumerate(corpora):
+        scores = []
+        for record in corpus.records:
+            poem = parse_structure(record)
+            rhyme = meter = pronouns = touchstones = line = None
+            by_line, words = (), ()
+            if tokenized:
+                by_line = line_tokens(poem)
+                words = tuple(chain.from_iterable(by_line))
+            if i < compared:
+                counted[i].add(words)
+            if "rhyme" in families:
+                annotation = annotate_rhymes(poem, dictionary)
+                rhyme = annotation.counts()
+                if per_poem:
+                    line = json.dumps({**annotation.to_json_dict(), "id": record.id},
+                                      ensure_ascii=False, sort_keys=True)
+            if "meter" in families:
+                meter = scan_poem(poem, dictionary, threshold, by_line)
+            if "lexstats" in families:
+                pronouns = pronoun_counts(words)
+                touchstones = touchstone_hits(words)
+            scores.append(_PoemScores(poem.line_count, poem.stanza_sizes, rhyme, meter,
+                                      pronouns, touchstones, line))
+        scored.append(scores)
     return scored, counted
 
 
@@ -266,25 +259,21 @@ def _load_corpora(paths: list[str], args) -> list[Corpus]:
     corpora = []
     labels_seen: set[str] = set()
     for raw in paths:
-        corpus = load_corpus(
-            raw,
-            default_source=args.source_default,
-            default_style=getattr(args, "style_default", None),
+        loaded = load_corpus(
+            raw, default_source=args.source_default, default_style=args.style_default
         )
-        label = corpus.label
+        label = loaded.label
         n = 2
         while label in labels_seen:
-            label = f"{corpus.label}-{n}"
+            label = f"{loaded.label}-{n}"
             n += 1
         labels_seen.add(label)
-        corpus = Corpus(label=label, records=corpus.records)
-        if not getattr(args, "no_strip_prefatory", False):
+        records = loaded.records
+        if not args.no_strip_prefatory:
             records = tuple(
-                strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or ""))
-                for r in corpus.records
+                strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or "")) for r in records
             )
-            corpus = Corpus(label=label, records=records)
-        corpora.append(corpus)
+        corpora.append(Corpus(label=label, records=records))
     return corpora
 
 
@@ -377,9 +366,9 @@ def _run_analysis(args, families: tuple[str, ...], with_grids: bool, compare: bo
         top_k=args.top_k,
     )
     corpora = _load_corpora(args.corpus, args)
-    per_poem = getattr(args, "per_poem", False) and "rhyme" in families
+    per_poem = args.per_poem and "rhyme" in families
     scored, counted = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
-                                     per_poem, args.threads, 2 if compare else 0)
+                                     per_poem, 2 if compare else 0)
     tables, boxplots = {}, {}
     if families or args.emit_plots:
         tables, boxplots = _fold_tables(corpora, scored, families)
@@ -426,7 +415,6 @@ def cmd_family(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    args.compare = True
     return _run_analysis(args, (), with_grids=False, compare=True)
 
 
@@ -469,7 +457,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="poemetrics-out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table file format")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--threads", type=int, help="no effect; analysis runs in one thread")
     parser.add_argument("--emit-plots", action="store_true",
                         help="also write simple SVG plots")
     parser.add_argument("--min-docs", type=int, default=10,

@@ -258,13 +258,33 @@ def _completed_keys(path: Path) -> set[tuple[str, str, str]]:
     return keys
 
 
+def _prune_failures(path: Path, done: set[tuple[str, str, str]], specs: list[PromptSpec]) -> None:
+    """Drop sidecar rows of specs done or requested, and unparseable rows; delete it once empty."""
+    if not path.exists():
+        return
+    settled = done | {spec_key(s) for s in specs}
+    kept = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if (raw.get("template"), raw.get("style"), raw.get("subject")) not in settled:
+            kept.append(line + "\n")
+    if kept:
+        path.write_text("".join(kept), encoding="utf-8")
+    else:
+        path.unlink()
+
+
 def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     """Collect all pending specs, appending each completion as it arrives.
 
     Progress is persisted after every response; rerunning with resume skips
     specs already present in the output file. Requests hitting throttle or
     server errors are retried with exponential backoff; specs that still
-    fail are recorded in a ".failures.jsonl" sidecar and skipped.
+    fail are recorded in a ".failures.jsonl" sidecar and skipped; its rows
+    from earlier runs are dropped for specs complete or requested again.
     """
     output_path = Path(job.output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
@@ -272,6 +292,8 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     if not job.resume and output_path.exists():
         output_path.unlink()
     output_path.touch(exist_ok=True)
+    failures_path = output_path.with_suffix(output_path.suffix + ".failures.jsonl")
+    _prune_failures(failures_path, done, job.specs)
     pending = [s for s in job.specs if spec_key(s) not in done]
     logger.info(
         "model %s: %d specs requested, %d already complete, %d pending",
@@ -280,7 +302,6 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
 
     limiter = _RateLimiter(job.rate_limit_per_sec)
     write_lock = threading.Lock()
-    failures_path = output_path.with_suffix(output_path.suffix + ".failures.jsonl")
 
     def fetch(spec: PromptSpec) -> None:
         text: str | None = None

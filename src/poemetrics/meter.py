@@ -140,15 +140,9 @@ def scan_poem(
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
     tokens: Sequence[Sequence[str]] | None = None,
 ) -> tuple[float, bool] | None:
-    """(iambic score, dominant) of one poem; None when it is unscannable.
-
-    tokens, when given, are passed on to iambic_score.
-    """
+    """(iambic score, dominant) of one poem, as iambic_score gives it; None when unscannable."""
     try:
-        if tokens is None:
-            verdict = iambic_score(poem, dictionary, threshold)
-        else:
-            verdict = iambic_score(poem, dictionary, threshold, tokens)
+        verdict = iambic_score(poem, dictionary, threshold, tokens)
     except UnscannableError:
         return None
     return verdict.iambic_score, verdict.dominant

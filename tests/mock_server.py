@@ -12,10 +12,11 @@ class MockChatEndpoint:
 
     fail_first maps a prompt substring to a list of HTTP statuses to emit
     before succeeding. expect_key, when set, rejects other bearer tokens
-    with a 401.
+    with a 401. host and port are where it listens; port 0 picks a free one.
     """
 
-    def __init__(self, reply=None, fail_first=None, expect_key=None):
+    def __init__(self, reply=None, fail_first=None, expect_key=None, *,
+                 host="127.0.0.1", port=0):
         self.requests: list[dict] = []
         self.reply = reply or (lambda payload: "The morning light\nupon the hill")
         self.fail_first = {k: list(v) for k, v in (fail_first or {}).items()}
@@ -55,7 +56,7 @@ class MockChatEndpoint:
             def log_message(self, *args):
                 pass
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server = ThreadingHTTPServer((host, port), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property

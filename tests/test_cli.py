@@ -306,3 +306,33 @@ def test_verbose_flag_logs_pending_count(tmp_path):
     assert quiet.stderr == ""
     assert "model gpt-4: 1 specs requested, 0 already complete, 1 pending" in verbose.stderr
     assert verbose.stdout == quiet.stdout.replace("quiet", "verbose")
+
+
+TRACED_ANALYZE = """
+import sys
+sys.path.insert(0, "perfbench")
+import tracing
+from poemetrics import cli
+
+tracer = tracing.Tracer("compat")
+tracing.install_analyze(tracer)
+code = cli.main(sys.argv[2:])
+tracer.write(sys.argv[1], {})
+sys.exit(code)
+"""
+
+
+def test_benchmark_tracer_still_wraps_analyze(tmp_path):
+    # perfbench/tracing.py wraps cli names by getattr; a removed one fails here.
+    repo = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_ANALYZE, str(spans),
+         "analyze", HUMAN, GPT, "--compare", "--min-docs", "1", "--emit-plots",
+         "--per-poem", "--format", "json", "--out", str(tmp_path / "report")],
+        cwd=repo, env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    names = json.loads(spans.read_text())["names"]
+    assert {"cli.main", "structure.parse_structure", "rhyme.annotate_rhymes"} <= set(names)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -193,6 +194,23 @@ def test_failed_specs_are_retried_on_resume(tmp_path):
         assert len(run_job(_job(specs, out, max_retries=1), client)) == 2
         corpus = run_job(_job(specs, out, max_retries=1), client)
     assert len(corpus) == 3
+    failures = out.parent / "out.jsonl.failures.jsonl"
+    assert not failures.exists() or "nature" not in failures.read_text()
+
+
+def test_no_resume_keeps_only_failures_of_this_run(tmp_path):
+    out = tmp_path / "out.jsonl"
+    failures = out.parent / "out.jsonl.failures.jsonl"
+    specs = _small_grid()
+    with MockChatEndpoint(fail_first={"love": [500], "nature": [500]}) as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        run_job(_job(specs[:2], out, max_retries=0), client)
+        assert "love" in failures.read_text() and "nature" in failures.read_text()
+        corpus = run_job(_job(specs[1:], out, max_retries=0, resume=False), client)
+    # love was not requested again, so its row stays; nature was, and now has a poem
+    assert sorted(r.subject for r in corpus) == ["nature", "religion"]
+    rows = [json.loads(line) for line in failures.read_text().splitlines()]
+    assert [row["subject"] for row in rows] == ["love"]
 
 
 def test_no_resume_overwrites(tmp_path):
