@@ -1,9 +1,12 @@
 """Command-line front end: ingestion, analyses, and report emission.
 
-Subcommands: analyze, structure, rhyme, meter, lexstats, compare, generate.
-Reports are written under an output directory as tables/ (CSV or JSON),
-grids/ (occupancy matrices), plots/ (optional SVG), and a combined
-report.json. Output is deterministic: identical inputs and flags produce
+Subcommands: analyze, generate, and structure, rhyme, meter, lexstats and
+compare, which are analyze restricted to some table families (compare: the
+log-odds tables only). Reports are written under an output directory as
+tables/ (CSV or JSON), grids/ (occupancy matrices), plots/ (optional SVG),
+annotations/ (optional per-poem rhyme) and a combined report.json. Invalid
+input is rejected before any output is written: exit 1 for a corpus problem,
+2 for a flag value. Output is deterministic: identical inputs and flags produce
 byte-identical reports; analysis runs in one thread (--threads has no effect).
 """
 
@@ -262,6 +265,8 @@ def _load_corpora(paths: list[str], args) -> list[Corpus]:
         loaded = load_corpus(
             raw, default_source=args.source_default, default_style=args.style_default
         )
+        if not loaded.records:
+            raise CorpusError(f"corpus has no poems: {raw}")
         label = loaded.label
         n = 2
         while label in labels_seen:
@@ -285,7 +290,6 @@ def _write_report(
     dictionary: PronouncingDictionary,
     settings: AnalysisSettings,
     corpora: list[Corpus],
-    boxplots: dict[str, list[tuple[str, LengthSummary]]] | None,
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(tables):
@@ -312,8 +316,6 @@ def _write_report(
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if boxplots is not None:
-        _write_plots(out_dir, tables, grids, boxplots, settings.top_k)
 
 
 def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
@@ -354,7 +356,14 @@ def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
         )
 
 
-def _run_analysis(args, families: tuple[str, ...], with_grids: bool, compare: bool) -> int:
+def cmd_analyze(args) -> int:
+    """Every analysis subcommand: check, load, score and fold, then write.
+
+    Every result is computed before the first file is written, so bad input writes nothing.
+    """
+    families, compare = args.families, args.compare
+    if compare and len(args.corpus) < 2:
+        raise CorpusError("--compare requires two corpora")
     dictionary = load_dictionary(args.dict)
     settings = AnalysisSettings(
         min_docs=args.min_docs,
@@ -369,53 +378,30 @@ def _run_analysis(args, families: tuple[str, ...], with_grids: bool, compare: bo
     per_poem = args.per_poem and "rhyme" in families
     scored, counted = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
                                      per_poem, 2 if compare else 0)
-    tables, boxplots = {}, {}
-    if families or args.emit_plots:
-        tables, boxplots = _fold_tables(corpora, scored, families)
+    tables, boxplots = _fold_tables(corpora, scored, families)
+    if "lexstats" in families:
+        tables["touchstones"] = (["source", "group", "poems_matched", "poems", "pct"],
+                                 _touchstone_rows(corpora, scored))
+    if compare:
+        tables.update(_compare_tables(*counted, settings))
+    grids = {}
+    if "structure" in families:
+        grids = {c.label: occupancy_heatmap(c, settings.heatmap_rows, settings.heatmap_cols)
+                 for c in corpora}
+
+    out_dir = Path(args.out)
     if per_poem:
-        annotations_dir = Path(args.out) / "annotations"
+        annotations_dir = out_dir / "annotations"
         annotations_dir.mkdir(parents=True, exist_ok=True)
         for corpus, scores in zip(corpora, scored):
             with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
                       encoding="utf-8") as handle:
                 handle.writelines(p.annotation + "\n" for p in scores)
-    if "lexstats" in families:
-        tables["touchstones"] = (["source", "group", "poems_matched", "poems", "pct"],
-                                 _touchstone_rows(corpora, scored))
-    if compare:
-        if len(corpora) < 2:
-            raise CorpusError("--compare requires two corpora")
-        tables.update(_compare_tables(*counted, settings))
-    grids = {}
-    if with_grids:
-        for corpus in corpora:
-            grids[corpus.label] = occupancy_heatmap(
-                corpus, settings.heatmap_rows, settings.heatmap_cols
-            )
-    _write_report(
-        Path(args.out), args.format, tables, grids, dictionary, settings, corpora,
-        boxplots if args.emit_plots else None,
-    )
+    _write_report(out_dir, args.format, tables, grids, dictionary, settings, corpora)
+    if args.emit_plots:
+        _write_plots(out_dir, tables, grids, boxplots, settings.top_k)
     print(f"report written to {args.out}")
     return 0
-
-
-def cmd_analyze(args) -> int:
-    return _run_analysis(
-        args,
-        ("structure", "rhyme", "meter", "lexstats"),
-        with_grids=True,
-        compare=args.compare,
-    )
-
-
-def cmd_family(args) -> int:
-    return _run_analysis(args, (args.command,), with_grids=args.command == "structure",
-                         compare=False)
-
-
-def cmd_compare(args) -> int:
-    return _run_analysis(args, (), with_grids=False, compare=True)
 
 
 def cmd_generate(args) -> int:
@@ -451,6 +437,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low; a smaller one is a usage error."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type by it
+    return parse
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dict", default=str(bundled_dictionary_path()),
                         help="pronouncing dictionary file (CMU format)")
@@ -466,9 +464,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="total Dirichlet prior mass (default 0.01 * vocabulary size)")
     parser.add_argument("--iambic-threshold", type=float, default=0.75,
                         help="iambic dominance threshold")
-    parser.add_argument("--heatmap-rows", type=int, default=60)
-    parser.add_argument("--heatmap-cols", type=int, default=80)
-    parser.add_argument("--top-k", type=int, default=15, help="top words kept in plots")
+    parser.add_argument("--heatmap-rows", type=_int_at_least(1), default=60)
+    parser.add_argument("--heatmap-cols", type=_int_at_least(1), default=80)
+    parser.add_argument("--top-k", type=_int_at_least(0), default=15,
+                        help="top words kept in plots")
     parser.add_argument("--source-default", default=None,
                         help="source label for records that lack one (required for text directories)")
     parser.add_argument("--style-default", default=None,
@@ -496,28 +495,23 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[logging_flags], **kwargs)
 
-    analyze = add_parser("analyze", help="run all analyses")
-    analyze.add_argument("corpus", nargs="+", help="corpus file(s) or directory(ies)")
-    analyze.add_argument("--compare", action="store_true",
-                         help="also compare the first two corpora (log-odds tables)")
-    _add_common_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
-
-    for name, help_text in (
-        ("structure", "line/stanza statistics and occupancy grids"),
-        ("rhyme", "end-rhyme statistics"),
-        ("meter", "iambic-dominance statistics"),
-        ("lexstats", "pronoun and touchstone statistics"),
+    # `compare` reports no table family, only the log-odds tables.
+    for name, help_text, families in (
+        ("analyze", "run all analyses", ("structure", "rhyme", "meter", "lexstats")),
+        ("structure", "line/stanza statistics and occupancy grids", ("structure",)),
+        ("rhyme", "end-rhyme statistics", ("rhyme",)),
+        ("meter", "iambic-dominance statistics", ("meter",)),
+        ("lexstats", "pronoun and touchstone statistics", ("lexstats",)),
+        ("compare", "distinctive-word comparison of two corpora", ()),
     ):
         p = add_parser(name, help=help_text)
-        p.add_argument("corpus", nargs="+")
+        p.add_argument("corpus", nargs=2 if name == "compare" else "+",
+                       help="corpus file(s) or directory(ies)")
+        if name == "analyze":
+            p.add_argument("--compare", action="store_true",
+                           help="also compare the first two corpora (log-odds tables)")
         _add_common_flags(p)
-        p.set_defaults(func=cmd_family)
-
-    compare = add_parser("compare", help="distinctive-word comparison of two corpora")
-    compare.add_argument("corpus", nargs=2)
-    _add_common_flags(compare)
-    compare.set_defaults(func=cmd_compare)
+        p.set_defaults(func=cmd_analyze, families=families, compare=name == "compare")
 
     generate = add_parser("generate", help="collect poems over the prompt grid")
     generate.add_argument("--model", required=True, help="model identifier")
@@ -531,10 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=DEFAULT_TEMPLATES)
     generate.add_argument("--temperature", type=float, default=1.0)
     generate.add_argument("--max-output-tokens", type=int, default=1024)
-    generate.add_argument("--max-retries", type=int, default=3)
+    generate.add_argument("--max-retries", type=_int_at_least(0), default=3)
     generate.add_argument("--rate-limit", type=float, default=None,
                           help="max requests per second")
-    generate.add_argument("--concurrency", type=int, default=4)
+    generate.add_argument("--concurrency", type=_int_at_least(1), default=4)
     generate.add_argument("--timeout", type=float, default=120.0)
     generate.add_argument("--dry-run", action="store_true",
                           help="print rendered prompts without calling the endpoint")

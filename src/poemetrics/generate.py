@@ -224,6 +224,11 @@ class _RateLimiter:
             time.sleep(delay)
 
 
+def _row_key(raw: dict) -> tuple[str, str, str]:
+    """spec_key of an output or sidecar row."""
+    return (raw.get("template"), raw.get("style"), raw.get("subject"))
+
+
 def _completed_keys(path: Path) -> set[tuple[str, str, str]]:
     """Keys already present in the output file, repairing a torn tail.
 
@@ -241,7 +246,7 @@ def _completed_keys(path: Path) -> set[tuple[str, str, str]]:
         if stripped:
             try:
                 raw = json.loads(stripped)
-                keys.add((raw.get("template"), raw.get("style"), raw.get("subject")))
+                keys.add(_row_key(raw))
                 last_good_end = offset + len(raw_line)
             except json.JSONDecodeError:
                 if offset + len(raw_line) == len(data):
@@ -269,7 +274,7 @@ def _prune_failures(path: Path, done: set[tuple[str, str, str]], specs: list[Pro
             raw = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if (raw.get("template"), raw.get("style"), raw.get("subject")) not in settled:
+        if _row_key(raw) not in settled:
             kept.append(line + "\n")
     if kept:
         path.write_text("".join(kept), encoding="utf-8")
@@ -303,6 +308,10 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     limiter = _RateLimiter(job.rate_limit_per_sec)
     write_lock = threading.Lock()
 
+    def append(path: Path, row: dict) -> None:
+        with write_lock, open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
     def fetch(spec: PromptSpec) -> None:
         text: str | None = None
         last_error: Exception | None = None
@@ -329,17 +338,15 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
             last_error = RequestFailed("empty completion text")
             text = None
         if text is None:
-            row = {
+            append(failures_path, {
                 "template": spec.template,
                 "style": spec.style,
                 "subject": spec.subject,
                 "error": str(last_error),
-            }
-            with write_lock, open(failures_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+            })
             logger.error("giving up on %s: %s", spec_key(spec), last_error)
             return
-        record = {
+        append(output_path, {
             "id": record_id_for(job.model, spec),
             "text": text,
             "source": source_for_model(job.model),
@@ -347,9 +354,7 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
             "subject": spec.subject,
             "template": spec.template,
             "model": job.model,
-        }
-        with write_lock, open(output_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        })
 
     if pending:
         with ThreadPoolExecutor(max_workers=job.concurrency) as executor:

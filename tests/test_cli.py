@@ -120,6 +120,36 @@ def test_analyze_output_bytes_match_recorded_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
+def _per_corpus(pattern: str) -> set[str]:
+    return {pattern.format(label) for label in ("fixture_human", "fixture_gpt")}
+
+
+LENGTH_PLOTS = _per_corpus("plots/lengths_{}.svg")
+
+# Every file each subcommand writes for the fixtures with plots and --per-poem.
+OUTPUT_SETS = {
+    "structure": LENGTH_PLOTS | _per_corpus("grids/occupancy_{}.csv")
+    | _per_corpus("grids/occupancy_{}.json") | _per_corpus("plots/occupancy_{}.svg")
+    | {"report.json", "tables/lengths.csv", "tables/quatrains.csv"},
+    "rhyme": LENGTH_PLOTS | _per_corpus("annotations/rhyme_{}.jsonl")
+    | {"plots/rhyme_pct.svg", "report.json", "tables/rhyme.csv"},
+    "meter": LENGTH_PLOTS | {"report.json", "tables/meter.csv"},
+    "lexstats": LENGTH_PLOTS | {"report.json", "tables/pronouns.csv", "tables/touchstones.csv"},
+    "compare": LENGTH_PLOTS | {"plots/first_words_top15.svg", "plots/logodds_top15.svg",
+                               "report.json", "tables/first_words.csv", "tables/logodds.csv"},
+    "analyze": set(GOLDEN_DIGESTS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SETS))
+def test_subcommand_writes_exactly_its_files(command, tmp_path):
+    out = tmp_path / command
+    compare = ["--compare"] if command == "analyze" else []
+    assert main([command, HUMAN, GPT, *compare, "--min-docs", "1", "--emit-plots",
+                 "--per-poem", "--out", str(out)]) == 0
+    assert set(_tree_bytes(out)) == OUTPUT_SETS[command]
+
+
 def test_analyze_rerun_is_byte_identical(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -230,6 +260,52 @@ def test_compare_requires_two_corpora(tmp_path, capsys):
     code = main(["analyze", GPT, "--compare", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "two corpora" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", GPT, "--compare", "--per-poem"], "--compare requires two corpora"),
+    (["analyze", HUMAN, GPT, "--compare", "--per-poem", "--min-docs", "1000"],
+     "empty vocabulary"),
+    (["analyze", "EMPTY"], "corpus has no poems: EMPTY"),
+    (["compare", "EMPTY", GPT], "corpus has no poems: EMPTY"),
+], ids=["compare-one-corpus", "empty-vocabulary", "analyze-empty", "compare-empty"])
+def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "o"
+    argv = [str(empty) if arg == "EMPTY" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message.replace("EMPTY", str(empty)) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", GPT, "--heatmap-rows", "0", "--per-poem"],
+    ["structure", GPT, "--heatmap-cols", "0"],
+    ["analyze", HUMAN, GPT, "--compare", "--emit-plots", "--top-k", "-2"],
+    ["generate", "--concurrency", "0"],
+    ["generate", "--max-retries", "-1"],
+], ids=["heatmap-rows", "heatmap-cols", "top-k", "concurrency", "max-retries"])
+def test_out_of_range_flag_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    from mock_server import MockChatEndpoint
+
+    monkeypatch.setenv("POEM_TEST_KEY", "k")
+    out = tmp_path / "o"
+    with MockChatEndpoint() as endpoint:
+        if argv[0] == "generate":
+            argv = [*argv, "--model", "gpt-4", "--out", str(out / "gen.jsonl"),
+                    "--endpoint", endpoint.url, "--api-key-env", "POEM_TEST_KEY",
+                    "--styles", "haiku", "--subjects", "nature", "--templates", "general"]
+        else:
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not out.exists()
+    assert endpoint.requests == []
 
 
 def test_dry_run_prints_full_grid(capsys):
