@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -416,6 +417,10 @@ def cmd_generate(args) -> int:
     if not args.out:
         print("error: --out is required unless --dry-run", file=sys.stderr)
         return 2
+    if not args.endpoint.lower().startswith(("http://", "https://")):
+        print(f"error: --endpoint must be an http:// or https:// URL, got {args.endpoint!r}",
+              file=sys.stderr)
+        return 2
     api_key = os.environ.get(args.api_key_env, "")
     if not api_key:
         print(f"error: environment variable {args.api_key_env} is not set", file=sys.stderr)
@@ -437,15 +442,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than low; a smaller one is a usage error."""
+def _bounded(kind: type, low: int, *, above: bool = False):
+    """argparse type: a kind (int or float) at least low, or finite and greater than low
+    when above; any other value, NaN included, is a usage error."""
+    bound = f"greater than {low} and finite" if above else f"at least {low}"
 
-    def parse(text: str) -> int:
-        if (value := int(text)) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    def parse(text: str):
+        value = kind(text)
+        if not (low < value < math.inf if above else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type by it
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names the type by it
     return parse
 
 
@@ -464,9 +472,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="total Dirichlet prior mass (default 0.01 * vocabulary size)")
     parser.add_argument("--iambic-threshold", type=float, default=0.75,
                         help="iambic dominance threshold")
-    parser.add_argument("--heatmap-rows", type=_int_at_least(1), default=60)
-    parser.add_argument("--heatmap-cols", type=_int_at_least(1), default=80)
-    parser.add_argument("--top-k", type=_int_at_least(0), default=15,
+    parser.add_argument("--heatmap-rows", type=_bounded(int, 1), default=60)
+    parser.add_argument("--heatmap-cols", type=_bounded(int, 1), default=80)
+    parser.add_argument("--top-k", type=_bounded(int, 0), default=15,
                         help="top words kept in plots")
     parser.add_argument("--source-default", default=None,
                         help="source label for records that lack one (required for text directories)")
@@ -525,11 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=DEFAULT_TEMPLATES)
     generate.add_argument("--temperature", type=float, default=1.0)
     generate.add_argument("--max-output-tokens", type=int, default=1024)
-    generate.add_argument("--max-retries", type=_int_at_least(0), default=3)
-    generate.add_argument("--rate-limit", type=float, default=None,
+    generate.add_argument("--max-retries", type=_bounded(int, 0), default=3)
+    generate.add_argument("--rate-limit", type=_bounded(float, 0, above=True), default=None,
                           help="max requests per second")
-    generate.add_argument("--concurrency", type=_int_at_least(1), default=4)
-    generate.add_argument("--timeout", type=float, default=120.0)
+    generate.add_argument("--concurrency", type=_bounded(int, 1), default=4)
+    generate.add_argument("--timeout", type=_bounded(float, 0, above=True), default=120.0,
+                          help="socket timeout in seconds for each request")
     generate.add_argument("--dry-run", action="store_true",
                           help="print rendered prompts without calling the endpoint")
     generate.add_argument("--no-resume", action="store_true",

@@ -18,8 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .corpus import CANONICAL_STYLES, Corpus, load_corpus
 
 logger = logging.getLogger(__name__)
@@ -150,7 +148,15 @@ class AuthenticationError(RuntimeError):
 
 
 class TransientRequestError(RuntimeError):
-    """Throttling or server-side failure; the request may be retried."""
+    """Throttling or server-side failure; the request may be retried.
+
+    retry_after is the delay in seconds the server asked for (a Retry-After
+    header in delta-seconds form on a 429 or 503), or None.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class RequestFailed(RuntimeError):
@@ -158,35 +164,49 @@ class RequestFailed(RuntimeError):
 
 
 class ChatCompletionsClient:
-    """Minimal client for an OpenAI-compatible chat-completions endpoint."""
+    """Minimal client for an OpenAI-compatible chat-completions endpoint, one connection per call."""
 
     def __init__(self, endpoint: str, api_key: str, timeout: float = 120.0):
         self.endpoint = endpoint
         self.timeout = timeout
-        self._session = requests.Session()
-        self._session.headers["Authorization"] = f"Bearer {api_key}"
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
 
     def complete(self, model: str, prompt: str, temperature: float, max_tokens: int) -> str:
+        # Imported here, not at module level, to keep the HTTP stack off the analysis path.
+        from http.client import HTTPException
+        from urllib.request import HTTPError, Request, urlopen
+
         payload = {
             "model": model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
+        request = Request(self.endpoint, json.dumps(payload).encode(), self._headers)
         try:
-            response = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
+            try:
+                response = urlopen(request, timeout=self.timeout)
+            except HTTPError as exc:  # an error status: its body is read below all the same
+                response = exc
+            with response:
+                status, headers, body = response.status, response.headers, response.read()
+        except (OSError, HTTPException) as exc:
             raise TransientRequestError(f"request failed: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthenticationError(f"endpoint returned {response.status_code}")
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientRequestError(f"endpoint returned {response.status_code}")
-        if response.status_code != 200:
-            raise RequestFailed(f"endpoint returned {response.status_code}: {response.text[:200]}")
+        if status in (401, 403):
+            raise AuthenticationError(f"endpoint returned {status}")
+        if status == 429 or status >= 500:
+            header = headers.get("Retry-After", "") if status in (429, 503) else ""
+            retry_after = float(header) if header.isascii() and header.isdigit() else None
+            raise TransientRequestError(f"endpoint returned {status}", retry_after)
+        if status != 200:
+            raise RequestFailed(f"endpoint returned {status}: {body.decode(errors='replace')[:200]}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise RequestFailed(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise RequestFailed(f"malformed completion response: content is {type(content).__name__}")
+        return content
 
 
 @dataclass
@@ -203,6 +223,10 @@ class GenerationJob:
     rate_limit_per_sec: float | None = None
     concurrency: int = 4
     resume: bool = True
+
+
+# Longest sleep between two attempts at one spec, whatever the backoff or Retry-After.
+MAX_BACKOFF_S = 30.0
 
 
 class _RateLimiter:
@@ -287,7 +311,8 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
 
     Progress is persisted after every response; rerunning with resume skips
     specs already present in the output file. Requests hitting throttle or
-    server errors are retried with exponential backoff; specs that still
+    server errors are retried with exponential backoff, or after the delay a
+    429 or 503 asked for, each sleep capped at MAX_BACKOFF_S; specs that still
     fail are recorded in a ".failures.jsonl" sidecar and skipped; its rows
     from earlier runs are dropped for specs complete or requested again.
     """
@@ -315,6 +340,7 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     def fetch(spec: PromptSpec) -> None:
         text: str | None = None
         last_error: Exception | None = None
+        backoff = job.backoff_base
         for attempt in range(job.max_retries + 1):
             limiter.wait()
             try:
@@ -330,7 +356,9 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
                     logger.warning(
                         "retrying %s after %s (attempt %d)", spec_key(spec), exc, attempt + 1
                     )
-                    time.sleep(job.backoff_base * (2 ** attempt))
+                    delay = backoff if exc.retry_after is None else exc.retry_after
+                    time.sleep(min(delay, MAX_BACKOFF_S))
+                    backoff *= 2
             except RequestFailed as exc:
                 last_error = exc
                 break

@@ -13,14 +13,19 @@ class MockChatEndpoint:
     fail_first maps a prompt substring to a list of HTTP statuses to emit
     before succeeding. expect_key, when set, rejects other bearer tokens
     with a 401. host and port are where it listens; port 0 picks a free one.
+    raw_body, when set, is sent as the body of every 200 response in place of
+    a completion. retry_after, when set, is sent as a Retry-After header with
+    each scripted 429 and 503.
     """
 
     def __init__(self, reply=None, fail_first=None, expect_key=None, *,
-                 host="127.0.0.1", port=0):
+                 host="127.0.0.1", port=0, raw_body=None, retry_after=None):
         self.requests: list[dict] = []
         self.reply = reply or (lambda payload: "The morning light\nupon the hill")
         self.fail_first = {k: list(v) for k, v in (fail_first or {}).items()}
         self.expect_key = expect_key
+        self.raw_body = raw_body
+        self.retry_after = retry_after
         self._lock = threading.Lock()
         outer = self
 
@@ -41,13 +46,18 @@ class MockChatEndpoint:
                             status = statuses.pop(0)
                             self._respond(status, {"error": f"scripted {status}"})
                             return
+                if outer.raw_body is not None:
+                    self._respond(200, outer.raw_body)
+                    return
                 self._respond(
                     200, {"choices": [{"message": {"content": outer.reply(payload)}}]}
                 )
 
             def _respond(self, status, body):
-                data = json.dumps(body).encode()
+                data = body if isinstance(body, bytes) else json.dumps(body).encode()
                 self.send_response(status)
+                if status in (429, 503) and outer.retry_after is not None:
+                    self.send_header("Retry-After", str(outer.retry_after))
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()

@@ -281,14 +281,21 @@ def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", GPT, "--heatmap-rows", "0", "--per-poem"],
-    ["structure", GPT, "--heatmap-cols", "0"],
-    ["analyze", HUMAN, GPT, "--compare", "--emit-plots", "--top-k", "-2"],
-    ["generate", "--concurrency", "0"],
-    ["generate", "--max-retries", "-1"],
-], ids=["heatmap-rows", "heatmap-cols", "top-k", "concurrency", "max-retries"])
-def test_out_of_range_flag_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", GPT, "--heatmap-rows", "0", "--per-poem"], "must be at least 1, got 0"),
+    (["structure", GPT, "--heatmap-cols", "0"], "must be at least 1, got 0"),
+    (["analyze", HUMAN, GPT, "--compare", "--emit-plots", "--top-k", "-2"],
+     "must be at least 0, got -2"),
+    (["generate", "--concurrency", "0"], "must be at least 1, got 0"),
+    (["generate", "--max-retries", "-1"], "must be at least 0, got -1"),
+    (["generate", "--timeout", "0"], "must be greater than 0 and finite, got 0.0"),
+    (["generate", "--timeout", "inf"], "must be greater than 0 and finite, got inf"),
+    (["generate", "--rate-limit", "0"], "must be greater than 0 and finite, got 0.0"),
+    (["generate", "--rate-limit", "-1"], "must be greater than 0 and finite, got -1.0"),
+    (["generate", "--rate-limit", "nan"], "must be greater than 0 and finite, got nan"),
+], ids=["heatmap-rows", "heatmap-cols", "top-k", "concurrency", "max-retries",
+        "timeout-zero", "timeout-inf", "rate-limit-zero", "rate-limit-negative", "rate-limit-nan"])
+def test_out_of_range_flag_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     from mock_server import MockChatEndpoint
 
     monkeypatch.setenv("POEM_TEST_KEY", "k")
@@ -303,7 +310,7 @@ def test_out_of_range_flag_is_a_usage_error(argv, tmp_path, capsys, monkeypatch)
         with pytest.raises(SystemExit) as exc:
             main(argv)
     assert exc.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
     assert endpoint.requests == []
 
@@ -330,6 +337,14 @@ def test_dry_run_custom_grid(capsys):
 def test_generate_requires_out_path(capsys):
     assert main(["generate", "--model", "gpt-4"]) == 2
     assert "--out" in capsys.readouterr().err
+
+
+def test_endpoint_without_http_scheme_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "gen.jsonl"
+    assert main(["generate", "--model", "gpt-4", "--out", str(out),
+                 "--endpoint", "localhost:8080/v1/chat/completions"]) == 2
+    assert "--endpoint must be an http:// or https:// URL" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_requires_api_key(tmp_path, capsys, monkeypatch):
@@ -382,6 +397,17 @@ def test_verbose_flag_logs_pending_count(tmp_path):
     assert quiet.stderr == ""
     assert "model gpt-4: 1 specs requested, 0 already complete, 1 pending" in verbose.stderr
     assert verbose.stdout == quiet.stdout.replace("quiet", "verbose")
+
+
+def test_import_loads_no_http_stack():
+    # generate imports urllib.request only when it sends a request.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, poemetrics.cli; "
+            "print(sorted({'requests', 'http.client', 'urllib.request'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 TRACED_ANALYZE = """

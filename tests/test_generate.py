@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from poemetrics.corpus import load_corpus
 from poemetrics.generate import (
+    MAX_BACKOFF_S,
     AuthenticationError,
     ChatCompletionsClient,
     DEFAULT_STYLES,
     DEFAULT_SUBJECTS,
     GenerationJob,
+    RequestFailed,
+    TransientRequestError,
     build_grid,
     render_prompt,
     run_job,
@@ -240,6 +246,132 @@ def test_empty_completion_becomes_failure_row(tmp_path):
         corpus = run_job(_job(specs, out), client)
     assert len(corpus) == 0
     assert "empty completion" in (out.parent / "out.jsonl.failures.jsonl").read_text()
+
+
+@pytest.mark.parametrize("body", [
+    b'{"choices": null}',
+    b"[]",
+    b'"x"',
+    b'{"choices": [{"message": {"content": 5}}]}',
+    b'{"choices": [{"message": {"content": null}}]}',
+], ids=["choices-null", "list", "string", "content-int", "content-null"])
+def test_malformed_completion_fails_only_its_spec(body, tmp_path):
+    specs = _small_grid()
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint(raw_body=body) as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        corpus = run_job(_job(specs, out), client)
+        assert len(endpoint.requests) == 3  # not retried
+    assert len(corpus) == 0
+    failures = (tmp_path / "out.jsonl.failures.jsonl").read_text()
+    rows = [json.loads(line) for line in failures.splitlines()]
+    assert sorted(row["subject"] for row in rows) == ["love", "nature", "religion"]
+    assert all(row["error"].startswith("malformed completion response: ") for row in rows)
+
+
+def test_backoff_sleep_is_capped(tmp_path, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("poemetrics.generate.time.sleep", sleeps.append)
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint(fail_first={"love": [500] * 13}) as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        run_job(_job(_small_grid()[:1], out, max_retries=12, backoff_base=0.5), client)
+        assert len(endpoint.requests) == 13
+    assert sleeps[:4] == [0.5, 1.0, 2.0, 4.0]
+    assert len(sleeps) == 12 and max(sleeps) == MAX_BACKOFF_S == 30.0
+
+
+@pytest.mark.parametrize("retry_after, expected", [
+    (2, [2.0, 2.0, 1.0]),
+    (3600, [MAX_BACKOFF_S, MAX_BACKOFF_S, 1.0]),
+])
+def test_retry_after_is_honored_on_429_and_503(retry_after, expected, tmp_path, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("poemetrics.generate.time.sleep", sleeps.append)
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint(fail_first={"love": [429, 503, 500]}, retry_after=retry_after) as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        corpus = run_job(_job(_small_grid()[:1], out, backoff_base=0.25), client)
+    assert len(corpus) == 1
+    # the 500 ignores the header: it sleeps the third backoff step, 0.25 * 2 ** 2
+    assert sleeps == expected
+
+
+# --- ChatCompletionsClient error paths -----------------------------------------
+
+def _complete(url: str, timeout: float = 10.0) -> str:
+    return ChatCompletionsClient(url, "test-key", timeout=timeout).complete("gpt-4", "a", 1.0, 16)
+
+
+@pytest.mark.parametrize("status, error, message", [
+    (400, RequestFailed, 'endpoint returned 400: {"error": "scripted 400"}'),
+    (403, AuthenticationError, "endpoint returned 403"),
+])
+def test_error_status_raises_its_error(status, error, message):
+    with MockChatEndpoint(fail_first={"": [status]}) as endpoint:
+        with pytest.raises(error) as raised:
+            _complete(endpoint.url)
+        assert len(endpoint.requests) == 1
+    assert str(raised.value) == message
+
+
+def test_non_json_completion_is_request_failed():
+    with MockChatEndpoint(raw_body=b"<html>busy</html>") as endpoint:
+        with pytest.raises(RequestFailed, match="^malformed completion response: "):
+            _complete(endpoint.url)
+
+
+def test_closed_port_is_transient():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(TransientRequestError):
+        _complete(f"http://127.0.0.1:{port}/v1/chat/completions")
+
+
+def test_reply_slower_than_timeout_is_transient():
+    release = threading.Event()
+    with MockChatEndpoint(reply=lambda payload: release.wait(10) and "late") as endpoint:
+        try:
+            with pytest.raises(TransientRequestError):
+                _complete(endpoint.url, timeout=0.2)
+        finally:
+            release.set()
+
+
+@contextmanager
+def _raw_http_server(reply: bytes):
+    """Answers one request with reply, byte for byte, then closes; yields its URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as request:
+            length = 0
+            while (line := request.readline()) not in (b"\r\n", b""):
+                if line.lower().startswith(b"content-length:"):
+                    length = int(line.split(b":")[1])
+            request.read(length)
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat/completions"
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\"",
+    b"not an HTTP status line\r\n\r\n",
+], ids=["truncated-body", "bad-status-line"])
+def test_broken_response_is_transient(reply):
+    with _raw_http_server(reply) as url:
+        with pytest.raises(TransientRequestError):
+            _complete(url)
 
 
 def test_output_loads_via_corpus_loader(tmp_path):
