@@ -35,6 +35,7 @@ from .corpus import (
     strip_prefatory,
 )
 from .generate import (
+    AuthenticationError,
     ChatCompletionsClient,
     DEFAULT_STYLES,
     DEFAULT_SUBJECTS,
@@ -442,14 +443,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bounded(kind: type, low: int, *, above: bool = False):
-    """argparse type: a kind (int or float) at least low, or finite and greater than low
-    when above; any other value, NaN included, is a usage error."""
-    bound = f"greater than {low} and finite" if above else f"at least {low}"
+def _bounded(kind: type, low: int, high: float = math.inf, *, above: bool = False):
+    """argparse type: a finite kind (int or float) at least low, or greater than low when
+    above, and at most high; any other value, NaN included, is a usage error."""
+    if high < math.inf:
+        bound = f"from {low} to {high}"
+    else:
+        bound = f"{'greater than' if above else 'at least'} {low}"
+        bound += " and finite" if kind is float else ""
 
     def parse(text: str):
         value = kind(text)
-        if not (low < value < math.inf if above else value >= low):
+        if not ((low < value if above else low <= value) and value <= high and value < math.inf):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
@@ -468,9 +473,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="also write simple SVG plots")
     parser.add_argument("--min-docs", type=int, default=10,
                         help="minimum poems a word must appear in for log-odds")
-    parser.add_argument("--alpha-total", type=float, default=None,
+    parser.add_argument("--alpha-total", type=_bounded(float, 0, above=True), default=None,
                         help="total Dirichlet prior mass (default 0.01 * vocabulary size)")
-    parser.add_argument("--iambic-threshold", type=float, default=0.75,
+    parser.add_argument("--iambic-threshold", type=_bounded(float, 0, 1), default=0.75,
                         help="iambic dominance threshold")
     parser.add_argument("--heatmap-rows", type=_bounded(int, 1), default=60)
     parser.add_argument("--heatmap-cols", type=_bounded(int, 1), default=80)
@@ -527,12 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--api-key-env", default="OPENAI_API_KEY",
                           help="environment variable holding the API key")
     generate.add_argument("--out", default=None, help="output JSON Lines file")
-    generate.add_argument("--styles", nargs="+", default=None)
+    generate.add_argument("--styles", nargs="+", default=None, choices=DEFAULT_STYLES)
     generate.add_argument("--subjects", nargs="+", default=None)
     generate.add_argument("--templates", nargs="+", default=None,
                           choices=DEFAULT_TEMPLATES)
-    generate.add_argument("--temperature", type=float, default=1.0)
-    generate.add_argument("--max-output-tokens", type=int, default=1024)
+    generate.add_argument("--temperature", type=_bounded(float, 0), default=1.0)
+    generate.add_argument("--max-output-tokens", type=_bounded(int, 1), default=1024)
     generate.add_argument("--max-retries", type=_bounded(int, 0), default=3)
     generate.add_argument("--rate-limit", type=_bounded(float, 0, above=True), default=None,
                           help="max requests per second")
@@ -554,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=args.log_level, format="%(message)s")
     try:
         return args.func(args)
-    except (CorpusError, ValueError, OSError) as exc:
+    except (CorpusError, ValueError, OSError, AuthenticationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import CANONICAL_STYLES, Corpus, load_corpus
+from .corpus import CANONICAL_STYLES, Corpus, PoemRecord, load_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -249,46 +249,37 @@ class _RateLimiter:
 
 
 def _row_key(raw: dict) -> tuple[str, str, str]:
-    """spec_key of an output or sidecar row."""
+    """spec_key of a sidecar row."""
     return (raw.get("template"), raw.get("style"), raw.get("subject"))
 
 
 def _completed_keys(path: Path) -> set[tuple[str, str, str]]:
-    """Keys already present in the output file, repairing a torn tail.
+    """Keys already present in the output file, after repairing its tail.
 
-    A run killed mid-write can leave an incomplete final line; that tail is
-    truncated away (the spec will be refetched) so appends start clean.
+    A run killed mid-write can leave an incomplete final line; it is cut off
+    (the spec will be refetched). A complete final row without its newline
+    gets one, so the next append starts a line of its own. The rows are then
+    read by load_corpus, which raises CorpusError on any other bad row.
     """
-    keys: set[tuple[str, str, str]] = set()
     if not path.exists():
-        return keys
-    data = path.read_bytes()
-    offset = 0
-    last_good_end = 0
-    for raw_line in data.splitlines(keepends=True):
-        stripped = raw_line.strip()
-        if stripped:
+        return set()
+    with open(path, "r+b") as handle:
+        data = handle.read()
+        tail = data[data.rfind(b"\n") + 1:]
+        if tail.strip():
             try:
-                raw = json.loads(stripped)
-                keys.add(_row_key(raw))
-                last_good_end = offset + len(raw_line)
-            except json.JSONDecodeError:
-                if offset + len(raw_line) == len(data):
-                    logger.warning("%s: dropping torn trailing line during resume", path)
-                else:
-                    logger.warning("%s: ignoring unparseable line during resume", path)
-                    last_good_end = offset + len(raw_line)
-        else:
-            last_good_end = offset + len(raw_line)
-        offset += len(raw_line)
-    if last_good_end < len(data):
-        with open(path, "r+b") as handle:
-            handle.truncate(last_good_end)
-    return keys
+                json.loads(tail)  # only tells a torn tail from a complete row
+            except ValueError:  # a JSONDecodeError, or a tear inside a UTF-8 sequence
+                logger.warning("%s: dropping torn trailing line during resume", path)
+                handle.truncate(len(data) - len(tail))
+            else:
+                handle.write(b"\n")
+    return {spec_key(record) for record in load_corpus(path, "json-lines")}
 
 
 def _prune_failures(path: Path, done: set[tuple[str, str, str]], specs: list[PromptSpec]) -> None:
-    """Drop sidecar rows of specs done or requested, and unparseable rows; delete it once empty."""
+    """Drop sidecar rows of specs done or requested, and rows that are not JSON objects;
+    delete it once empty."""
     if not path.exists():
         return
     settled = done | {spec_key(s) for s in specs}
@@ -298,7 +289,7 @@ def _prune_failures(path: Path, done: set[tuple[str, str, str]], specs: list[Pro
             raw = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if _row_key(raw) not in settled:
+        if isinstance(raw, dict) and _row_key(raw) not in settled:
             kept.append(line + "\n")
     if kept:
         path.write_text("".join(kept), encoding="utf-8")
@@ -314,7 +305,9 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     server errors are retried with exponential backoff, or after the delay a
     429 or 503 asked for, each sleep capped at MAX_BACKOFF_S; specs that still
     fail are recorded in a ".failures.jsonl" sidecar and skipped; its rows
-    from earlier runs are dropped for specs complete or requested again.
+    from earlier runs are dropped for specs complete or requested again. Any
+    other error, AuthenticationError included, stops the run: specs not yet
+    started are dropped and the error propagates.
     """
     output_path = Path(job.output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
@@ -348,8 +341,6 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
                     job.model, spec.rendered, job.temperature, job.max_output_tokens
                 )
                 break
-            except AuthenticationError:
-                raise
             except TransientRequestError as exc:
                 last_error = exc
                 if attempt < job.max_retries:
@@ -374,23 +365,30 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
             })
             logger.error("giving up on %s: %s", spec_key(spec), last_error)
             return
-        append(output_path, {
-            "id": record_id_for(job.model, spec),
-            "text": text,
-            "source": source_for_model(job.model),
-            "style": spec.style,
-            "subject": spec.subject,
-            "template": spec.template,
-            "model": job.model,
-        })
+        record = PoemRecord(
+            id=record_id_for(job.model, spec), text=text, source=source_for_model(job.model),
+            style=spec.style, subject=spec.subject, template=spec.template,
+        )
+        append(output_path, {**record.to_json_dict(), "model": job.model})
+
+    # Set by the first fetch that raises. Cancelling the queue alone would still let a
+    # worker start the next spec before the main thread sees the error.
+    stop = threading.Event()
+
+    def fetch_unless_stopped(spec: PromptSpec) -> None:
+        if stop.is_set():
+            return
+        try:
+            fetch(spec)
+        except BaseException:
+            stop.set()
+            raise
 
     if pending:
-        with ThreadPoolExecutor(max_workers=job.concurrency) as executor:
-            futures = [executor.submit(fetch, spec) for spec in pending]
-            try:
-                for future in futures:
-                    future.result()
-            except AuthenticationError:
-                executor.shutdown(cancel_futures=True)
-                raise
+        executor = ThreadPoolExecutor(max_workers=job.concurrency)
+        try:
+            for future in [executor.submit(fetch_unless_stopped, spec) for spec in pending]:
+                future.result()
+        finally:  # an error, or an interrupt in this thread, drops the specs not yet started
+            executor.shutdown(cancel_futures=True)
     return load_corpus(output_path, "json-lines")

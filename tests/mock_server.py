@@ -60,14 +60,19 @@ class MockChatEndpoint:
                     self.send_header("Retry-After", str(outer.retry_after))
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                try:
+                    self.end_headers()
+                    self.wfile.write(data)
+                except ConnectionError:  # the client stopped waiting, as timeout tests do
+                    pass
 
             def log_message(self, *args):
                 pass
 
         self._server = ThreadingHTTPServer((host, port), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval: shutdown() waits for the next poll, once per test.
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
 
     @property
     def url(self) -> str:

@@ -293,8 +293,22 @@ def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
     (["generate", "--rate-limit", "0"], "must be greater than 0 and finite, got 0.0"),
     (["generate", "--rate-limit", "-1"], "must be greater than 0 and finite, got -1.0"),
     (["generate", "--rate-limit", "nan"], "must be greater than 0 and finite, got nan"),
+    (["analyze", GPT, "--alpha-total", "0"], "must be greater than 0 and finite, got 0.0"),
+    (["analyze", GPT, "--alpha-total", "-1"], "must be greater than 0 and finite, got -1.0"),
+    (["compare", HUMAN, GPT, "--alpha-total", "nan"], "must be greater than 0 and finite, got nan"),
+    (["meter", GPT, "--iambic-threshold", "nan"], "must be from 0 to 1, got nan"),
+    (["analyze", GPT, "--iambic-threshold", "1.5"], "must be from 0 to 1, got 1.5"),
+    (["analyze", GPT, "--iambic-threshold", "-0.1"], "must be from 0 to 1, got -0.1"),
+    (["generate", "--temperature", "nan"], "must be at least 0 and finite, got nan"),
+    (["generate", "--temperature", "-1"], "must be at least 0 and finite, got -1.0"),
+    (["generate", "--temperature", "inf"], "must be at least 0 and finite, got inf"),
+    (["generate", "--max-output-tokens", "0"], "must be at least 1, got 0"),
+    (["generate", "--styles", "free-verse"], "invalid choice: 'free-verse'"),
 ], ids=["heatmap-rows", "heatmap-cols", "top-k", "concurrency", "max-retries",
-        "timeout-zero", "timeout-inf", "rate-limit-zero", "rate-limit-negative", "rate-limit-nan"])
+        "timeout-zero", "timeout-inf", "rate-limit-zero", "rate-limit-negative", "rate-limit-nan",
+        "alpha-total-zero", "alpha-total-negative", "alpha-total-nan", "iambic-threshold-nan",
+        "iambic-threshold-above-1", "iambic-threshold-negative", "temperature-nan",
+        "temperature-negative", "temperature-inf", "max-output-tokens-zero", "styles-free-verse"])
 def test_out_of_range_flag_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     from mock_server import MockChatEndpoint
 
@@ -373,6 +387,51 @@ def test_generate_against_mock_endpoint(tmp_path, monkeypatch):
     from poemetrics.corpus import load_corpus
 
     assert len(load_corpus(out)) == 1
+
+
+def test_rejected_api_key_is_an_error_line(tmp_path, capsys, monkeypatch):
+    from mock_server import MockChatEndpoint
+
+    monkeypatch.setenv("POEM_TEST_KEY", "wrong-key")
+    with MockChatEndpoint(expect_key="right-key") as endpoint:
+        code = main([
+            "generate", "--model", "gpt-4", "--out", str(tmp_path / "gen.jsonl"),
+            "--endpoint", endpoint.url, "--api-key-env", "POEM_TEST_KEY",
+            "--styles", "haiku", "--subjects", "nature", "love", "--templates", "general",
+            "--concurrency", "1",
+        ])
+        assert len(endpoint.requests) == 1  # the second prompt was never sent
+    assert code == 1
+    assert capsys.readouterr().err == "error: endpoint returned 401\n"
+
+
+_HAIKU_ROW = json.dumps({"id": "a", "text": "x", "source": "gpt4", "style": "haiku",
+                         "subject": "nature", "template": "general", "model": "gpt-4"})
+
+
+@pytest.mark.parametrize("content, message", [
+    (f"{_HAIKU_ROW}\nnot json\n{_HAIKU_ROW.replace('nature', 'love')}\n",
+     "line 2: invalid JSON"),
+    (f"{_HAIKU_ROW}\n[1, 2]\n", "line 2: record is not a JSON object"),
+    (f"{_HAIKU_ROW}\n[1, 2]", "line 2: record is not a JSON object"),
+], ids=["interior-garbage", "non-object", "unterminated-non-object"])
+def test_bad_resume_row_fails_before_any_request(content, message, tmp_path, capsys,
+                                                 monkeypatch):
+    from mock_server import MockChatEndpoint
+
+    monkeypatch.setenv("POEM_TEST_KEY", "k")
+    out = tmp_path / "gen.jsonl"
+    out.write_text(content, encoding="utf-8")
+    with MockChatEndpoint() as endpoint:
+        code = main([
+            "generate", "--model", "gpt-4", "--out", str(out),
+            "--endpoint", endpoint.url, "--api-key-env", "POEM_TEST_KEY",
+            "--styles", "haiku", "--subjects", "nature", "love", "rain", "--templates", "general",
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: {message}") and err.count("\n") == 1
+    assert endpoint.requests == []
 
 
 def _generate_in_subprocess(out: Path, url: str, *flags: str):

@@ -192,6 +192,59 @@ def test_resume_tolerates_torn_final_line(tmp_path):
     assert len(corpus) == 3
 
 
+def test_resume_tolerates_tear_inside_a_utf8_sequence(tmp_path):
+    specs = _small_grid()
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint() as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        run_job(_job(specs[:2], out), client)
+        with open(out, "ab") as handle:
+            handle.write('{"template": "general", "text": "caf\u00e9'.encode()[:-1])
+        corpus = run_job(_job(specs, out), client)
+        assert len(endpoint.requests) == 3
+    assert len(corpus) == 3
+
+
+def test_resume_terminates_a_complete_last_row(tmp_path):
+    specs = _small_grid()
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint() as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        run_job(_job(specs[:2], out), client)
+        out.write_bytes(out.read_bytes().rstrip(b"\n"))  # killed between a row and its newline
+        corpus = run_job(_job(specs, out), client)
+        assert len(endpoint.requests) == 3  # the unterminated row was kept, not refetched
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 3 and all(line.endswith("}\n") for line in lines)
+    assert sorted(r.subject for r in corpus) == ["love", "nature", "religion"]
+
+
+def test_error_in_a_fetch_stops_the_run(tmp_path):
+    class FailingClient:
+        calls = 0
+
+        def complete(self, model, prompt, temperature, max_tokens):
+            self.calls += 1
+            raise KeyError("unexpected")
+
+    client = FailingClient()
+    with pytest.raises(KeyError):
+        run_job(_job(_small_grid(), tmp_path / "out.jsonl", concurrency=1), client)
+    assert client.calls == 1  # the specs still pending were never started
+
+
+def test_non_object_sidecar_row_is_dropped(tmp_path):
+    specs = _small_grid()
+    out = tmp_path / "out.jsonl"
+    failures = tmp_path / "out.jsonl.failures.jsonl"
+    other = json.dumps({"template": "general", "style": "ode", "subject": "love", "error": "x"})
+    failures.write_text(f"[1, 2]\n{other}\n", encoding="utf-8")
+    with MockChatEndpoint() as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        assert len(run_job(_job(specs, out), client)) == 3
+    assert failures.read_text(encoding="utf-8") == other + "\n"
+
+
 def test_failed_specs_are_retried_on_resume(tmp_path):
     specs = _small_grid()
     out = tmp_path / "out.jsonl"
