@@ -30,7 +30,6 @@ from .generate import (
 from .lexstats import (
     LogOddsResult,
     PronounProfile,
-    TokenStream,
     first_word_logodds,
     load_stopwords,
     logodds,

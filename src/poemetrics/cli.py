@@ -127,12 +127,12 @@ class _PoemScores(NamedTuple):
 def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared):
     """Score every poem once, in input order, computing only the families asked for.
 
-    Each non-blank line is tokenized once, and meter, pronouns, touchstones
-    and word counts all come from those tokens. Returns each corpus's poem
-    scores and the WordCounts of its first `compared` corpora, counted as
-    each poem is scored, so no poem's tokens outlive it.
+    Each non-blank line is tokenized once, and end words, meter, pronouns,
+    touchstones and word counts all come from those tokens. Returns each
+    corpus's poem scores and the WordCounts of its first `compared` corpora,
+    counted as each poem is scored, so no poem's tokens outlive it.
     """
-    tokenized = compared or "meter" in families or "lexstats" in families
+    tokenized = compared or not {"rhyme", "meter", "lexstats"}.isdisjoint(families)
     stopwords = load_stopwords() if compared else frozenset()
     scored, counted = [], [WordCounts(stopwords) for _ in corpora[:compared]]
     for i, corpus in enumerate(corpora):
@@ -147,7 +147,7 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared)
             if i < compared:
                 counted[i].add(words)
             if "rhyme" in families:
-                annotation = annotate_rhymes(poem, dictionary)
+                annotation = annotate_rhymes(poem, dictionary, by_line)
                 rhyme = annotation.counts()
                 if per_poem:
                     line = json.dumps({**annotation.to_json_dict(), "id": record.id},
@@ -471,7 +471,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, help="no effect; analysis runs in one thread")
     parser.add_argument("--emit-plots", action="store_true",
                         help="also write simple SVG plots")
-    parser.add_argument("--min-docs", type=int, default=10,
+    parser.add_argument("--min-docs", type=_bounded(int, 0), default=10,
                         help="minimum poems a word must appear in for log-odds")
     parser.add_argument("--alpha-total", type=_bounded(float, 0, above=True), default=None,
                         help="total Dirichlet prior mass (default 0.01 * vocabulary size)")

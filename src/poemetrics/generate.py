@@ -4,7 +4,7 @@ The full grid is the Cartesian product of 3 writing-prompt templates, 24
 styles, and 40 subjects (2,880 prompts). Completions are collected from an
 OpenAI-compatible chat-completions endpoint and written incrementally as
 JSON Lines in the corpus format, so an interrupted run can resume without
-duplicating any (model, template, style, subject) key.
+duplicating any (source, template, style, subject) key.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ def _row_key(raw: dict) -> tuple[str, str, str]:
     return (raw.get("template"), raw.get("style"), raw.get("subject"))
 
 
-def _completed_keys(path: Path) -> set[tuple[str, str, str]]:
-    """Keys already present in the output file, after repairing its tail.
+def _completed_keys(path: Path, source: str) -> set[tuple[str, str, str]]:
+    """Keys of the source's rows already in the output file, after repairing its tail.
 
     A run killed mid-write can leave an incomplete final line; it is cut off
     (the spec will be refetched). A complete final row without its newline
@@ -274,7 +274,7 @@ def _completed_keys(path: Path) -> set[tuple[str, str, str]]:
                 handle.truncate(len(data) - len(tail))
             else:
                 handle.write(b"\n")
-    return {spec_key(record) for record in load_corpus(path, "json-lines")}
+    return {spec_key(r) for r in load_corpus(path, "json-lines") if r.source == source}
 
 
 def _prune_failures(path: Path, done: set[tuple[str, str, str]], specs: list[PromptSpec]) -> None:
@@ -301,17 +301,19 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     """Collect all pending specs, appending each completion as it arrives.
 
     Progress is persisted after every response; rerunning with resume skips
-    specs already present in the output file. Requests hitting throttle or
-    server errors are retried with exponential backoff, or after the delay a
-    429 or 503 asked for, each sleep capped at MAX_BACKOFF_S; specs that still
-    fail are recorded in a ".failures.jsonl" sidecar and skipped; its rows
-    from earlier runs are dropped for specs complete or requested again. Any
-    other error, AuthenticationError included, stops the run: specs not yet
-    started are dropped and the error propagates.
+    specs already present in the output file with the model's source.
+    Requests hitting throttle or server errors are retried with exponential
+    backoff, or after the delay a 429 or 503 asked for, each sleep capped at
+    MAX_BACKOFF_S; specs that still fail are recorded in a ".failures.jsonl"
+    sidecar and skipped; its rows from earlier runs are dropped for specs
+    complete or requested again. Any other error, AuthenticationError
+    included, stops the run: specs not yet started are dropped and the error
+    propagates.
     """
     output_path = Path(job.output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    done = _completed_keys(output_path) if job.resume else set()
+    source = source_for_model(job.model)
+    done = _completed_keys(output_path, source) if job.resume else set()
     if not job.resume and output_path.exists():
         output_path.unlink()
     output_path.touch(exist_ok=True)
@@ -366,7 +368,7 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
             logger.error("giving up on %s: %s", spec_key(spec), last_error)
             return
         record = PoemRecord(
-            id=record_id_for(job.model, spec), text=text, source=source_for_model(job.model),
+            id=record_id_for(job.model, spec), text=text, source=source,
             style=spec.style, subject=spec.subject, template=spec.template,
         )
         append(output_path, {**record.to_json_dict(), "model": job.model})

@@ -32,23 +32,15 @@ from .corpus import Corpus
 _TOKEN_RE = re.compile(r"[^\W_']+(?:'+[^\W_']+)*")
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    tokens: tuple[str, ...]
-    original_case_first: str | None
-
-
-def tokenize(text: str) -> TokenStream:
+def tokenize(text: str) -> tuple[str, ...]:
     """Split text into lowercased word tokens.
 
     Tokens are maximal runs of letters, digits, and apostrophes; edge
-    apostrophes are trimmed, internal ones ("who've") kept.
+    apostrophes are trimmed, internal ones ("who've") kept. Curly
+    apostrophes (U+2019, U+02BC) count as "'", so "don\u2019t" is "don't".
     """
-    raw = _TOKEN_RE.findall(text)
-    return TokenStream(
-        tokens=tuple(t.lower() for t in raw),
-        original_case_first=raw[0] if raw else None,
-    )
+    text = text.replace("\u2019", "'").replace("\u02bc", "'")  # str.translate is slower
+    return tuple(t.lower() for t in _TOKEN_RE.findall(text))
 
 
 # Pronoun categories. The six sets are disjoint; archaic second-person forms
@@ -125,7 +117,7 @@ def pronoun_profile(
         records = [r for r in records if r.subject not in exclude_subjects]
     if not records:
         raise ValueError("no poems left after subject exclusion")
-    return fold_pronouns([pronoun_counts(tokenize(r.text).tokens) for r in records], per_poem)
+    return fold_pronouns([pronoun_counts(tokenize(r.text)) for r in records], per_poem)
 
 
 def load_stopwords() -> frozenset[str]:
@@ -218,7 +210,7 @@ def _word_counts(corpus: Corpus, stopwords: frozenset[str] = frozenset()) -> Wor
     """WordCounts of a corpus, each poem tokenized whole."""
     counted = WordCounts(stopwords)
     for record in corpus.records:
-        counted.add(tokenize(record.text).tokens)
+        counted.add(tokenize(record.text))
     return counted
 
 
@@ -360,6 +352,6 @@ def touchstone_coverage(
 ) -> list[TouchstoneCoverage]:
     """Per-group percentage of poems containing at least one member word."""
     return fold_touchstones(
-        [touchstone_hits(tokenize(r.text).tokens, word_groups) for r in corpus.records],
+        [touchstone_hits(tokenize(r.text), word_groups) for r in corpus.records],
         word_groups,
     )

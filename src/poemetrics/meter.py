@@ -54,7 +54,7 @@ def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary) -> 
 
 def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
     """Concatenated word stress patterns for one line of text."""
-    return StressSequence(digits=_stress_digits(tokenize(line).tokens, dictionary), line=line_index)
+    return StressSequence(digits=_stress_digits(tokenize(line), dictionary), line=line_index)
 
 
 def alignment_score(digits: str, pattern: str = IAMB) -> float:

@@ -9,27 +9,22 @@ affect detection.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
 from .corpus import Corpus
-from .structure import PoemStructure, parse_structure
+from .lexstats import tokenize
+from .structure import PoemStructure, line_tokens, parse_structure
 
-# End word: last run of letters/apostrophes in the line. Hyphenated endings
-# split at the hyphen, so the final segment is used.
-_END_WORD_RE = re.compile(r"[A-Za-z']+")
+
+def _last_word(tokens: Sequence[str]) -> str | None:
+    return tokens[-1] if tokens and not tokens[-1].isdigit() else None
 
 
 def end_word(line: str) -> str | None:
-    """The line's final word, lowercased with edge apostrophes stripped."""
-    matches = _END_WORD_RE.findall(line)
-    while matches:
-        word = matches.pop().strip("'").lower()
-        if word:
-            return word
-    return None
+    """The line's last lexstats.tokenize token; None if it has none or that one is all digits."""
+    return _last_word(tokenize(line))
 
 
 def _rhyme_parts(dictionary: PronouncingDictionary, word: str) -> frozenset[Variant]:
@@ -96,17 +91,24 @@ class RhymeAnnotation:
         }
 
 
-def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> RhymeAnnotation:
+def annotate_rhymes(
+    poem: PoemStructure,
+    dictionary: PronouncingDictionary,
+    tokens: Sequence[Sequence[str]] | None = None,
+) -> RhymeAnnotation:
     """Detect AA/ABAB/ABBA/ABCB end-rhyme windows and flag the rhymed lines.
 
     For window start i: AA when lines (i, i+1) rhyme; over (i..i+3), ABAB
     when (i, i+2) and (i+1, i+3) rhyme, ABBA when (i, i+3) and (i+1, i+2)
     rhyme, and ABCB when (i+1, i+3) rhyme without ABAB holding on the same
     window. A line is flagged when it is bound by a matched pair in any
-    detected window.
+    detected window. tokens, when given, are structure.line_tokens(poem),
+    which spares tokenizing again.
     """
     n = poem.line_count
-    words = tuple(end_word(line) for line in poem.lines)
+    if tokens is None:
+        tokens = line_tokens(poem)
+    words = tuple(map(_last_word, tokens))
     # lines_rhyme's test, with each end word's parts looked up once.
     parts = [frozenset() if w is None else _rhyme_parts(dictionary, w) for w in words]
 

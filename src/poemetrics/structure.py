@@ -52,7 +52,7 @@ def line_tokens(poem: PoemStructure) -> tuple[tuple[str, ...], ...]:
     Tokens never span a line break and blank lines hold none, so together
     they are the tokens of the whole poem text, in order.
     """
-    return tuple(tokenize(line).tokens for line in poem.lines)
+    return tuple(tokenize(line) for line in poem.lines)
 
 
 @dataclass(frozen=True)

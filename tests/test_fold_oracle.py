@@ -120,7 +120,7 @@ def _reference_rows(corpus: Corpus, dictionary) -> dict[str, list[dict]]:
                 scores.append(verdict.iambic_score)
                 dominant += verdict.dominant
 
-            words = tokenize(record.text).tokens
+            words = tokenize(record.text)
             tokens += len(words)
             for category, members in PRONOUN_CATEGORIES.items():
                 pronouns[category] += sum(1 for w in words if w in members)

@@ -219,6 +219,21 @@ def test_resume_terminates_a_complete_last_row(tmp_path):
     assert sorted(r.subject for r in corpus) == ["love", "nature", "religion"]
 
 
+@pytest.mark.parametrize("second_model, requests, sources", [
+    ("gpt-3.5-turbo", 2, ["gpt35", "gpt4"]),
+    ("gpt-4", 1, ["gpt4"]),
+])
+def test_resume_counts_only_rows_of_the_same_source(tmp_path, second_model, requests, sources):
+    specs = _small_grid()[:1]
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint() as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        run_job(_job(specs, out, model="gpt-4"), client)
+        corpus = run_job(_job(specs, out, model=second_model), client)
+        assert len(endpoint.requests) == requests
+    assert sorted(r.source for r in corpus) == sources
+
+
 def test_error_in_a_fetch_stops_the_run(tmp_path):
     class FailingClient:
         calls = 0

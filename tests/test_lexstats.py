@@ -24,34 +24,42 @@ from logodds_oracle import oracle_first_word_scores, oracle_scores
 # --- tokenize --------------------------------------------------------------
 
 def test_tokenize_quoted_line():
-    ts = tokenize("In May we stand strong, hearts ablaze,")
-    assert ts.tokens == ("in", "may", "we", "stand", "strong", "hearts", "ablaze")
-    assert ts.original_case_first == "In"
+    assert tokenize("In May we stand strong, hearts ablaze,") == (
+        "in", "may", "we", "stand", "strong", "hearts", "ablaze")
 
 
 def test_tokenize_keeps_internal_apostrophes():
-    assert tokenize("who've").tokens == ("who've",)
-    assert tokenize("war's smoky haze").tokens == ("war's", "smoky", "haze")
+    assert tokenize("who've") == ("who've",)
+    assert tokenize("war's smoky haze") == ("war's", "smoky", "haze")
 
 
 def test_tokenize_trims_edge_apostrophes():
-    assert tokenize("'tis the day'").tokens == ("tis", "the", "day")
+    assert tokenize("'tis the day'") == ("tis", "the", "day")
 
 
 def test_tokenize_empty():
-    ts = tokenize("")
-    assert ts.tokens == ()
-    assert ts.original_case_first is None
+    assert tokenize("") == ()
 
 
 def test_tokenize_digits_and_punctuation():
-    assert tokenize("line 42! (yes)").tokens == ("line", "42", "yes")
+    assert tokenize("line 42! (yes)") == ("line", "42", "yes")
+
+
+def test_tokenize_reads_curly_apostrophes_as_straight():
+    assert tokenize("don\u2019t") == ("don't",)
+    assert tokenize("don\u02bct") == ("don't",)
+    assert tokenize("the world\u2019s") == ("the", "world's")
+
+
+@given(st.text(alphabet="ab \u00e9\u00df0_'\u2019\u02bc-.", max_size=40))
+def test_tokenize_is_unchanged_by_straightening_curly_apostrophes(text):
+    assert tokenize(text) == tokenize(text.replace("\u2019", "'").replace("\u02bc", "'"))
 
 
 @given(st.text(max_size=200))
 def test_tokenize_idempotent_on_joined_output(text):
-    once = tokenize(text).tokens
-    again = tokenize(" ".join(once)).tokens
+    once = tokenize(text)
+    again = tokenize(" ".join(once))
     assert once == again
     for token in once:
         assert token == token.lower()

@@ -3,14 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from poemetrics.lexstats import tokenize
 from poemetrics.rhyme import (
     annotate_rhymes,
     corpus_rhyme_stats,
     end_word,
     lines_rhyme,
 )
-from poemetrics.structure import parse_structure
+from poemetrics.structure import line_tokens, parse_structure
 
 from conftest import LIMERICK, QUATRAINS, make_corpus
 
@@ -26,6 +28,41 @@ def test_end_word_extraction():
 
 def test_end_word_skips_bare_apostrophes():
     assert end_word("a word ''") == "word"
+
+
+@pytest.mark.parametrize("line, word", [
+    ("so na\u00efve", "na\u00efve"),  # a non-ASCII letter stays in the word
+    ("in 1914", None),  # a number ends the line, so no word does
+    ("the world\u2019s", "world's"),  # a curly apostrophe reads as straight
+])
+def test_end_word_on_llm_text(line, word):
+    assert end_word(line) == word
+
+
+# Letters, digits, apostrophes straight and curly, and separators.
+END_WORD_ALPHABET = "ab Z\u00e9\u00df\u0436 07_'\u2019\u02bc-.,!\t"
+
+
+@given(st.text(alphabet=END_WORD_ALPHABET, max_size=40))
+def test_end_word_is_the_last_token_unless_all_digits(line):
+    tokens = tokenize(line)
+    expected = tokens[-1] if tokens and not tokens[-1].isdigit() else None
+    assert end_word(line) == expected
+
+
+# Lines of rhyming, non-rhyming, unknown and numeric end words.
+_LINE = st.lists(
+    st.sampled_from(["day", "way", "night", "light", "sea", "zzyzzx", "na\u00efve",
+                     "world\u2019s", "1914", "--", "'", "well-known"]),
+    min_size=1, max_size=4,
+).map(" ".join)
+
+
+@given(st.lists(_LINE, min_size=1, max_size=9).map("\n".join))
+def test_annotation_is_the_same_with_precomputed_tokens(dictionary, text):
+    poem = parse_structure(text)
+    assert annotate_rhymes(poem, dictionary) == annotate_rhymes(
+        poem, dictionary, line_tokens(poem))
 
 
 def test_lines_rhyme_examples(dictionary):

@@ -117,7 +117,7 @@ TOKEN_EDGE_ALPHABET = "ab Zé\u00dfж\u4e2d07_'\u2019-.\n\r\t\x0b\x0c\x1c\x85\u0
 
 @given(st.text(alphabet=TOKEN_EDGE_ALPHABET, max_size=80))
 def test_line_tokens_concatenate_to_the_text_tokens(text):
-    whole = tokenize(text).tokens
+    whole = tokenize(text)
     if not text.strip():
         assert whole == ()
         return
