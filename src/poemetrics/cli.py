@@ -42,6 +42,7 @@ from .generate import (
     DEFAULT_TEMPLATES,
     GenerationJob,
     build_grid,
+    check_specs,
     run_job,
 )
 from .lexstats import (
@@ -411,6 +412,11 @@ def cmd_generate(args) -> int:
     subjects = tuple(args.subjects) if args.subjects else DEFAULT_SUBJECTS
     templates = tuple(args.templates) if args.templates else DEFAULT_TEMPLATES
     specs = build_grid(styles=styles, subjects=subjects, templates=templates)
+    try:
+        check_specs(args.model, specs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.dry_run:
         for spec in specs:
             print(spec.rendered)

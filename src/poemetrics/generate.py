@@ -277,9 +277,11 @@ def _completed_keys(path: Path, source: str) -> set[tuple[str, str, str]]:
     return {spec_key(r) for r in load_corpus(path, "json-lines") if r.source == source}
 
 
-def _prune_failures(path: Path, done: set[tuple[str, str, str]], specs: list[PromptSpec]) -> None:
-    """Drop sidecar rows of specs done or requested, and rows that are not JSON objects;
-    delete it once empty."""
+def _prune_failures(
+    path: Path, source: str, done: set[tuple[str, str, str]], specs: list[PromptSpec]
+) -> None:
+    """Drop the source's sidecar rows of specs done or requested, and rows that are not
+    JSON objects; delete it once empty. A row without a source counts as the source's."""
     if not path.exists():
         return
     settled = done | {spec_key(s) for s in specs}
@@ -289,12 +291,32 @@ def _prune_failures(path: Path, done: set[tuple[str, str, str]], specs: list[Pro
             raw = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if isinstance(raw, dict) and _row_key(raw) not in settled:
+        if isinstance(raw, dict) and (raw.get("source", source) != source
+                                      or _row_key(raw) not in settled):
             kept.append(line + "\n")
     if kept:
         path.write_text("".join(kept), encoding="utf-8")
     else:
         path.unlink()
+
+
+def check_specs(model: str, specs: list[PromptSpec]) -> None:
+    """Raise ValueError if a spec has a blank subject or shares its record id with another.
+
+    A repeated key shares its id too. Either fault would write a row that
+    every later resume of the file stops on: two rows with one id, or one
+    that reads back without its subject.
+    """
+    first: dict[str, PromptSpec] = {}
+    for spec in specs:
+        if not spec.subject.strip():
+            raise ValueError(f"blank subject in prompt {spec_key(spec)}")
+        record_id = record_id_for(model, spec)
+        other = first.setdefault(record_id, spec)
+        if other is not spec:
+            raise ValueError(
+                f"prompts {spec_key(other)} and {spec_key(spec)} share the record id {record_id!r}"
+            )
 
 
 def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
@@ -305,11 +327,13 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     Requests hitting throttle or server errors are retried with exponential
     backoff, or after the delay a 429 or 503 asked for, each sleep capped at
     MAX_BACKOFF_S; specs that still fail are recorded in a ".failures.jsonl"
-    sidecar and skipped; its rows from earlier runs are dropped for specs
-    complete or requested again. Any other error, AuthenticationError
+    sidecar and skipped; the source's rows from earlier runs are dropped for
+    specs complete or requested again. Any other error, AuthenticationError
     included, stops the run: specs not yet started are dropped and the error
-    propagates.
+    propagates. Specs that check_specs rejects raise ValueError before the
+    output file is touched.
     """
+    check_specs(job.model, job.specs)
     output_path = Path(job.output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     source = source_for_model(job.model)
@@ -318,7 +342,7 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
         output_path.unlink()
     output_path.touch(exist_ok=True)
     failures_path = output_path.with_suffix(output_path.suffix + ".failures.jsonl")
-    _prune_failures(failures_path, done, job.specs)
+    _prune_failures(failures_path, source, done, job.specs)
     pending = [s for s in job.specs if spec_key(s) not in done]
     logger.info(
         "model %s: %d specs requested, %d already complete, %d pending",
@@ -360,6 +384,7 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
             text = None
         if text is None:
             append(failures_path, {
+                "source": source,
                 "template": spec.template,
                 "style": spec.style,
                 "subject": spec.subject,

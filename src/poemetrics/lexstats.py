@@ -23,7 +23,9 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
+from operator import add
 
 from .corpus import Corpus
 
@@ -38,8 +40,11 @@ def tokenize(text: str) -> tuple[str, ...]:
     Tokens are maximal runs of letters, digits, and apostrophes; edge
     apostrophes are trimmed, internal ones ("who've") kept. Curly
     apostrophes (U+2019, U+02BC) count as "'", so "don\u2019t" is "don't".
+    Capital dotted I (U+0130) reads as "i": its lowercase holds a combining
+    dot that would split the token.
     """
-    text = text.replace("\u2019", "'").replace("\u02bc", "'")  # str.translate is slower
+    # str.translate is slower.
+    text = text.replace("\u2019", "'").replace("\u02bc", "'").replace("\u0130", "i")
     return tuple(t.lower() for t in _TOKEN_RE.findall(text))
 
 
@@ -95,7 +100,7 @@ def fold_pronouns(counts: Sequence[tuple[int, ...]], per_poem: bool = False) -> 
         totals[category] = sum(c[k] for c in counted)
         if per_poem:
             rates = [100.0 * c[k] / c[0] for c in counted]
-            freqs[category] = sum(rates) / len(rates) if rates else 0.0
+            freqs[category] = reduce(add, rates, 0.0) / len(rates) if rates else 0.0
         else:
             freqs[category] = 100.0 * totals[category] / token_total if token_total else 0.0
     return PronounProfile(per_100_words=freqs, counts=totals, total_tokens=token_total)
@@ -219,27 +224,14 @@ def fold_logodds(
     b: WordCounts,
     min_docs: int = 10,
     alpha_total: float | None = None,
-    min_docs_mode: str = "pooled",
 ) -> list[LogOddsResult]:
     """Distinctive words of a vs b from their counts, ranked by z descending (see logodds)."""
     doc_freq_a, doc_freq_b = a.doc_freq, b.doc_freq
-    if min_docs_mode == "pooled":
-        vocabulary = [
-            w
-            for w in set(doc_freq_a) | set(doc_freq_b)
-            if doc_freq_a[w] + doc_freq_b[w] >= min_docs
-        ]
-    elif min_docs_mode == "each":
-        vocabulary = [
-            w
-            for w in set(doc_freq_a) & set(doc_freq_b)
-            if doc_freq_a[w] >= min_docs and doc_freq_b[w] >= min_docs
-        ]
-    else:
-        raise ValueError(f"unknown min_docs_mode {min_docs_mode!r}")
+    vocabulary = sorted(
+        w for w in set(doc_freq_a) | set(doc_freq_b) if doc_freq_a[w] + doc_freq_b[w] >= min_docs
+    )
     if not vocabulary:
         raise ValueError("empty vocabulary after document-frequency filtering")
-    vocabulary.sort()
     return _score_counts(
         a.counts, b.counts, sum(a.counts.values()), sum(b.counts.values()),
         vocabulary, doc_freq_a, doc_freq_b, alpha_total,
@@ -252,18 +244,16 @@ def logodds(
     min_docs: int = 10,
     remove_stopwords: bool = True,
     alpha_total: float | None = None,
-    min_docs_mode: str = "pooled",
 ) -> list[LogOddsResult]:
     """Distinctive words of corpus_a vs corpus_b, ranked by z descending.
 
     The vocabulary is restricted to words appearing in at least min_docs
-    poems; min_docs_mode "pooled" counts poems across both corpora, "each"
-    requires min_docs poems in each corpus separately. Stopword removal
-    uses the shipped list.
+    poems of the two corpora together. Stopword removal uses the shipped
+    list.
     """
     stop = load_stopwords() if remove_stopwords else frozenset()
     return fold_logodds(_word_counts(corpus_a, stop), _word_counts(corpus_b, stop),
-                        min_docs, alpha_total, min_docs_mode)
+                        min_docs, alpha_total)
 
 
 def fold_first_word_logodds(
@@ -317,41 +307,33 @@ class TouchstoneCoverage:
         return 100.0 * self.poems_matched / self.poem_count if self.poem_count else 0.0
 
 
-def touchstone_hits(
-    tokens: Sequence[str],
-    word_groups: tuple[frozenset[str], ...] = DEFAULT_TOUCHSTONE_GROUPS,
-) -> tuple[bool, ...]:
-    """Whether a poem's tokens hold a member of each word group, in order."""
+# Each group with the prefixes of its "*" entries. No token holds "*", so a
+# prefix entry never matches exactly.
+_TOUCHSTONE_MATCHERS = tuple(
+    (group, tuple(w[:-1] for w in group if w.endswith("*"))) for group in DEFAULT_TOUCHSTONE_GROUPS
+)
+
+
+def touchstone_hits(tokens: Sequence[str]) -> tuple[bool, ...]:
+    """Whether a poem's tokens hold a member of each DEFAULT_TOUCHSTONE_GROUPS group, in order."""
     words = set(tokens)
-    hits = []
-    for group in word_groups:
-        # No token holds "*", so a prefix entry never matches exactly.
-        prefixes = tuple(w[:-1] for w in group if w.endswith("*"))
-        hits.append(not words.isdisjoint(group)
-                    or bool(prefixes) and any(w.startswith(prefixes) for w in words))
-    return tuple(hits)
+    return tuple(
+        not words.isdisjoint(group) or bool(prefixes) and any(w.startswith(prefixes) for w in words)
+        for group, prefixes in _TOUCHSTONE_MATCHERS
+    )
 
 
-def fold_touchstones(
-    hits: Sequence[tuple[bool, ...]],
-    word_groups: tuple[frozenset[str], ...] = DEFAULT_TOUCHSTONE_GROUPS,
-) -> list[TouchstoneCoverage]:
+def fold_touchstones(hits: Sequence[tuple[bool, ...]]) -> list[TouchstoneCoverage]:
     """Per-group coverage of a corpus from its poems' touchstone_hits."""
     if not hits:
         raise ValueError("empty corpus")
     return [
         TouchstoneCoverage(patterns=tuple(sorted(group)),
                            poems_matched=sum(h[k] for h in hits), poem_count=len(hits))
-        for k, group in enumerate(word_groups)
+        for k, group in enumerate(DEFAULT_TOUCHSTONE_GROUPS)
     ]
 
 
-def touchstone_coverage(
-    corpus: Corpus,
-    word_groups: tuple[frozenset[str], ...] = DEFAULT_TOUCHSTONE_GROUPS,
-) -> list[TouchstoneCoverage]:
+def touchstone_coverage(corpus: Corpus) -> list[TouchstoneCoverage]:
     """Per-group percentage of poems containing at least one member word."""
-    return fold_touchstones(
-        [touchstone_hits(tokenize(r.text), word_groups) for r in corpus.records],
-        word_groups,
-    )
+    return fold_touchstones([touchstone_hits(tokenize(r.text)) for r in corpus.records])

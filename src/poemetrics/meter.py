@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .arpabet import PronouncingDictionary, stress_pattern
 from .corpus import Corpus
@@ -58,21 +60,17 @@ def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 
 
 
 def alignment_score(digits: str, pattern: str = IAMB) -> float:
-    """Fraction of syllables agreeing with the repeating pattern.
+    """Fraction of syllables agreeing with the repeating pattern of 0s and 1s.
 
     "x" matches either pattern digit; "?" earns half credit. Position k is
     compared against pattern[k % len(pattern)].
     """
     if not digits:
         raise ValueError("cannot score an empty stress sequence")
-    credit = 0.0
-    for k, symbol in enumerate(digits):
-        if symbol == "x":
-            credit += 1.0
-        elif symbol == "?":
-            credit += 0.5
-        elif symbol == pattern[k % len(pattern)]:
-            credit += 1.0
+    n = len(pattern)
+    # Every partial sum is a multiple of 0.5, so the credit is exact.
+    credit = (digits.count("x") + 0.5 * digits.count("?")
+              + sum(digits[k::n].count(p) for k, p in enumerate(pattern)))
     return credit / len(digits)
 
 
@@ -87,10 +85,6 @@ class MeterVerdict:
     syllables_per_line: tuple[int, ...]
     threshold: float
     scanned_lines: int
-
-
-def _resolved_syllables(digits: str) -> int:
-    return sum(1 for d in digits if d != "?")
 
 
 def iambic_score(
@@ -108,10 +102,11 @@ def iambic_score(
     if tokens is None:
         tokens = line_tokens(poem)
     digits = [_stress_digits(t, dictionary) for t in tokens]
-    scorable = [d for d in digits if _resolved_syllables(d) >= 2]
+    scorable = [d for d in digits if len(d) - d.count("?") >= 2]
     if not scorable:
         raise UnscannableError("no scannable lines")
-    score = sum(alignment_score(d) for d in scorable) / len(scorable)
+    # Added left to right: sum() of floats rounds differently from Python 3.12 on.
+    score = reduce(add, map(alignment_score, scorable), 0.0) / len(scorable)
     return MeterVerdict(
         iambic_score=score,
         dominant=score >= threshold,
@@ -156,7 +151,7 @@ def fold_meter_stats(scans: Sequence[tuple[float, bool] | None]) -> CorpusMeterS
     return CorpusMeterStats(
         dominant_poems=sum(1 for scan in scans if scan is not None and scan[1]),
         poem_count=len(scans),
-        mean_iambic_score=sum(scores) / len(scores) if scores else 0.0,
+        mean_iambic_score=reduce(add, scores, 0.0) / len(scores) if scores else 0.0,
         unscannable_poems=len(scans) - len(scores),
     )
 

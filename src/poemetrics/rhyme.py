@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
 from .corpus import Corpus
@@ -164,8 +166,9 @@ def fold_rhyme_stats(counts: Sequence[RhymeCounts]) -> RhymeStats:
     """Rhyme statistics of a group from its poems' counts, summed in input order."""
     if not counts:
         raise ValueError("empty corpus")
-    with_rhyme, fraction_sum, rhymed_lines, lines = map(sum, zip(*counts))
-    return RhymeStats(with_rhyme, len(counts), fraction_sum / len(counts), rhymed_lines / lines)
+    with_rhyme, fractions, rhymed_lines, lines = zip(*counts)
+    return RhymeStats(sum(with_rhyme), len(counts), reduce(add, fractions, 0.0) / len(counts),
+                      sum(rhymed_lines) / sum(lines))
 
 
 def corpus_rhyme_stats(corpus: Corpus, dictionary: PronouncingDictionary) -> RhymeStats:

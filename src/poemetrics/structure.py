@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .corpus import Corpus, PoemRecord
 from .lexstats import tokenize
@@ -133,17 +135,11 @@ def summarize_lengths(line_counts: list[int]) -> LengthSummary:
     )
 
 
-def length_summary(corpus: Corpus, style_filter: str | None = None) -> LengthSummary:
-    """Length distribution over poems, optionally restricted to one style."""
-    records = corpus.records
-    if style_filter is not None:
-        records = tuple(r for r in records if r.style == style_filter)
-    if not records:
-        raise ValueError(
-            f"no poems in corpus {corpus.label!r}"
-            + (f" with style {style_filter!r}" if style_filter else "")
-        )
-    return summarize_lengths([parse_structure(r).line_count for r in records])
+def length_summary(corpus: Corpus) -> LengthSummary:
+    """Length distribution over a corpus's poems."""
+    if not len(corpus):
+        raise ValueError(f"no poems in corpus {corpus.label!r}")
+    return summarize_lengths([parse_structure(r).line_count for r in corpus.records])
 
 
 @dataclass(frozen=True)
@@ -165,30 +161,29 @@ class OccupancyGrid:
         )
 
 
-def _poem_grid_lines(text: str) -> list[str]:
-    # Raw lines, blank lines included (they render as empty rows); leading
-    # and trailing blank lines are not part of the layout.
-    lines = [l.replace("\t", "    ") for l in text.split("\n")]
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    while lines and not lines[-1].strip():
-        lines.pop()
-    return lines
+_INK_RE = re.compile(r"\S+")
 
 
 def occupancy_heatmap(corpus: Corpus, rows: int = 60, cols: int = 80) -> OccupancyGrid:
-    """Fraction of poems with a non-whitespace character at each (line, column) cell."""
+    """Fraction of poems with a non-whitespace character at each (line, column) cell.
+
+    Row 0 is a poem's first non-blank line; later lines, blank ones included,
+    take the rows below it. A tab is four columns.
+    """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be at least 1x1")
     if not len(corpus):
         raise ValueError("empty corpus")
-    sums = [[0] * cols for _ in range(rows)]
+    # Each run of ink adds 1 at its first cell and -1 past its last; a row's
+    # running sum is then its count per cell.
+    edges = [[0] * (cols + 1) for _ in range(rows)]
     for record in corpus.records:
-        for i, line in enumerate(_poem_grid_lines(record.text)[:rows]):
-            row = sums[i]
-            for j, ch in enumerate(line[:cols]):
-                if not ch.isspace():
-                    row[j] += 1
+        lines = record.text.split("\n")
+        first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+        for row, line in zip(edges, lines[first:first + rows]):
+            for ink in _INK_RE.finditer(line.replace("\t", "    "), 0, cols):
+                row[ink.start()] += 1
+                row[ink.end()] -= 1
     n = len(corpus)
-    cells = tuple(tuple(v / n for v in row) for row in sums)
+    cells = tuple(tuple(v / n for v in accumulate(row[:cols])) for row in edges)
     return OccupancyGrid(rows=rows, cols=cols, cells=cells)

@@ -391,6 +391,27 @@ def test_generate_against_mock_endpoint(tmp_path, monkeypatch):
     assert len(load_corpus(out)) == 1
 
 
+@pytest.mark.parametrize("grid, message", [
+    (["--styles", "sonnet", "sonnet", "--subjects", "love"], "share the record id"),
+    (["--styles", "sonnet", "--subjects", ""], "blank subject"),
+    (["--styles", "sonnet", "--subjects", "Love", "love"], "share the record id"),
+], ids=["repeated-key", "blank-subject", "shared-id"])
+def test_grid_that_would_corrupt_the_file_is_a_usage_error(grid, message, tmp_path, capsys,
+                                                           monkeypatch):
+    from mock_server import MockChatEndpoint
+
+    monkeypatch.setenv("POEM_TEST_KEY", "k")
+    out = tmp_path / "o" / "gen.jsonl"
+    with MockChatEndpoint() as endpoint:
+        code = main(["generate", "--model", "gpt-4", "--out", str(out),
+                     "--endpoint", endpoint.url, "--api-key-env", "POEM_TEST_KEY",
+                     "--templates", "general", *grid])
+        assert endpoint.requests == []
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_rejected_api_key_is_an_error_line(tmp_path, capsys, monkeypatch):
     from mock_server import MockChatEndpoint
 

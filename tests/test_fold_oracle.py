@@ -15,6 +15,8 @@ import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -134,14 +136,14 @@ def _reference_rows(corpus: Corpus, dictionary) -> dict[str, list[dict]]:
         })
         tables["rhyme"].append({
             **key, "poems": n, "poems_with_rhyme_pct": 100.0 * with_rhyme / n,
-            "avg_rhymed_fraction": sum(fractions) / n,
+            "avg_rhymed_fraction": reduce(add, fractions, 0.0) / n,
             "pooled_rhymed_fraction": flagged / lines,
         })
         scanned = n - unscannable
         tables["meter"].append({
             **key, "poems": n,
             "pct_dominant_iambic": 100.0 * dominant / scanned if scanned else 0.0,
-            "mean_iambic_score": sum(scores) / len(scores) if scores else 0.0,
+            "mean_iambic_score": reduce(add, scores, 0.0) / len(scores) if scores else 0.0,
             "unscannable_poems": unscannable,
         })
         tables["pronouns"].append({

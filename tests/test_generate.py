@@ -260,6 +260,40 @@ def test_non_object_sidecar_row_is_dropped(tmp_path):
     assert failures.read_text(encoding="utf-8") == other + "\n"
 
 
+def test_other_sources_keep_their_failure_rows(tmp_path):
+    specs = _small_grid()[:1]
+    out = tmp_path / "out.jsonl"
+    failures = tmp_path / "out.jsonl.failures.jsonl"
+    with MockChatEndpoint(fail_first={"love": [500, 500]}) as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        assert len(run_job(_job(specs, out, max_retries=1), client)) == 0
+        gpt4_row = failures.read_text(encoding="utf-8")
+        # A row written before rows held a source is pruned as the running source's.
+        unsourced = json.dumps({"template": "general", "style": "sonnet", "subject": "love",
+                                "error": "x"})
+        failures.write_text(gpt4_row + unsourced + "\n", encoding="utf-8")
+        corpus = run_job(_job(specs, out, model="gpt-3.5-turbo"), client)
+    assert [r.source for r in corpus] == ["gpt35"]
+    assert json.loads(gpt4_row)["source"] == "gpt4"
+    assert failures.read_text(encoding="utf-8") == gpt4_row
+
+
+@pytest.mark.parametrize("styles, subjects, message", [
+    (("sonnet", "sonnet"), ("love",), "share the record id 'gpt-4_general_sonnet_love'"),
+    (("sonnet",), ("",), "blank subject"),
+    (("sonnet",), ("Love", "love"), "share the record id 'gpt-4_general_sonnet_love'"),
+], ids=["repeated-key", "blank-subject", "shared-id"])
+def test_grid_that_would_corrupt_the_file_is_rejected(styles, subjects, message, tmp_path):
+    specs = build_grid(styles=styles, subjects=subjects, templates=("general",))
+    out = tmp_path / "new" / "out.jsonl"
+    with MockChatEndpoint() as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        with pytest.raises(ValueError, match=message):
+            run_job(_job(specs, out), client)
+        assert endpoint.requests == []
+    assert not out.parent.exists()
+
+
 def test_failed_specs_are_retried_on_resume(tmp_path):
     specs = _small_grid()
     out = tmp_path / "out.jsonl"

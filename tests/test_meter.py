@@ -11,6 +11,7 @@ from poemetrics.meter import (
     alignment_score,
     corpus_meter_stats,
     estimate_syllables,
+    fold_meter_stats,
     iambic_score,
     line_stress,
     scan_poem,
@@ -127,6 +128,30 @@ def test_complement_alignment_sums_to_one_exactly():
 @given(st.text(alphabet="01", min_size=1, max_size=60))
 def test_complement_alignment_property(digits):
     assert alignment_score(digits, "01") + alignment_score(digits, "10") == pytest.approx(1.0)
+
+
+def alignment_reference(digits, pattern):
+    """Per-symbol alignment credit: x is 1, ? is 0.5, a digit 1 where it matches the pattern."""
+    credit = 0.0
+    for k, symbol in enumerate(digits):
+        if symbol == "x":
+            credit += 1.0
+        elif symbol == "?":
+            credit += 0.5
+        elif symbol == pattern[k % len(pattern)]:
+            credit += 1.0
+    return credit / len(digits)
+
+
+@given(st.text(alphabet="01x?", min_size=1, max_size=80), st.sampled_from(["01", "10", "001"]))
+def test_alignment_matches_per_symbol_reference(digits, pattern):
+    assert alignment_score(digits, pattern) == alignment_reference(digits, pattern)
+
+
+def test_fold_meter_stats_adds_scores_left_to_right():
+    # sum() of floats rounds this to 0.1 from Python 3.12 on; reports must not
+    # depend on the Python version.
+    assert fold_meter_stats([(0.1, False)] * 10).mean_iambic_score == 0.09999999999999999
 
 
 def test_corpus_meter_stats(dictionary):

@@ -10,6 +10,7 @@ from poemetrics.rhyme import (
     annotate_rhymes,
     corpus_rhyme_stats,
     end_word,
+    fold_rhyme_stats,
     lines_rhyme,
 )
 from poemetrics.structure import line_tokens, parse_structure
@@ -199,3 +200,9 @@ def test_corpus_stats_permutation_invariant(dictionary):
     forward = corpus_rhyme_stats(make_corpus(texts), dictionary)
     backward = corpus_rhyme_stats(make_corpus(list(reversed(texts))), dictionary)
     assert forward == backward
+
+
+def test_fold_rhyme_stats_adds_fractions_left_to_right():
+    # sum() of floats rounds this to 0.1 from Python 3.12 on.
+    stats = fold_rhyme_stats([(False, 0.1, 0, 1)] * 10)
+    assert stats.avg_rhymed_fraction == 0.09999999999999999

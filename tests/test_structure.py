@@ -4,7 +4,7 @@ import random
 from itertools import chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from poemetrics.corpus import Corpus, PoemRecord
 from poemetrics.lexstats import tokenize
@@ -169,15 +169,11 @@ def test_summary_one_to_nine():
     assert s.outliers == ()
 
 
-def test_length_summary_with_style_filter():
-    records = (
-        PoemRecord(id="a", text="x\nx\nx", source="human", style="tercet"),
-        PoemRecord(id="b", text="x", source="human", style="haiku"),
-    )
-    corpus = Corpus(label="t", records=records)
-    assert length_summary(corpus, "tercet").median == 3
-    with pytest.raises(ValueError):
-        length_summary(corpus, "sonnet")
+def test_length_summary_counts_every_poem():
+    corpus = make_corpus(["x\nx\nx", "x", "x\n\nx\nx"])
+    assert length_summary(corpus).median == 3
+    with pytest.raises(ValueError, match="no poems in corpus 'empty'"):
+        length_summary(Corpus(label="empty", records=()))
 
 
 def test_summary_matches_brute_force_on_random_corpora():
@@ -232,6 +228,36 @@ def test_doubled_corpus_has_same_grid(human_corpus):
     twice = occupancy_heatmap(make_corpus(texts + texts), rows=20, cols=40)
     assert once.cells == twice.cells
     assert all(0.0 <= v <= 1.0 for row in once.cells for v in row)
+
+
+def occupancy_reference(texts, rows, cols):
+    """Per-character occupancy: drop blank lines at both ends, expand tabs, test each cell."""
+    sums = [[0] * cols for _ in range(rows)]
+    for text in texts:
+        lines = [line.replace("\t", "    ") for line in text.split("\n")]
+        while lines and not lines[0].strip():
+            lines.pop(0)
+        while lines and not lines[-1].strip():
+            lines.pop()
+        for i, line in enumerate(lines[:rows]):
+            for j, ch in enumerate(line[:cols]):
+                if not ch.isspace():
+                    sums[i][j] += 1
+    return tuple(tuple(v / len(texts) for v in row) for row in sums)
+
+
+# Lines over ink, ASCII and Unicode whitespace (U+00A0, U+3000, U+001C), tabs,
+# carriage returns and a wide character; many come out blank.
+_GRID_LINES = st.lists(st.text(alphabet="ab \t\r\u00a0\u3000\u001c\u4e00", max_size=10),
+                       min_size=1, max_size=9)
+
+
+@given(st.lists(_GRID_LINES.map("\n".join).filter(str.rstrip), min_size=1, max_size=4),
+       st.integers(1, 6), st.integers(1, 6))
+@example([" \t\n\u3000\nab\n\n b\n \n", "\n\nab\n\n b"], 4, 2)
+def test_occupancy_matches_per_character_reference(texts, rows, cols):
+    grid = occupancy_heatmap(make_corpus(texts), rows=rows, cols=cols)
+    assert grid.cells == occupancy_reference(texts, rows, cols)
 
 
 def test_grid_serialization_round_trip():
