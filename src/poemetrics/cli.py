@@ -61,7 +61,6 @@ from .rhyme import RhymeCounts, annotate_rhymes, fold_rhyme_stats
 from .structure import (
     LengthSummary,
     fold_quatrains,
-    line_tokens,
     occupancy_heatmap,
     parse_structure,
     summarize_lengths,
@@ -82,13 +81,13 @@ UNLABELED = "(none)"
 class AnalysisSettings:
     """Flags that affect analysis results (recorded in report metadata)."""
 
-    min_docs: int = 10
-    alpha_total: float | None = None
-    iambic_threshold: float = 0.75
-    heatmap_rows: int = 60
-    heatmap_cols: int = 80
-    strip_prefatory: bool = True
-    top_k: int = 15
+    min_docs: int
+    alpha_total: float | None
+    iambic_threshold: float
+    heatmap_rows: int
+    heatmap_cols: int
+    strip_prefatory: bool
+    top_k: int
 
 
 def _fmt(value) -> str:
@@ -128,12 +127,11 @@ class _PoemScores(NamedTuple):
 def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared):
     """Score every poem once, in input order, computing only the families asked for.
 
-    Each non-blank line is tokenized once, and end words, meter, pronouns,
-    touchstones and word counts all come from those tokens. Returns each
-    corpus's poem scores and the WordCounts of its first `compared` corpora,
-    counted as each poem is scored, so no poem's tokens outlive it.
+    Each non-blank line is tokenized once, on the poem's first read of its tokens,
+    and end words, meter, pronouns, touchstones and word counts all come from
+    them. Returns each corpus's poem scores and the WordCounts of its first
+    `compared` corpora, counted as each poem is scored, so no tokens outlive it.
     """
-    tokenized = compared or not {"rhyme", "meter", "lexstats"}.isdisjoint(families)
     stopwords = load_stopwords() if compared else frozenset()
     scored, counted = [], [WordCounts(stopwords) for _ in corpora[:compared]]
     for i, corpus in enumerate(corpora):
@@ -141,20 +139,18 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared)
         for record in corpus.records:
             poem = parse_structure(record)
             rhyme = meter = pronouns = touchstones = line = None
-            by_line, words = (), ()
-            if tokenized:
-                by_line = line_tokens(poem)
-                words = tuple(chain.from_iterable(by_line))
+            if i < compared or "lexstats" in families:
+                words = tuple(chain.from_iterable(poem.tokens))
             if i < compared:
                 counted[i].add(words)
             if "rhyme" in families:
-                annotation = annotate_rhymes(poem, dictionary, by_line)
+                annotation = annotate_rhymes(poem, dictionary)
                 rhyme = annotation.counts()
                 if per_poem:
                     line = json.dumps({**annotation.to_json_dict(), "id": record.id},
                                       ensure_ascii=False, sort_keys=True)
             if "meter" in families:
-                meter = scan_poem(poem, dictionary, threshold, by_line)
+                meter = scan_poem(poem, dictionary, threshold)
             if "lexstats" in families:
                 pronouns = pronoun_counts(words)
                 touchstones = touchstone_hits(words)

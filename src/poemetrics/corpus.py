@@ -3,8 +3,8 @@
 The canonical interchange format is JSON Lines with one object per line and
 the fields (id, text, source, style, subject, template, title); the CSV and
 directory loaders normalize into the same records. Unknown fields are
-ignored. Line endings are normalized CRLF -> LF at load time; text is
-otherwise preserved byte-exactly.
+ignored. A leading UTF-8 byte order mark is dropped, and line endings are
+normalized CRLF -> LF at load time; text is otherwise preserved byte-exactly.
 """
 
 from __future__ import annotations
@@ -191,7 +191,6 @@ def load_corpus(
     path: str | Path,
     format: str | None = None,
     *,
-    label: str | None = None,
     default_source: str | None = None,
     default_style: str | None = None,
 ) -> Corpus:
@@ -211,7 +210,6 @@ def load_corpus(
             format = "csv"
         else:
             format = "json-lines"
-    label = label or path.stem or str(path)
 
     if format == "json-lines":
         records = _load_jsonl(path, default_source, default_style)
@@ -221,12 +219,12 @@ def load_corpus(
         records = _load_directory(path, default_source, default_style)
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
-    return Corpus(label=label, records=tuple(records))
+    return Corpus(label=path.stem or str(path), records=tuple(records))
 
 
 def _load_jsonl(path: Path, default_source, default_style) -> list[PoemRecord]:
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -247,7 +245,7 @@ def _load_jsonl(path: Path, default_source, default_style) -> list[PoemRecord]:
 
 def _load_csv(path: Path, default_source, default_style) -> list[PoemRecord]:
     records = []
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "text" not in reader.fieldnames:
             raise CorpusError(f"{path}: CSV header row with a 'text' column is required")
@@ -268,7 +266,7 @@ def _load_directory(path: Path, default_source, default_style) -> list[PoemRecor
         )
     records = []
     for file in sorted(path.glob("*.txt")):
-        text = _normalize_newlines(file.read_text(encoding="utf-8"))
+        text = _normalize_newlines(file.read_text(encoding="utf-8-sig"))
         try:
             records.append(
                 PoemRecord(id=file.stem, text=text, source=default_source, style=default_style)

@@ -206,6 +206,8 @@ class ChatCompletionsClient:
             raise RequestFailed(f"malformed completion response: {exc}") from exc
         if not isinstance(content, str):
             raise RequestFailed(f"malformed completion response: content is {type(content).__name__}")
+        if not content.strip():
+            raise RequestFailed("empty completion text")
         return content
 
 
@@ -379,9 +381,6 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
             except RequestFailed as exc:
                 last_error = exc
                 break
-        if text is not None and not text.strip():
-            last_error = RequestFailed("empty completion text")
-            text = None
         if text is None:
             append(failures_path, {
                 "source": source,

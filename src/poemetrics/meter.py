@@ -17,7 +17,7 @@ from operator import add
 from .arpabet import PronouncingDictionary, stress_pattern
 from .corpus import Corpus
 from .lexstats import tokenize
-from .structure import PoemStructure, line_tokens, parse_structure
+from .structure import PoemStructure, parse_structure
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -91,17 +91,13 @@ def iambic_score(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
-    tokens: Sequence[Sequence[str]] | None = None,
 ) -> MeterVerdict:
     """Mean per-line iambic alignment; dominant when the mean meets threshold.
 
     Lines with fewer than two resolvable (non-"?") syllables are not
-    scored; they still contribute to syllables_per_line. tokens, when
-    given, are structure.line_tokens(poem), which spares tokenizing again.
+    scored; they still contribute to syllables_per_line.
     """
-    if tokens is None:
-        tokens = line_tokens(poem)
-    digits = [_stress_digits(t, dictionary) for t in tokens]
+    digits = [_stress_digits(t, dictionary) for t in poem.tokens]
     scorable = [d for d in digits if len(d) - d.count("?") >= 2]
     if not scorable:
         raise UnscannableError("no scannable lines")
@@ -133,11 +129,10 @@ def scan_poem(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
-    tokens: Sequence[Sequence[str]] | None = None,
 ) -> tuple[float, bool] | None:
     """(iambic score, dominant) of one poem, as iambic_score gives it; None when unscannable."""
     try:
-        verdict = iambic_score(poem, dictionary, threshold, tokens)
+        verdict = iambic_score(poem, dictionary, threshold)
     except UnscannableError:
         return None
     return verdict.iambic_score, verdict.dominant

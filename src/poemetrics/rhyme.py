@@ -17,7 +17,7 @@ from operator import add
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
 from .corpus import Corpus
 from .lexstats import tokenize
-from .structure import PoemStructure, line_tokens, parse_structure
+from .structure import PoemStructure, parse_structure
 
 
 def _last_word(tokens: Sequence[str]) -> str | None:
@@ -93,24 +93,17 @@ class RhymeAnnotation:
         }
 
 
-def annotate_rhymes(
-    poem: PoemStructure,
-    dictionary: PronouncingDictionary,
-    tokens: Sequence[Sequence[str]] | None = None,
-) -> RhymeAnnotation:
+def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> RhymeAnnotation:
     """Detect AA/ABAB/ABBA/ABCB end-rhyme windows and flag the rhymed lines.
 
     For window start i: AA when lines (i, i+1) rhyme; over (i..i+3), ABAB
     when (i, i+2) and (i+1, i+3) rhyme, ABBA when (i, i+3) and (i+1, i+2)
     rhyme, and ABCB when (i+1, i+3) rhyme without ABAB holding on the same
     window. A line is flagged when it is bound by a matched pair in any
-    detected window. tokens, when given, are structure.line_tokens(poem),
-    which spares tokenizing again.
+    detected window.
     """
     n = poem.line_count
-    if tokens is None:
-        tokens = line_tokens(poem)
-    words = tuple(map(_last_word, tokens))
+    words = tuple(map(_last_word, poem.tokens))
     # lines_rhyme's test, with each end word's parts looked up once.
     parts = [frozenset() if w is None else _rhyme_parts(dictionary, w) for w in words]
 

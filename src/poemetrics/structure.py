@@ -11,6 +11,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from .corpus import Corpus, PoemRecord
@@ -22,6 +23,12 @@ class PoemStructure:
     lines: tuple[str, ...]
     stanza_sizes: tuple[int, ...]
     line_count: int
+
+    @cached_property
+    def tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Each line's tokens, computed on first read and then kept. Tokens never
+        span a line break, so together they are the whole text's tokens, in order."""
+        return tuple(tokenize(line) for line in self.lines)
 
 
 def parse_structure(poem: PoemRecord | str) -> PoemStructure:
@@ -46,15 +53,6 @@ def parse_structure(poem: PoemRecord | str) -> PoemStructure:
         stanza_sizes=tuple(stanza_sizes),
         line_count=len(lines),
     )
-
-
-def line_tokens(poem: PoemStructure) -> tuple[tuple[str, ...], ...]:
-    """The tokens of each of the poem's lines.
-
-    Tokens never span a line break and blank lines hold none, so together
-    they are the tokens of the whole poem text, in order.
-    """
-    return tuple(tokenize(line) for line in poem.lines)
 
 
 @dataclass(frozen=True)

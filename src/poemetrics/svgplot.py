@@ -2,7 +2,7 @@
 
 These are deliberately minimal: boxplots for length distributions, a
 grayscale grid for occupancy heatmaps, and bar charts for per-style rates.
-Output is deterministic for identical inputs.
+Output is deterministic for identical inputs, and text is XML-escaped.
 """
 
 from __future__ import annotations
@@ -10,6 +10,11 @@ from __future__ import annotations
 from .structure import LengthSummary, OccupancyGrid
 
 _FONT = 'font-family="monospace" font-size="11"'
+
+
+def _text(s: str) -> str:
+    """s as XML character data: html.escape(s, quote=False), without importing html."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -31,10 +36,10 @@ def boxplot_svg(summaries: list[tuple[str, LengthSummary]], title: str = "") -> 
     top_vals = [max([s.whisker_high, *s.outliers]) for _, s in summaries]
     scale_max = max(top_vals) or 1
     x = lambda v: left + (width - left - 20) * v / scale_max
-    body = [f'<text x="8" y="16" {_FONT}>{title}</text>'] if title else []
+    body = [f'<text x="8" y="16" {_FONT}>{_text(title)}</text>'] if title else []
     for i, (label, s) in enumerate(summaries):
         cy = 40 + row_h * i + row_h // 2
-        body.append(f'<text x="8" y="{cy + 4}" {_FONT}>{label[:20]}</text>')
+        body.append(f'<text x="8" y="{cy + 4}" {_FONT}>{_text(label[:20])}</text>')
         body.append(
             f'<line x1="{x(s.whisker_low):.1f}" y1="{cy}" x2="{x(s.whisker_high):.1f}" '
             f'y2="{cy}" stroke="black"/>'
@@ -52,12 +57,13 @@ def boxplot_svg(summaries: list[tuple[str, LengthSummary]], title: str = "") -> 
     return _svg(width, height, body)
 
 
-def heatmap_svg(grid: OccupancyGrid, cell: int = 8, title: str = "") -> str:
-    """Occupancy grid as grayscale squares; darker means more occupied."""
+def heatmap_svg(grid: OccupancyGrid, title: str = "") -> str:
+    """Occupancy grid as grayscale 8-unit squares; darker means more occupied."""
+    cell = 8
     top = 24 if title else 4
     width = 4 + grid.cols * cell + 4
     height = top + grid.rows * cell + 4
-    body = [f'<text x="4" y="16" {_FONT}>{title}</text>'] if title else []
+    body = [f'<text x="4" y="16" {_FONT}>{_text(title)}</text>'] if title else []
     for i, row in enumerate(grid.cells):
         for j, value in enumerate(row):
             if value <= 0:
@@ -75,18 +81,18 @@ def heatmap_svg(grid: OccupancyGrid, cell: int = 8, title: str = "") -> str:
 
 
 def barchart_svg(rows: list[tuple[str, float]], title: str = "", max_value: float = 100.0) -> str:
-    """Horizontal bars for (label, value) rows, scaled to max_value."""
+    """Horizontal bars for (label, value) rows, scaled to max_value; a negative value has none."""
     if not rows:
         raise ValueError("nothing to plot")
     row_h = 20
     left = 180
     width = 640
     height = 30 + row_h * len(rows)
-    body = [f'<text x="8" y="16" {_FONT}>{title}</text>'] if title else []
+    body = [f'<text x="8" y="16" {_FONT}>{_text(title)}</text>'] if title else []
     for i, (label, value) in enumerate(rows):
         y = 30 + row_h * i
-        bar = (width - left - 60) * min(value, max_value) / max_value
-        body.append(f'<text x="8" y="{y + 13}" {_FONT}>{label[:26]}</text>')
+        bar = max(0.0, (width - left - 60) * min(value, max_value) / max_value)
+        body.append(f'<text x="8" y="{y + 13}" {_FONT}>{_text(label[:26])}</text>')
         body.append(
             f'<rect x="{left}" y="{y + 3}" width="{bar:.1f}" height="{row_h - 8}" '
             f'fill="#6fa8dc"/>'

@@ -3,13 +3,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from poemetrics import lexstats, meter, rhyme, structure
 from poemetrics.cli import main
+from poemetrics.corpus import EXPECTED_FORM_LENGTHS, load_corpus, strip_prefatory
 
 from conftest import DATA_DIR
 
@@ -60,6 +64,56 @@ def test_analyze_is_deterministic_across_thread_counts(tmp_path):
     assert _tree_bytes(out1) == _tree_bytes(out8)
 
 
+def test_analyze_output_does_not_depend_on_the_hash_seed(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    trees = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        run = subprocess.run(
+            [sys.executable, "-m", "poemetrics.cli", "analyze", HUMAN, GPT, "--compare",
+             "--min-docs", "1", "--emit-plots", "--per-poem", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
+def test_each_nonblank_line_is_tokenized_once(tmp_path, monkeypatch):
+    tokenized, tokenize = [], lexstats.tokenize
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    for module in (structure, meter, rhyme, lexstats):
+        monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    assert main(["structure", HUMAN, "--out", str(tmp_path / "structure")]) == 0
+    assert tokenized == []
+    assert main(["analyze", HUMAN, GPT, "--compare", "--min-docs", "1", "--per-poem",
+                 "--out", str(tmp_path / "analyze")]) == 0
+    records = [strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or ""))
+               for path in (HUMAN, GPT) for r in load_corpus(path)]
+    assert tokenized == [line for r in records for line in structure.parse_structure(r).lines]
+
+
+def test_plots_are_well_formed_svg(tmp_path):
+    marked = tmp_path / "R&D <x>.jsonl"
+    shutil.copy(HUMAN, marked)
+    out = tmp_path / "plots"
+    assert main(["analyze", str(marked), GPT, "--compare", "--min-docs", "1", "--emit-plots",
+                 "--out", str(out)]) == 0
+    plots = sorted((out / "plots").glob("*.svg"))
+    assert len(plots) == 7
+    titles = set()
+    for plot in plots:
+        root = ET.parse(plot).getroot()
+        titles.update(text.text for text in root.iter("{http://www.w3.org/2000/svg}text"))
+        assert all(float(e.get("width", 0)) >= 0 for e in root.iter())
+    assert "line counts: R&D <x>" in titles
+
+
 # SHA-256 of every file analyze writes for the fixtures, recorded before the
 # per-poem single pass replaced the per-group rescoring. A change that alters
 # any of these bytes must say so and update the digests.
@@ -77,7 +131,7 @@ GOLDEN_DIGESTS = {
     "grids/occupancy_fixture_human.json":
         "b6741ac8ab0a7932c0bbf980ee1b0ae83244ad3f3fd53e9e5d6c57d0911f75cd",
     "plots/first_words_top15.svg":
-        "0b74ab5dabe54b74f7042f1903044aaedd478a57aeeddf111f9e8e73e7df65ac",
+        "ec529a03fb070020f4eb64d2b2ecf5192532575c026ade983847d9dbc529fb0b",
     "plots/lengths_fixture_gpt.svg":
         "fe2a1b6ef747f2d50afc4c4f2e9e0e698405da51262bd1cad995be051744eeeb",
     "plots/lengths_fixture_human.svg":

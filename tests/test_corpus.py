@@ -103,6 +103,18 @@ def test_csv_loader_with_embedded_newlines():
     assert corpus.records[1].style is None
 
 
+# Excel's "CSV UTF-8" export starts the file with a byte order mark.
+@pytest.mark.parametrize("name, content", [
+    ("bom.csv", 'id,text,source\nb1,"one\ntwo",human\n'),
+    ("bom.csv", 'source,id,text\nhuman,b1,"one\ntwo"\n'),
+    ("bom.jsonl", '{"id": "b1", "text": "one\\ntwo", "source": "human"}\n'),
+])
+def test_leading_byte_order_mark_is_dropped(name, content, tmp_path):
+    path = tmp_path / name
+    path.write_text("\ufeff" + content, encoding="utf-8")
+    assert load_corpus(path).records == (PoemRecord(id="b1", text="one\ntwo", source="human"),)
+
+
 def test_csv_requires_header(tmp_path):
     path = tmp_path / "nohdr.csv"
     path.write_text("a,b,c\n1,2,3\n")

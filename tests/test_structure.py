@@ -10,7 +10,6 @@ from poemetrics.corpus import Corpus, PoemRecord
 from poemetrics.lexstats import tokenize
 from poemetrics.structure import (
     length_summary,
-    line_tokens,
     occupancy_heatmap,
     parse_structure,
     quatrain_stats,
@@ -121,7 +120,7 @@ def test_line_tokens_concatenate_to_the_text_tokens(text):
     if not text.strip():
         assert whole == ()
         return
-    assert tuple(chain.from_iterable(line_tokens(parse_structure(text)))) == whole
+    assert tuple(chain.from_iterable(parse_structure(text).tokens)) == whole
 
 
 def test_quatrain_stats_direct_count():
