@@ -95,8 +95,9 @@ _VARIANT_KEY_RE = re.compile(r"^(.*)\((\d+)\)$")
 
 
 def _decode(data: bytes) -> str:
+    # utf-8-sig drops a leading byte order mark, which str.strip keeps.
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError:
         return data.decode("latin-1")
 

@@ -20,10 +20,11 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass, field
 from itertools import chain
+from operator import add
 from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__
 from .arpabet import PronouncingDictionary, bundled_dictionary_path, load_dictionary
@@ -46,6 +47,7 @@ from .generate import (
     run_job,
 )
 from .lexstats import (
+    DEFAULT_TOUCHSTONE_GROUPS,
     PRONOUN_CATEGORIES,
     WordCounts,
     fold_first_word_logodds,
@@ -56,11 +58,11 @@ from .lexstats import (
     pronoun_counts,
     touchstone_hits,
 )
-from .meter import fold_meter_stats, scan_poem
-from .rhyme import RhymeCounts, annotate_rhymes, fold_rhyme_stats
+from .meter import CorpusMeterStats, scan_poem
+from .rhyme import RhymeStats, annotate_rhymes
 from .structure import (
     LengthSummary,
-    fold_quatrains,
+    QuatrainStats,
     occupancy_heatmap,
     parse_structure,
     summarize_lengths,
@@ -112,16 +114,17 @@ def _write_table(out_dir: Path, name: str, columns: list[str], rows: list[dict],
         )
 
 
-class _PoemScores(NamedTuple):
-    """One poem's numbers, from which every table of a run is folded."""
+@dataclass
+class _Group:
+    """Running totals of one (corpus, style) group; each poem is added as it is scored."""
 
-    line_count: int
-    stanza_sizes: tuple[int, ...]
-    rhyme: RhymeCounts | None
-    meter: tuple[float, bool] | None  # also None for an unscannable poem
-    pronouns: tuple[int, ...] | None
-    touchstones: tuple[bool, ...] | None
-    annotation: str | None  # the --per-poem JSON line
+    line_counts: Counter[int] = field(default_factory=Counter)
+    quatrains: QuatrainStats = field(default_factory=QuatrainStats)
+    rhyme: RhymeStats = field(default_factory=RhymeStats)
+    meter: CorpusMeterStats = field(default_factory=CorpusMeterStats)
+    # The token count, then each pronoun category's (see pronoun_counts).
+    pronouns: list[int] = field(default_factory=lambda: [0] * (1 + len(PRONOUN_CATEGORIES)))
+    touchstones: list[int] = field(default_factory=lambda: [0] * len(DEFAULT_TOUCHSTONE_GROUPS))
 
 
 def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared):
@@ -129,52 +132,47 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared)
 
     Each non-blank line is tokenized once, on the poem's first read of its tokens,
     and end words, meter, pronouns, touchstones and word counts all come from
-    them. Returns each corpus's poem scores and the WordCounts of its first
-    `compared` corpora, counted as each poem is scored, so no tokens outlive it.
+    them. Each poem is added to its corpus's ALL group and to its style's group
+    (keyed by record.style, None for unlabeled) and then dropped. Returns per
+    corpus those groups and the --per-poem JSON lines, and the WordCounts of
+    the first `compared` corpora.
     """
     stopwords = load_stopwords() if compared else frozenset()
     scored, counted = [], [WordCounts(stopwords) for _ in corpora[:compared]]
     for i, corpus in enumerate(corpora):
-        scores = []
+        everything, by_style, lines = _Group(), defaultdict(_Group), []
         for record in corpus.records:
             poem = parse_structure(record)
-            rhyme = meter = pronouns = touchstones = line = None
+            groups = (everything, by_style[record.style])
+            for group in groups:
+                group.line_counts[poem.line_count] += 1
+                group.quatrains.add(poem.stanza_sizes)
             if i < compared or "lexstats" in families:
                 words = tuple(chain.from_iterable(poem.tokens))
             if i < compared:
                 counted[i].add(words)
             if "rhyme" in families:
                 annotation = annotate_rhymes(poem, dictionary)
-                rhyme = annotation.counts()
+                for group in groups:
+                    group.rhyme.add(annotation)
                 if per_poem:
-                    line = json.dumps({**annotation.to_json_dict(), "id": record.id},
-                                      ensure_ascii=False, sort_keys=True)
+                    lines.append(json.dumps({**annotation.to_json_dict(), "id": record.id},
+                                            ensure_ascii=False, sort_keys=True))
             if "meter" in families:
-                meter = scan_poem(poem, dictionary, threshold)
+                scan = scan_poem(poem, dictionary, threshold)
+                for group in groups:
+                    group.meter.add(scan)
             if "lexstats" in families:
-                pronouns = pronoun_counts(words)
-                touchstones = touchstone_hits(words)
-            scores.append(_PoemScores(poem.line_count, poem.stanza_sizes, rhyme, meter,
-                                      pronouns, touchstones, line))
-        scored.append(scores)
+                pronouns, hits = pronoun_counts(words), touchstone_hits(words)
+                for group in groups:
+                    group.pronouns = list(map(add, group.pronouns, pronouns))
+                    group.touchstones = list(map(add, group.touchstones, hits))
+        scored.append((everything, by_style, lines))
     return scored, counted
 
 
-def _groups(corpus: Corpus, scores: list[_PoemScores]) -> list[tuple[str, list[_PoemScores]]]:
-    """(style, scores) per table row, in input order: ALL, each style, then unlabeled."""
-    by_style: dict[str | None, list[_PoemScores]] = {}
-    for record, poem in zip(corpus.records, scores):
-        by_style.setdefault(record.style, []).append(poem)
-    labels = corpus.styles() + ([UNLABELED] if None in by_style else [])
-    return [(ALL_STYLES, scores)] + [
-        (style, by_style.get(None if style == UNLABELED else style, [])) for style in labels
-    ]
-
-
-def _group_rows(
-    group: list[_PoemScores], s: LengthSummary, families: tuple[str, ...]
-) -> dict[str, dict]:
-    """Each family table's row for one (corpus, style) group, folded from its scores.
+def _group_rows(group: _Group, s: LengthSummary, families: tuple[str, ...]) -> dict[str, dict]:
+    """Each family table's row for one (corpus, style) group, from its running totals.
 
     s is the group's line-count summary. A row's keys, in order, are its
     table's columns after source and style.
@@ -186,7 +184,7 @@ def _group_rows(
             "whisker_low": s.whisker_low, "whisker_high": s.whisker_high,
             "outlier_count": len(s.outliers),
         }
-        q = fold_quatrains([p.stanza_sizes for p in group])
+        q = group.quatrains
         rows["quatrains"] = {
             "poems": q.poem_count, "poems_with_quatrain": q.poems_with_quatrain,
             "poems_with_quatrain_pct": q.poems_with_quatrain_pct,
@@ -194,52 +192,54 @@ def _group_rows(
             "quatrain_stanza_pct": q.quatrain_stanza_pct,
         }
     if "rhyme" in families:
-        r = fold_rhyme_stats([p.rhyme for p in group])
+        r = group.rhyme
         rows["rhyme"] = {
             "poems": r.poem_count, "poems_with_rhyme_pct": r.poems_with_rhyme_pct,
             "avg_rhymed_fraction": r.avg_rhymed_fraction,
             "pooled_rhymed_fraction": r.pooled_rhymed_fraction,
         }
     if "meter" in families:
-        m = fold_meter_stats([p.meter for p in group])
+        m = group.meter
         rows["meter"] = {
             "poems": m.poem_count, "pct_dominant_iambic": m.pct_dominant_iambic,
             "mean_iambic_score": m.mean_iambic_score,
             "unscannable_poems": m.unscannable_poems,
         }
     if "lexstats" in families:
-        pr = fold_pronouns([p.pronouns for p in group])
+        pr = fold_pronouns([group.pronouns])
         rows["pronouns"] = {"tokens": pr.total_tokens,
                             **{c: pr.per_100_words[c] for c in sorted(PRONOUN_CATEGORIES)}}
     return rows
 
 
 def _fold_tables(corpora, scored, families):
-    """Fold the poem scores into the families' per-(corpus, style) tables.
+    """The families' per-(corpus, style) tables, rows in order ALL, each style, then unlabeled.
 
-    Also returns, per corpus label, each group's line-count summary for the boxplots.
+    Also returns, per corpus label, each group's line-count summary for the
+    boxplots, and with lexstats the touchstones table of each corpus's ALL group.
     """
     tables: dict[str, list[dict]] = {}
     boxplots: dict[str, list[tuple[str, LengthSummary]]] = {}
-    for corpus, scores in zip(corpora, scored):
+    for corpus, (everything, by_style, _) in zip(corpora, scored):
         summaries = boxplots[corpus.label] = []
-        for style, group in _groups(corpus, scores):
-            lengths = summarize_lengths([p.line_count for p in group])
+        labelled = [(ALL_STYLES, everything)] + [
+            (UNLABELED if style is None else style, by_style[style])
+            for style in sorted(by_style, key=lambda s: (s is None, s or ""))
+        ]
+        for style, group in labelled:
+            lengths = summarize_lengths(list(group.line_counts.elements()))
             summaries.append((style, lengths))
             for name, row in _group_rows(group, lengths, families).items():
                 tables.setdefault(name, []).append(
                     {"source": corpus.label, "style": style, **row}
                 )
+        if "lexstats" in families:
+            tables.setdefault("touchstones", []).extend(
+                {"source": corpus.label, "group": " ".join(c.patterns),
+                 "poems_matched": c.poems_matched, "poems": c.poem_count, "pct": c.pct}
+                for c in fold_touchstones(everything.touchstones, len(corpus))
+            )
     return {name: (list(rows[0]), rows) for name, rows in tables.items()}, boxplots
-
-
-def _touchstone_rows(corpora: list[Corpus], scored: list[list[_PoemScores]]) -> list[dict]:
-    return [
-        {"source": corpus.label, "group": " ".join(c.patterns),
-         "poems_matched": c.poems_matched, "poems": c.poem_count, "pct": c.pct}
-        for corpus, scores in zip(corpora, scored)
-        for c in fold_touchstones([p.touchstones for p in scores])
-    ]
 
 
 def _compare_tables(a: WordCounts, b: WordCounts, s: AnalysisSettings) -> dict:
@@ -341,10 +341,11 @@ def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
         if name not in tables:
             continue
         _, rows = tables[name]
-        top = rows[:top_k]
+        # Rows are sorted by z descending; only z > 0 favors the first corpus.
+        top = [r for r in rows[:top_k] if r["z"] > 0]
         if not top:
             continue
-        scale = max(abs(r["z"]) for r in top) or 1.0
+        scale = top[0]["z"]
         (plot_dir / f"{name}_top{top_k}.svg").write_text(
             svgplot.barchart_svg(
                 [(r["word"], r["z"]) for r in top],
@@ -378,9 +379,6 @@ def cmd_analyze(args) -> int:
     scored, counted = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
                                      per_poem, 2 if compare else 0)
     tables, boxplots = _fold_tables(corpora, scored, families)
-    if "lexstats" in families:
-        tables["touchstones"] = (["source", "group", "poems_matched", "poems", "pct"],
-                                 _touchstone_rows(corpora, scored))
     if compare:
         tables.update(_compare_tables(*counted, settings))
     grids = {}
@@ -392,10 +390,10 @@ def cmd_analyze(args) -> int:
     if per_poem:
         annotations_dir = out_dir / "annotations"
         annotations_dir.mkdir(parents=True, exist_ok=True)
-        for corpus, scores in zip(corpora, scored):
+        for corpus, (_, _, lines) in zip(corpora, scored):
             with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
                       encoding="utf-8") as handle:
-                handle.writelines(p.annotation + "\n" for p in scores)
+                handle.writelines(line + "\n" for line in lines)
     _write_report(out_dir, args.format, tables, grids, dictionary, settings, corpora)
     if args.emit_plots:
         _write_plots(out_dir, tables, grids, boxplots, settings.top_k)

@@ -149,15 +149,20 @@ class LogOddsResult:
 def _score_counts(
     counts_a: Counter[str],
     counts_b: Counter[str],
-    n_a: int,
-    n_b: int,
-    vocabulary: list[str],
     doc_freq_a: Counter[str],
     doc_freq_b: Counter[str],
+    min_docs: int,
     alpha_total: float | None,
+    feature: str,
 ) -> list[LogOddsResult]:
-    # n_a/n_b are the eligible token totals of each corpus; words below the
-    # document-frequency cutoff stay in the totals but are not scored.
+    # The token totals cover every counted word; words below the
+    # document-frequency cutoff stay in them but are not scored.
+    vocabulary = sorted(
+        w for w in set(doc_freq_a) | set(doc_freq_b) if doc_freq_a[w] + doc_freq_b[w] >= min_docs
+    )
+    if not vocabulary:
+        raise ValueError(f"empty {feature} after document-frequency filtering")
+    n_a, n_b = sum(counts_a.values()), sum(counts_b.values())
     pooled_total = n_a + n_b
     if alpha_total is None:
         alpha_total = 0.01 * len(vocabulary)
@@ -226,16 +231,8 @@ def fold_logodds(
     alpha_total: float | None = None,
 ) -> list[LogOddsResult]:
     """Distinctive words of a vs b from their counts, ranked by z descending (see logodds)."""
-    doc_freq_a, doc_freq_b = a.doc_freq, b.doc_freq
-    vocabulary = sorted(
-        w for w in set(doc_freq_a) | set(doc_freq_b) if doc_freq_a[w] + doc_freq_b[w] >= min_docs
-    )
-    if not vocabulary:
-        raise ValueError("empty vocabulary after document-frequency filtering")
-    return _score_counts(
-        a.counts, b.counts, sum(a.counts.values()), sum(b.counts.values()),
-        vocabulary, doc_freq_a, doc_freq_b, alpha_total,
-    )
+    return _score_counts(a.counts, b.counts, a.doc_freq, b.doc_freq, min_docs, alpha_total,
+                         "vocabulary")
 
 
 def logodds(
@@ -262,19 +259,12 @@ def fold_first_word_logodds(
     min_docs: int = 10,
     alpha_total: float | None = None,
 ) -> list[LogOddsResult]:
-    """Distinctive opening words of a vs b from their counts (see first_word_logodds)."""
-    counts_a, counts_b = a.firsts, b.firsts
-    vocabulary = sorted(
-        w for w in set(counts_a) | set(counts_b) if counts_a[w] + counts_b[w] >= min_docs
-    )
-    if not vocabulary:
-        raise ValueError("empty first-word vocabulary after document-frequency filtering")
-    # Each poem contributes its first token once, so document frequency
-    # equals the feature count.
-    return _score_counts(
-        counts_a, counts_b, sum(counts_a.values()), sum(counts_b.values()),
-        vocabulary, counts_a, counts_b, alpha_total,
-    )
+    """Distinctive opening words of a vs b from their counts (see first_word_logodds).
+
+    Each poem contributes its first token once, so document frequency equals the count.
+    """
+    return _score_counts(a.firsts, b.firsts, a.firsts, b.firsts, min_docs, alpha_total,
+                         "first-word vocabulary")
 
 
 def first_word_logodds(
@@ -323,17 +313,17 @@ def touchstone_hits(tokens: Sequence[str]) -> tuple[bool, ...]:
     )
 
 
-def fold_touchstones(hits: Sequence[tuple[bool, ...]]) -> list[TouchstoneCoverage]:
-    """Per-group coverage of a corpus from its poems' touchstone_hits."""
-    if not hits:
+def fold_touchstones(matched: Sequence[int], poem_count: int) -> list[TouchstoneCoverage]:
+    """Per-group coverage of a corpus from its summed touchstone_hits and its poem count."""
+    if not poem_count:
         raise ValueError("empty corpus")
     return [
-        TouchstoneCoverage(patterns=tuple(sorted(group)),
-                           poems_matched=sum(h[k] for h in hits), poem_count=len(hits))
-        for k, group in enumerate(DEFAULT_TOUCHSTONE_GROUPS)
+        TouchstoneCoverage(patterns=tuple(sorted(group)), poems_matched=m, poem_count=poem_count)
+        for m, group in zip(matched, DEFAULT_TOUCHSTONE_GROUPS)
     ]
 
 
 def touchstone_coverage(corpus: Corpus) -> list[TouchstoneCoverage]:
     """Per-group percentage of poems containing at least one member word."""
-    return fold_touchstones([touchstone_hits(tokenize(r.text)) for r in corpus.records])
+    hits = [touchstone_hits(tokenize(r.text)) for r in corpus.records]
+    return fold_touchstones([sum(column) for column in zip(*hits)], len(hits))

@@ -112,17 +112,33 @@ def iambic_score(
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class CorpusMeterStats:
-    dominant_poems: int
-    poem_count: int
-    mean_iambic_score: float
-    unscannable_poems: int
+    """Meter counts of a group, added poem by poem; scores are summed in input order."""
+
+    dominant_poems: int = 0
+    poem_count: int = 0
+    iambic_score_sum: float = 0.0
+    unscannable_poems: int = 0
+
+    def add(self, scan: tuple[float, bool] | None) -> None:
+        """Count one poem's scan_poem result."""
+        self.poem_count += 1
+        if scan is None:
+            self.unscannable_poems += 1
+        else:
+            self.iambic_score_sum += scan[0]
+            self.dominant_poems += scan[1]
 
     @property
     def pct_dominant_iambic(self) -> float:
         scanned = self.poem_count - self.unscannable_poems
         return 100.0 * self.dominant_poems / scanned if scanned else 0.0
+
+    @property
+    def mean_iambic_score(self) -> float:
+        scanned = self.poem_count - self.unscannable_poems
+        return self.iambic_score_sum / scanned if scanned else 0.0
 
 
 def scan_poem(
@@ -138,25 +154,15 @@ def scan_poem(
     return verdict.iambic_score, verdict.dominant
 
 
-def fold_meter_stats(scans: Sequence[tuple[float, bool] | None]) -> CorpusMeterStats:
-    """Meter statistics of a group from its poems' scan_poem results, in input order."""
-    if not scans:
-        raise ValueError("empty corpus")
-    scores = [scan[0] for scan in scans if scan is not None]
-    return CorpusMeterStats(
-        dominant_poems=sum(1 for scan in scans if scan is not None and scan[1]),
-        poem_count=len(scans),
-        mean_iambic_score=reduce(add, scores, 0.0) / len(scores) if scores else 0.0,
-        unscannable_poems=len(scans) - len(scores),
-    )
-
-
 def corpus_meter_stats(
     corpus: Corpus,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
 ) -> CorpusMeterStats:
     """Share of poems whose mean line alignment is iambic-dominant."""
-    return fold_meter_stats(
-        [scan_poem(parse_structure(r), dictionary, threshold) for r in corpus.records]
-    )
+    if not len(corpus):
+        raise ValueError("empty corpus")
+    stats = CorpusMeterStats()
+    for record in corpus.records:
+        stats.add(scan_poem(parse_structure(record), dictionary, threshold))
+    return stats

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
 from .corpus import Corpus
@@ -56,10 +54,6 @@ def lines_rhyme(word_a: str | None, word_b: str | None, dictionary: PronouncingD
     return not _rhyme_parts(dictionary, word_a).isdisjoint(_rhyme_parts(dictionary, word_b))
 
 
-# One poem's (has a scheme, rhymed fraction, rhymed lines, lines).
-RhymeCounts = tuple[bool, float, int, int]
-
-
 @dataclass(frozen=True)
 class SchemeMatch:
     scheme: str
@@ -77,11 +71,6 @@ class RhymeAnnotation:
     @property
     def scheme_names(self) -> set[str]:
         return {m.scheme for m in self.schemes}
-
-    def counts(self) -> RhymeCounts:
-        """The numbers of this annotation that corpus statistics fold."""
-        flags = self.rhymed_line_flags
-        return bool(self.schemes), self.rhymed_fraction, sum(flags), len(flags)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,33 +132,47 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class RhymeStats:
-    poems_with_rhyme: int
-    poem_count: int
-    avg_rhymed_fraction: float
-    pooled_rhymed_fraction: float
+    """Rhyme counts of a group, added poem by poem.
+
+    avg_rhymed_fraction is the unweighted mean of per-poem fractions, summed
+    in input order; pooled_rhymed_fraction pools rhymed and total lines.
+    """
+
+    poems_with_rhyme: int = 0
+    poem_count: int = 0
+    rhymed_fraction_sum: float = 0.0
+    rhymed_lines: int = 0
+    lines: int = 0
+
+    def add(self, annotation: RhymeAnnotation) -> None:
+        """Count one poem's annotation."""
+        flags = annotation.rhymed_line_flags
+        self.poems_with_rhyme += bool(annotation.schemes)
+        self.poem_count += 1
+        self.rhymed_fraction_sum += annotation.rhymed_fraction
+        self.rhymed_lines += sum(flags)
+        self.lines += len(flags)
 
     @property
     def poems_with_rhyme_pct(self) -> float:
         return 100.0 * self.poems_with_rhyme / self.poem_count
 
+    @property
+    def avg_rhymed_fraction(self) -> float:
+        return self.rhymed_fraction_sum / self.poem_count
 
-def fold_rhyme_stats(counts: Sequence[RhymeCounts]) -> RhymeStats:
-    """Rhyme statistics of a group from its poems' counts, summed in input order."""
-    if not counts:
-        raise ValueError("empty corpus")
-    with_rhyme, fractions, rhymed_lines, lines = zip(*counts)
-    return RhymeStats(sum(with_rhyme), len(counts), reduce(add, fractions, 0.0) / len(counts),
-                      sum(rhymed_lines) / sum(lines))
+    @property
+    def pooled_rhymed_fraction(self) -> float:
+        return self.rhymed_lines / self.lines
 
 
 def corpus_rhyme_stats(corpus: Corpus, dictionary: PronouncingDictionary) -> RhymeStats:
-    """Share of poems with any detected scheme and mean rhymed-line fraction.
-
-    avg_rhymed_fraction is the unweighted mean of per-poem fractions;
-    pooled_rhymed_fraction pools rhymed and total lines corpus-wide.
-    """
-    return fold_rhyme_stats(
-        [annotate_rhymes(parse_structure(r), dictionary).counts() for r in corpus.records]
-    )
+    """Share of poems with any detected scheme and mean rhymed-line fraction."""
+    if not len(corpus):
+        raise ValueError("empty corpus")
+    stats = RhymeStats()
+    for record in corpus.records:
+        stats.add(annotate_rhymes(parse_structure(record), dictionary))
+    return stats

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -55,12 +54,22 @@ def parse_structure(poem: PoemRecord | str) -> PoemStructure:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class QuatrainStats:
-    poems_with_quatrain: int
-    poem_count: int
-    quatrain_stanzas: int
-    stanza_count: int
+    """Quatrain counts of a group, added poem by poem."""
+
+    poems_with_quatrain: int = 0
+    poem_count: int = 0
+    quatrain_stanzas: int = 0
+    stanza_count: int = 0
+
+    def add(self, stanza_sizes: tuple[int, ...]) -> None:
+        """Count one poem's stanzas."""
+        hits = stanza_sizes.count(4)
+        self.poems_with_quatrain += hits > 0
+        self.poem_count += 1
+        self.quatrain_stanzas += hits
+        self.stanza_count += len(stanza_sizes)
 
     @property
     def poems_with_quatrain_pct(self) -> float:
@@ -71,22 +80,14 @@ class QuatrainStats:
         return 100.0 * self.quatrain_stanzas / self.stanza_count if self.stanza_count else 0.0
 
 
-def fold_quatrains(stanza_sizes: Sequence[tuple[int, ...]]) -> QuatrainStats:
-    """Quatrain counts over the stanza sizes of each poem of a group."""
-    if not stanza_sizes:
-        raise ValueError("empty corpus")
-    hits = [sizes.count(4) for sizes in stanza_sizes]
-    return QuatrainStats(
-        poems_with_quatrain=sum(1 for h in hits if h),
-        poem_count=len(stanza_sizes),
-        quatrain_stanzas=sum(hits),
-        stanza_count=sum(len(sizes) for sizes in stanza_sizes),
-    )
-
-
 def quatrain_stats(corpus: Corpus) -> QuatrainStats:
     """Share of poems containing a 4-line stanza and of stanzas that are quatrains."""
-    return fold_quatrains([parse_structure(r).stanza_sizes for r in corpus.records])
+    if not len(corpus):
+        raise ValueError("empty corpus")
+    stats = QuatrainStats()
+    for record in corpus.records:
+        stats.add(parse_structure(record).stanza_sizes)
+    return stats
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -50,6 +51,16 @@ def test_latin1_bytes_tolerated(tmp_path):
     path = tmp_path / "latin.dict"
     path.write_bytes(b";;; caf\xe9 comment\nHAZE  HH EY1 Z\n")
     assert load_dictionary(path).lookup("haze") == (("HH", "EY1", "Z"),)
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "bom.dict"
+    data = "\ufeffDAY  D EY1\nWAY  W EY1\n".encode("utf-8")
+    path.write_bytes(data)
+    d = load_dictionary(path)
+    assert d.words() == ["day", "way"]
+    assert d.lookup("day") == (("D", "EY1"),)
+    assert d.source_sha256 == hashlib.sha256(data).hexdigest()
 
 
 def test_bundled_entries(dictionary):

@@ -107,11 +107,19 @@ def test_plots_are_well_formed_svg(tmp_path):
     plots = sorted((out / "plots").glob("*.svg"))
     assert len(plots) == 7
     titles = set()
+    texts = {}
     for plot in plots:
         root = ET.parse(plot).getroot()
-        titles.update(text.text for text in root.iter("{http://www.w3.org/2000/svg}text"))
+        texts[plot.name] = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+        titles.update(texts[plot.name])
         assert all(float(e.get("width", 0)) >= 0 for e in root.iter())
     assert "line counts: R&D <x>" in titles
+    # A top-k chart's texts are its title, then a word and its z per bar.
+    tables = json.loads((out / "report.json").read_text(encoding="utf-8"))["tables"]
+    for name in ("logodds", "first_words"):
+        z = {row["word"]: row["z"] for row in tables[name]}
+        charted = texts[f"{name}_top15.svg"][1::2]
+        assert charted and all(z[word] > 0 for word in charted), name
 
 
 # SHA-256 of every file analyze writes for the fixtures, recorded before the
@@ -131,7 +139,7 @@ GOLDEN_DIGESTS = {
     "grids/occupancy_fixture_human.json":
         "b6741ac8ab0a7932c0bbf980ee1b0ae83244ad3f3fd53e9e5d6c57d0911f75cd",
     "plots/first_words_top15.svg":
-        "ec529a03fb070020f4eb64d2b2ecf5192532575c026ade983847d9dbc529fb0b",
+        "5f0591692b046426c552ea27661bcda3b8efc0976272c6369a66fd92fb32862e",
     "plots/lengths_fixture_gpt.svg":
         "fe2a1b6ef747f2d50afc4c4f2e9e0e698405da51262bd1cad995be051744eeeb",
     "plots/lengths_fixture_human.svg":
@@ -286,6 +294,32 @@ def test_strip_prefatory_default_on(tmp_path):
                  "--no-strip-prefatory"]) == 0
     rows = (out_off / "tables" / "lengths.csv").read_text().splitlines()
     assert any(row.startswith("dedicated,ALL,1,15.000000") for row in rows)
+
+
+def _lengths_rows(tmp_path, records: list[dict]) -> list[tuple[str, int, float]]:
+    """(style, poems, median) of each lengths row of `structure` on one corpus."""
+    corpus_path = tmp_path / "styled.jsonl"
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    assert main(["structure", str(corpus_path), "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads((out / "report.json").read_text())["tables"]["lengths"]
+    return [(row["style"], row["poems"], row["median"]) for row in rows]
+
+
+def test_group_rows_are_all_then_sorted_styles_then_unlabeled(tmp_path):
+    # A style spelled like the unlabeled row's label still gets a row of its own.
+    records = [{"id": "a", "text": "one line", "source": "human", "style": "(none)"},
+               {"id": "b", "text": "one line", "source": "human", "style": "ode"},
+               {"id": "c", "text": "one line", "source": "human"}]
+    assert [row[:2] for row in _lengths_rows(tmp_path, records)] == [
+        ("ALL", 3), ("(none)", 1), ("ode", 1), ("(none)", 1)]
+
+
+def test_literal_none_style_row_holds_its_own_poems(tmp_path):
+    records = [{"id": "a", "text": "two\nlines", "source": "human", "style": "(none)"},
+               {"id": "c", "text": "one line", "source": "human"}]
+    assert _lengths_rows(tmp_path, records) == [
+        ("ALL", 2, 1.5), ("(none)", 1, 2.0), ("(none)", 1, 1.0)]
 
 
 def test_directory_corpus_with_source_default(tmp_path):

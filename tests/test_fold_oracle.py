@@ -322,7 +322,5 @@ def test_memo_holds_only_dictionary_words():
     corpus_rhyme_stats(corpus, dictionary)
     corpus_meter_stats(corpus, dictionary)
     assert dictionary.rhyme_part_memo and dictionary.stress_memo
-    # Line-end words can be dictionary words outside `known`: the ASCII end-word
-    # pattern splits a nonce word at "é".
-    assert set(dictionary.rhyme_part_memo) <= set(dictionary.entries)
-    assert set(dictionary.stress_memo) <= set(dictionary.entries)
+    assert set(dictionary.rhyme_part_memo) <= set(known)
+    assert set(dictionary.stress_memo) <= set(known)

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from poemetrics import meter
 from poemetrics.meter import (
+    CorpusMeterStats,
     UnscannableError,
     alignment_score,
     corpus_meter_stats,
     estimate_syllables,
-    fold_meter_stats,
     iambic_score,
     line_stress,
     scan_poem,
@@ -151,7 +151,10 @@ def test_alignment_matches_per_symbol_reference(digits, pattern):
 def test_fold_meter_stats_adds_scores_left_to_right():
     # sum() of floats rounds this to 0.1 from Python 3.12 on; reports must not
     # depend on the Python version.
-    assert fold_meter_stats([(0.1, False)] * 10).mean_iambic_score == 0.09999999999999999
+    stats = CorpusMeterStats()
+    for _ in range(10):
+        stats.add((0.1, False))
+    assert stats.mean_iambic_score == 0.09999999999999999
 
 
 def test_corpus_meter_stats(dictionary):

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from poemetrics.lexstats import tokenize
 from poemetrics.rhyme import (
+    RhymeAnnotation,
+    RhymeStats,
     annotate_rhymes,
     corpus_rhyme_stats,
     end_word,
-    fold_rhyme_stats,
     lines_rhyme,
 )
 from poemetrics.structure import parse_structure
@@ -203,5 +204,9 @@ def test_corpus_stats_permutation_invariant(dictionary):
 
 def test_fold_rhyme_stats_adds_fractions_left_to_right():
     # sum() of floats rounds this to 0.1 from Python 3.12 on.
-    stats = fold_rhyme_stats([(False, 0.1, 0, 1)] * 10)
+    annotation = RhymeAnnotation(end_words=(None,), rhymed_line_flags=(False,), schemes=(),
+                                 rhymed_fraction=0.1, oov_end_words=())
+    stats = RhymeStats()
+    for _ in range(10):
+        stats.add(annotation)
     assert stats.avg_rhymed_fraction == 0.09999999999999999
