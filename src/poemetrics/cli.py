@@ -132,13 +132,15 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared)
 
     Each non-blank line is tokenized once, on the poem's first read of its tokens,
     and end words, meter, pronouns, touchstones and word counts all come from
-    them. Each poem is added to its corpus's ALL group and to its style's group
-    (keyed by record.style, None for unlabeled) and then dropped. Returns per
+    them. Meter's token-to-stress memo lives for this call only. Each poem is
+    added to its corpus's ALL group and to its style's group (keyed by
+    record.style, None for unlabeled) and then dropped. Returns per
     corpus those groups and the --per-poem JSON lines, and the WordCounts of
     the first `compared` corpora.
     """
     stopwords = load_stopwords() if compared else frozenset()
     scored, counted = [], [WordCounts(stopwords) for _ in corpora[:compared]]
+    stress: dict[str, str] = {}
     for i, corpus in enumerate(corpora):
         everything, by_style, lines = _Group(), defaultdict(_Group), []
         for record in corpus.records:
@@ -159,7 +161,7 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared)
                     lines.append(json.dumps({**annotation.to_json_dict(), "id": record.id},
                                             ensure_ascii=False, sort_keys=True))
             if "meter" in families:
-                scan = scan_poem(poem, dictionary, threshold)
+                scan = scan_poem(poem, dictionary, threshold, stress)
                 for group in groups:
                     group.meter.add(scan)
             if "lexstats" in families:

@@ -230,6 +230,9 @@ class GenerationJob:
 # Longest sleep between two attempts at one spec, whatever the backoff or Retry-After.
 MAX_BACKOFF_S = 30.0
 
+# Specs finished between two progress lines that run_job logs at INFO.
+PROGRESS_EVERY = 100
+
 
 class _RateLimiter:
     """Spaces request starts at least 1/rate seconds apart."""
@@ -326,8 +329,10 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
 
     Progress is persisted after every response; rerunning with resume skips
     specs already present in the output file with the model's source.
-    Requests hitting throttle or server errors are retried with exponential
-    backoff, or after the delay a 429 or 503 asked for, each sleep capped at
+    Completed, failed and retried counts are logged at INFO every
+    PROGRESS_EVERY finished specs and once at the end. Requests hitting
+    throttle or server errors are retried with exponential backoff, or
+    after the delay a 429 or 503 asked for, each sleep capped at
     MAX_BACKOFF_S; specs that still fail are recorded in a ".failures.jsonl"
     sidecar and skipped; the source's rows from earlier runs are dropped for
     specs complete or requested again. Any other error, AuthenticationError
@@ -353,15 +358,29 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
 
     limiter = _RateLimiter(job.rate_limit_per_sec)
     write_lock = threading.Lock()
+    # Finished specs by outcome, and retries made; read and written under write_lock.
+    progress = {"completed": 0, "failed": 0, "retried": 0}
 
-    def append(path: Path, row: dict) -> None:
-        with write_lock, open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+    def log_progress(when: str) -> None:
+        logger.info("%s: %d of %d pending specs finished, %d completed, %d failed, %d retries",
+                    when, progress["completed"] + progress["failed"], len(pending),
+                    progress["completed"], progress["failed"], progress["retried"])
+
+    def finish(path: Path, row: dict, outcome: str, retries: int) -> None:
+        """Append a finished spec's row and count it."""
+        with write_lock:
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+            progress[outcome] += 1
+            progress["retried"] += retries
+            if (progress["completed"] + progress["failed"]) % PROGRESS_EVERY == 0:
+                log_progress("progress")
 
     def fetch(spec: PromptSpec) -> None:
         text: str | None = None
         last_error: Exception | None = None
         backoff = job.backoff_base
+        retries = 0
         for attempt in range(job.max_retries + 1):
             limiter.wait()
             try:
@@ -378,24 +397,25 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
                     delay = backoff if exc.retry_after is None else exc.retry_after
                     time.sleep(min(delay, MAX_BACKOFF_S))
                     backoff *= 2
+                    retries += 1
             except RequestFailed as exc:
                 last_error = exc
                 break
         if text is None:
-            append(failures_path, {
+            finish(failures_path, {
                 "source": source,
                 "template": spec.template,
                 "style": spec.style,
                 "subject": spec.subject,
                 "error": str(last_error),
-            })
+            }, "failed", retries)
             logger.error("giving up on %s: %s", spec_key(spec), last_error)
             return
         record = PoemRecord(
             id=record_id_for(job.model, spec), text=text, source=source,
             style=spec.style, subject=spec.subject, template=spec.template,
         )
-        append(output_path, {**record.to_json_dict(), "model": job.model})
+        finish(output_path, {**record.to_json_dict(), "model": job.model}, "completed", retries)
 
     # Set by the first fetch that raises. Cancelling the queue alone would still let a
     # worker start the next spec before the main thread sees the error.
@@ -417,4 +437,6 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
                 future.result()
         finally:  # an error, or an interrupt in this thread, drops the specs not yet started
             executor.shutdown(cancel_futures=True)
+            with write_lock:
+                log_progress("run ended")
     return load_corpus(output_path, "json-lines")

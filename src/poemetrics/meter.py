@@ -50,13 +50,27 @@ def word_stress(word: str, dictionary: PronouncingDictionary) -> str:
     return stress
 
 
-def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary) -> str:
-    return "".join([word_stress(w, dictionary) for w in tokens])
+def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary,
+                   memo: dict[str, str]) -> str:
+    """The line's concatenated word_stress strings, each token's taken from memo.
+
+    memo maps a token to its word_stress under this dictionary, known word or
+    not; a missing entry is filled here. It belongs to one scoring run, which
+    makes it and drops it: the dictionary's own memo holds its words only.
+    """
+    return "".join([memo[w] if w in memo else memo.setdefault(w, word_stress(w, dictionary))
+                    for w in tokens])
 
 
-def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
-    """Concatenated word stress patterns for one line of text."""
-    return StressSequence(digits=_stress_digits(tokenize(line), dictionary), line=line_index)
+def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0,
+                memo: dict[str, str] | None = None) -> StressSequence:
+    """Concatenated word stress patterns for one line of text.
+
+    memo is a token-to-stress memo shared with other calls of one run (see
+    _stress_digits); without one a fresh memo is used.
+    """
+    digits = _stress_digits(tokenize(line), dictionary, {} if memo is None else memo)
+    return StressSequence(digits=digits, line=line_index)
 
 
 def alignment_score(digits: str, pattern: str = IAMB) -> float:
@@ -91,13 +105,16 @@ def iambic_score(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
+    memo: dict[str, str] | None = None,
 ) -> MeterVerdict:
     """Mean per-line iambic alignment; dominant when the mean meets threshold.
 
     Lines with fewer than two resolvable (non-"?") syllables are not
-    scored; they still contribute to syllables_per_line.
+    scored; they still contribute to syllables_per_line. memo is the run's
+    token-to-stress memo (see _stress_digits); without one a fresh memo is used.
     """
-    digits = [_stress_digits(t, dictionary) for t in poem.tokens]
+    memo = {} if memo is None else memo
+    digits = [_stress_digits(t, dictionary, memo) for t in poem.tokens]
     scorable = [d for d in digits if len(d) - d.count("?") >= 2]
     if not scorable:
         raise UnscannableError("no scannable lines")
@@ -145,10 +162,15 @@ def scan_poem(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
+    memo: dict[str, str] | None = None,
 ) -> tuple[float, bool] | None:
-    """(iambic score, dominant) of one poem, as iambic_score gives it; None when unscannable."""
+    """(iambic score, dominant) of one poem, as iambic_score gives it; None when unscannable.
+
+    A run scoring many poems passes one memo to every call, so each distinct
+    token's stress is worked out once per run (see _stress_digits).
+    """
     try:
-        verdict = iambic_score(poem, dictionary, threshold)
+        verdict = iambic_score(poem, dictionary, threshold, memo)
     except UnscannableError:
         return None
     return verdict.iambic_score, verdict.dominant
@@ -162,7 +184,7 @@ def corpus_meter_stats(
     """Share of poems whose mean line alignment is iambic-dominant."""
     if not len(corpus):
         raise ValueError("empty corpus")
-    stats = CorpusMeterStats()
+    stats, memo = CorpusMeterStats(), {}
     for record in corpus.records:
-        stats.add(scan_poem(parse_structure(record), dictionary, threshold))
+        stats.add(scan_poem(parse_structure(record), dictionary, threshold, memo))
     return stats

@@ -608,3 +608,47 @@ def test_benchmark_tracer_still_wraps_analyze(tmp_path):
     assert run.returncode == 0, run.stderr
     names = json.loads(spans.read_text())["names"]
     assert {"cli.main", "structure.parse_structure", "rhyme.annotate_rhymes"} <= set(names)
+
+
+BENCHMARK_REPORT = """
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, "perfbench")
+import inputs
+import run
+from poemetrics.cli import main
+
+workload, work = sys.argv[1], Path(sys.argv[2])
+corpora, truth = work / "corpora", work / "truth"
+corpora.mkdir()
+truth.mkdir()
+build = {"styled-pair": inputs.styled_pair, "wide-vocab": inputs.wide_vocab}[workload]
+build(101, corpora, truth)
+spec = run.WORKLOADS[workload]
+paths = [str(corpora / f"{label}.jsonl") for label in spec["labels"]]
+code = main(["analyze", *paths, "--compare", "--out", str(work / "out"), *spec["flags"]])
+print(hashlib.sha256((work / "out" / "report.json").read_bytes()).hexdigest())
+sys.exit(code)
+"""
+
+# report.json of each analyze benchmark workload at seed 101, run with its flags.
+BENCHMARK_DIGESTS = {
+    "styled-pair": "6d6f69eae8f67cf4126ace902f4528e3babd9ea035bfa8fbf5985af2f83b483d",
+    "wide-vocab": "dcae773f58ec6e7ebace44c007591705e9271b9a0e490fa30e5ca59a1dbf6507",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_report_bytes_match_recorded_digests(workload, tmp_path):
+    # perfbench/inputs.py reads the dictionary by a path relative to the repo root.
+    repo = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", BENCHMARK_REPORT, workload, str(tmp_path)],
+        cwd=repo,
+        env={**os.environ, "PYTHONPATH": str(repo / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == BENCHMARK_DIGESTS[workload]

@@ -2,11 +2,11 @@
 
 analyze scores each poem once and folds every (corpus, style) table row
 from those per-poem results, with per-word dictionary work memoized on the
-dictionary. Each line is tokenized once, and pronoun, touchstone and
-log-odds counts come from those tokens. These tests rebuild the rows and
-the per-word results with plain loops over the reference functions, or
-with the library functions that tokenize each poem whole, and require
-exact equality.
+dictionary and each token's stress memoized for the run. Each line is
+tokenized once, and pronoun, touchstone and log-odds counts come from those
+tokens. These tests rebuild the rows and the per-word results with plain
+loops over the reference functions, or with the library functions that
+tokenize each poem whole, and require exact equality.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from functools import reduce
 from operator import add
 
 import pytest
+from hypothesis import given, strategies as st
 
-from poemetrics.arpabet import load_bundled_dictionary, rhyme_part, stress_pattern
+from poemetrics.arpabet import load_bundled_dictionary, load_dictionary, rhyme_part, stress_pattern
 from poemetrics.cli import main
 from poemetrics.corpus import EXPECTED_FORM_LENGTHS, Corpus, load_corpus, strip_prefatory
 from poemetrics.lexstats import (
@@ -36,6 +37,8 @@ from poemetrics.meter import (
     corpus_meter_stats,
     estimate_syllables,
     iambic_score,
+    line_stress,
+    scan_poem,
     word_stress,
 )
 from poemetrics.rhyme import _rhyme_parts, annotate_rhymes, corpus_rhyme_stats
@@ -324,3 +327,49 @@ def test_memo_holds_only_dictionary_words():
     assert dictionary.rhyme_part_memo and dictionary.stress_memo
     assert set(dictionary.rhyme_part_memo) <= set(known)
     assert set(dictionary.stress_memo) <= set(known)
+
+
+# Dictionary words and nonce words: non-ASCII, mixed case, trailing digits, curly apostrophes.
+_MEMO_WORDS = st.one_of(
+    st.sampled_from(("whisper", "upon", "day", "the", "shadows", "delight", "murmuring",
+                     "don’t", "o’er", "naïve", "café", "qzz")),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzéöñçøİ’'", min_size=1, max_size=9),
+).flatmap(lambda w: st.sampled_from((w, w.upper(), w.capitalize())))
+_MEMO_TOKENS = st.tuples(_MEMO_WORDS, st.sampled_from(("", "", "7", "1914", "’s"))).map("".join)
+_MEMO_POEMS = st.lists(st.lists(_MEMO_TOKENS, min_size=1, max_size=8).map(" ".join),
+                       min_size=1, max_size=6).map("\n".join)
+
+
+@given(st.lists(_MEMO_POEMS, min_size=1, max_size=6))
+def test_run_stress_memo_equals_fresh_memo_and_reference(dictionary, texts):
+    shared: dict[str, str] = {}
+    for text in texts:
+        poem = parse_structure(text)
+        assert scan_poem(poem, dictionary, memo=shared) == scan_poem(poem, dictionary, memo={})
+        for line in poem.lines:
+            reference = "".join(_reference_stress(dictionary, w) for w in tokenize(line))
+            assert line_stress(line, dictionary, memo=shared).digits == reference
+    assert shared == {w: _reference_stress(dictionary, w) for w in shared}
+
+
+def test_each_run_scores_with_its_own_dictionary(tmp_path):
+    # "florbix" is 10 in one dictionary and ?? in the other; "upon" is 01 in both.
+    with_word, without_word = tmp_path / "with.dict", tmp_path / "without.dict"
+    with_word.write_text("UPON  AH0 P AA1 N\nFLORBIX  F L AO1 R B IH0 K S\n", encoding="utf-8")
+    without_word.write_text("UPON  AH0 P AA1 N\n", encoding="utf-8")
+    texts = ["upon florbix", "Florbix upon\nupon florbix"]
+    expected = {with_word: (0.5, 0.0), without_word: (0.75, 100.0)}
+    corpus = make_corpus(texts)
+    for path in (with_word, without_word, with_word):
+        stats = corpus_meter_stats(corpus, load_dictionary(path))
+        assert (stats.mean_iambic_score, stats.pct_dominant_iambic) == expected[path], path
+
+    corpus_path = tmp_path / "poems.jsonl"
+    corpus_path.write_text("".join(json.dumps({"id": f"p{i}", "text": t, "source": "human"}) + "\n"
+                                   for i, t in enumerate(texts)), encoding="utf-8")
+    for run, path in enumerate((with_word, without_word, with_word)):
+        out = tmp_path / f"out-{run}"
+        assert main(["meter", str(corpus_path), "--dict", str(path), "--out", str(out),
+                     "--format", "json"]) == 0
+        row = json.loads((out / "report.json").read_text(encoding="utf-8"))["tables"]["meter"][0]
+        assert (row["mean_iambic_score"], row["pct_dominant_iambic"]) == expected[path], path

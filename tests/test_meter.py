@@ -184,7 +184,7 @@ def test_vowel_less_unknown_words_are_unscannable(dictionary):
 
 
 def test_corpus_meter_stats_does_not_hide_other_value_errors(dictionary, monkeypatch):
-    def broken(poem, dictionary, threshold):
+    def broken(poem, *args, **kwargs):
         raise ValueError("not an unscannable poem")
 
     monkeypatch.setattr(meter, "iambic_score", broken)
