@@ -330,9 +330,9 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     Progress is persisted after every response; rerunning with resume skips
     specs already present in the output file with the model's source.
     Completed, failed and retried counts are logged at INFO every
-    PROGRESS_EVERY finished specs and once at the end. Requests hitting
-    throttle or server errors are retried with exponential backoff, or
-    after the delay a 429 or 503 asked for, each sleep capped at
+    PROGRESS_EVERY finished specs short of the last, and once at the end.
+    Requests hitting throttle or server errors are retried with exponential
+    backoff, or after the delay a 429 or 503 asked for, each sleep capped at
     MAX_BACKOFF_S; specs that still fail are recorded in a ".failures.jsonl"
     sidecar and skipped; the source's rows from earlier runs are dropped for
     specs complete or requested again. Any other error, AuthenticationError
@@ -373,7 +373,9 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
                 handle.write(json.dumps(row, ensure_ascii=False) + "\n")
             progress[outcome] += 1
             progress["retried"] += retries
-            if (progress["completed"] + progress["failed"]) % PROGRESS_EVERY == 0:
+            finished = progress["completed"] + progress["failed"]
+            # The last spec's counts are logged once, by the end-of-run line.
+            if finished % PROGRESS_EVERY == 0 and finished < len(pending):
                 log_progress("progress")
 
     def fetch(spec: PromptSpec) -> None:

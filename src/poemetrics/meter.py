@@ -62,15 +62,9 @@ def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary,
                     for w in tokens])
 
 
-def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0,
-                memo: dict[str, str] | None = None) -> StressSequence:
-    """Concatenated word stress patterns for one line of text.
-
-    memo is a token-to-stress memo shared with other calls of one run (see
-    _stress_digits); without one a fresh memo is used.
-    """
-    digits = _stress_digits(tokenize(line), dictionary, {} if memo is None else memo)
-    return StressSequence(digits=digits, line=line_index)
+def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
+    """Concatenated word stress patterns for one line of text."""
+    return StressSequence(digits=_stress_digits(tokenize(line), dictionary, {}), line=line_index)
 
 
 def alignment_score(digits: str, pattern: str = IAMB) -> float:

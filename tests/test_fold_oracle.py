@@ -34,10 +34,10 @@ from poemetrics.lexstats import (
 )
 from poemetrics.meter import (
     UnscannableError,
+    _stress_digits,
     corpus_meter_stats,
     estimate_syllables,
     iambic_score,
-    line_stress,
     scan_poem,
     word_stress,
 )
@@ -348,7 +348,7 @@ def test_run_stress_memo_equals_fresh_memo_and_reference(dictionary, texts):
         assert scan_poem(poem, dictionary, memo=shared) == scan_poem(poem, dictionary, memo={})
         for line in poem.lines:
             reference = "".join(_reference_stress(dictionary, w) for w in tokenize(line))
-            assert line_stress(line, dictionary, memo=shared).digits == reference
+            assert _stress_digits(tokenize(line), dictionary, shared) == reference
     assert shared == {w: _reference_stress(dictionary, w) for w in shared}
 
 

@@ -150,26 +150,31 @@ def test_retries_then_success(tmp_path, caplog):
     assert len(retries) == 2
 
 
-def test_progress_lines_count_completed_failed_and_retried(tmp_path, caplog, monkeypatch):
+@pytest.mark.parametrize("subjects, periodic", [
+    (("birth", "living", "love", "nature", "religion"), ["progress: 2", "progress: 4"]),
+    # A multiple of PROGRESS_EVERY: the last spec is logged once, by the end-of-run line.
+    (("birth", "living", "love", "nature"), ["progress: 2"]),
+])
+def test_progress_lines_count_completed_failed_and_retried(tmp_path, caplog, monkeypatch,
+                                                          subjects, periodic):
     monkeypatch.setattr(generate, "PROGRESS_EVERY", 2)
-    specs = build_grid(styles=("sonnet",), templates=("general",),
-                       subjects=("birth", "living", "love", "nature", "religion"))
+    specs = build_grid(styles=("sonnet",), templates=("general",), subjects=subjects)
     out = tmp_path / "out.jsonl"
-    # One spec retries twice and succeeds; one fails after two retries; three never fail.
+    # One spec retries twice and succeeds; one fails after two retries; the rest never fail.
     scripts = {"subject of love ": [500, 500], "subject of nature ": [500] * 5}
     with MockChatEndpoint(fail_first=scripts) as endpoint:
         client = ChatCompletionsClient(endpoint.url, "test-key")
         with caplog.at_level("INFO", logger="poemetrics.generate"):
             corpus = run_job(_job(specs, out, max_retries=2), client)
     lines = [r.getMessage() for r in caplog.records if "pending specs finished" in r.getMessage()]
-    assert [line.split(" of ")[0] for line in lines] == [
-        "progress: 2", "progress: 4", "run ended: 5"]
+    n = len(subjects)
+    assert [line.split(" of ")[0] for line in lines] == [*periodic, f"run ended: {n}"]
     sidecar = (tmp_path / "out.jsonl.failures.jsonl").read_text().splitlines()
     retries = [r for r in caplog.records if r.getMessage().startswith("retrying")]
     assert len(retries) == 4
-    assert lines[-1] == (f"run ended: 5 of 5 pending specs finished, {len(corpus)} completed, "
+    assert lines[-1] == (f"run ended: {n} of {n} pending specs finished, {len(corpus)} completed, "
                          f"{len(sidecar)} failed, {len(retries)} retries")
-    assert (len(corpus), len(sidecar)) == (4, 1)
+    assert (len(corpus), len(sidecar)) == (n - 1, 1)
 
 
 def test_failure_row_after_exhausted_retries(tmp_path):
