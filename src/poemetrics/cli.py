@@ -7,7 +7,9 @@ tables/ (CSV or JSON), grids/ (occupancy matrices), plots/ (optional SVG),
 annotations/ (optional per-poem rhyme) and a combined report.json. Invalid
 input is rejected before any output is written: exit 1 for a corpus problem,
 2 for a flag value. Output is deterministic: identical inputs and flags produce
-byte-identical reports; analysis runs in one thread (--threads has no effect).
+byte-identical reports. --threads N scores the poems in N forked worker
+processes; their numbers are folded here in input order, the same additions in
+the same order as scoring in process, so the bytes do not depend on N.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ from .meter import corpus_meter_stats  # noqa: F401
 from .rhyme import corpus_rhyme_stats  # noqa: F401
 from .structure import length_summary, quatrain_stats  # noqa: F401
 
+logger = logging.getLogger(__name__)
+
 ALL_STYLES = "ALL"
 UNLABELED = "(none)"
 
@@ -127,50 +131,129 @@ class _Group:
     touchstones: list[int] = field(default_factory=lambda: [0] * len(DEFAULT_TOUCHSTONE_GROUPS))
 
 
-def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared):
-    """Score every poem once, in input order, computing only the families asked for.
+# Contiguous poems of one corpus per worker task under --threads N > 1.
+_CHUNK_POEMS = 400
 
-    Each non-blank line is tokenized once, on the poem's first read of its tokens,
-    and end words, meter, pronouns, touchstones and word counts all come from
-    them. Meter's token-to-stress memo lives for this call only. Each poem is
-    added to its corpus's ALL group and to its style's group (keyed by
-    record.style, None for unlabeled) and then dropped. Returns per
-    corpus those groups and the --per-poem JSON lines, and the WordCounts of
-    the first `compared` corpora.
+# The run a scoring worker process serves; set by _start_worker, in workers only.
+_worker_run: tuple = ()
+
+
+def _score_poems(records, families, dictionary, threshold, per_poem, stress, counted):
+    """Score each record once, in input order, computing only the families asked for.
+
+    Yields per poem its style, line count, stanza sizes, rhyme counts, --per-poem
+    line, meter scan, pronoun counts and touchstone hits; a family not asked for
+    yields None. Each non-blank line is tokenized once, on the poem's first read
+    of its tokens, and end words, meter, pronouns, touchstones and word counts
+    all come from them. stress is the token-to-stress memo of this process's run
+    (see meter.scan_poem). Each poem's tokens are added to counted, unless None.
+    """
+    for record in records:
+        poem = parse_structure(record)
+        rhyme = line = scan = pronouns = hits = None
+        if counted is not None or "lexstats" in families:
+            words = tuple(chain.from_iterable(poem.tokens))
+        if counted is not None:
+            counted.add(words)
+        if "rhyme" in families:
+            annotation = annotate_rhymes(poem, dictionary)
+            rhyme = annotation.counts()
+            if per_poem:
+                line = json.dumps({**annotation.to_json_dict(), "id": record.id},
+                                  ensure_ascii=False, sort_keys=True)
+        if "meter" in families:
+            scan = scan_poem(poem, dictionary, threshold, stress)
+        if "lexstats" in families:
+            pronouns, hits = pronoun_counts(words), touchstone_hits(words)
+        yield record.style, poem.line_count, poem.stanza_sizes, rhyme, line, scan, pronouns, hits
+
+
+def _fold_poems(scored, scores, families) -> None:
+    """Add each poem's _score_poems numbers to its corpus's ALL group and its style's group.
+
+    scored is the corpus's (ALL group, groups by style, --per-poem lines).
+    """
+    everything, by_style, lines = scored
+    for style, line_count, stanza_sizes, rhyme, line, scan, pronouns, hits in scores:
+        for group in (everything, by_style[style]):
+            group.line_counts[line_count] += 1
+            group.quatrains.add(stanza_sizes)
+            if rhyme is not None:
+                group.rhyme.add(rhyme)
+            if "meter" in families:
+                group.meter.add(scan)
+            if pronouns is not None:
+                group.pronouns = list(map(add, group.pronouns, pronouns))
+                group.touchstones = list(map(add, group.touchstones, hits))
+        if line is not None:
+            lines.append(line)
+
+
+def _start_worker(*run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _score_chunk(chunk: tuple[int, int]):
+    """A worker's _score_poems list of the chunk (corpus index, first poem), with its WordCounts."""
+    i, start = chunk
+    corpora, families, dictionary, threshold, per_poem, compared, stopwords, stress = _worker_run
+    counted = WordCounts(stopwords) if i < compared else None
+    records = corpora[i].records[start:start + _CHUNK_POEMS]
+    return list(_score_poems(records, families, dictionary, threshold, per_poem, stress,
+                             counted)), counted
+
+
+def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared, processes,
+                   meanwhile):
+    """Score every poem once and fold it into its groups, calling meanwhile() alongside.
+
+    Returns per corpus its ALL group, its groups by style (keyed by record.style,
+    None for unlabeled) and its --per-poem lines; the WordCounts of the first
+    `compared` corpora; and meanwhile's result. With processes > 1 where fork is
+    available, each corpus is cut into chunks of _CHUNK_POEMS poems, which
+    min(processes, chunks) forked workers score while this process runs
+    meanwhile(); the chunks are folded here in input order, so every float sum
+    is added in the same order as in process, and integer word counts merge
+    exactly. Otherwise each poem is scored and folded here as it is read. Each
+    process keeps its own meter stress memo, dropped when this call returns.
     """
     stopwords = load_stopwords() if compared else frozenset()
-    scored, counted = [], [WordCounts(stopwords) for _ in corpora[:compared]]
+    counted = [WordCounts(stopwords) for _ in corpora[:compared]]
+    scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
+    poems = sum(map(len, corpora))
+    if processes > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            chunks = [(i, start) for i, corpus in enumerate(corpora)
+                      for start in range(0, len(corpus), _CHUNK_POEMS)]
+            workers = min(processes, len(chunks))
+            logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
+                        workers)
+            run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords, {})
+            # With fork, run reaches each worker unpickled; only chunks and results travel.
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                       _start_worker, run)
+            try:
+                results = pool.map(_score_chunk, chunks)
+                done = meanwhile()
+                for (i, _), (scores, counts) in zip(chunks, results):
+                    _fold_poems(scored[i], scores, families)
+                    if counts is not None:
+                        counted[i].update(counts)
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return scored, counted, done
+    logger.info("scoring %d poems in process", poems)
     stress: dict[str, str] = {}
     for i, corpus in enumerate(corpora):
-        everything, by_style, lines = _Group(), defaultdict(_Group), []
-        for record in corpus.records:
-            poem = parse_structure(record)
-            groups = (everything, by_style[record.style])
-            for group in groups:
-                group.line_counts[poem.line_count] += 1
-                group.quatrains.add(poem.stanza_sizes)
-            if i < compared or "lexstats" in families:
-                words = tuple(chain.from_iterable(poem.tokens))
-            if i < compared:
-                counted[i].add(words)
-            if "rhyme" in families:
-                annotation = annotate_rhymes(poem, dictionary)
-                for group in groups:
-                    group.rhyme.add(annotation)
-                if per_poem:
-                    lines.append(json.dumps({**annotation.to_json_dict(), "id": record.id},
-                                            ensure_ascii=False, sort_keys=True))
-            if "meter" in families:
-                scan = scan_poem(poem, dictionary, threshold, stress)
-                for group in groups:
-                    group.meter.add(scan)
-            if "lexstats" in families:
-                pronouns, hits = pronoun_counts(words), touchstone_hits(words)
-                for group in groups:
-                    group.pronouns = list(map(add, group.pronouns, pronouns))
-                    group.touchstones = list(map(add, group.touchstones, hits))
-        scored.append((everything, by_style, lines))
-    return scored, counted
+        _fold_poems(scored[i], _score_poems(corpus.records, families, dictionary, threshold,
+                                            per_poem, stress,
+                                            counted[i] if i < compared else None), families)
+    return scored, counted, meanwhile()
 
 
 def _group_rows(group: _Group, s: LengthSummary, families: tuple[str, ...]) -> dict[str, dict]:
@@ -378,15 +461,19 @@ def cmd_analyze(args) -> int:
     )
     corpora = _load_corpora(args.corpus, args)
     per_poem = args.per_poem and "rhyme" in families
-    scored, counted = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
-                                     per_poem, 2 if compare else 0)
+
+    def occupancy():
+        if "structure" not in families:
+            return {}
+        return {c.label: occupancy_heatmap(c, settings.heatmap_rows, settings.heatmap_cols)
+                for c in corpora}
+
+    scored, counted, grids = _score_corpora(corpora, families, dictionary,
+                                            settings.iambic_threshold, per_poem,
+                                            2 if compare else 0, args.threads, occupancy)
     tables, boxplots = _fold_tables(corpora, scored, families)
     if compare:
         tables.update(_compare_tables(*counted, settings))
-    grids = {}
-    if "structure" in families:
-        grids = {c.label: occupancy_heatmap(c, settings.heatmap_rows, settings.heatmap_cols)
-                 for c in corpora}
 
     out_dir = Path(args.out)
     if per_poem:
@@ -470,7 +557,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="poemetrics-out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table file format")
-    parser.add_argument("--threads", type=int, help="no effect; analysis runs in one thread")
+    parser.add_argument("--threads", type=_bounded(int, 1), default=1,
+                        help="worker processes for scoring poems (default 1: in this process); "
+                             "reports are byte-identical at every count")
     parser.add_argument("--emit-plots", action="store_true",
                         help="also write simple SVG plots")
     parser.add_argument("--min-docs", type=_bounded(int, 0), default=10,

@@ -215,6 +215,12 @@ class WordCounts:
         self.counts.update(eligible)
         self.doc_freq.update(set(eligible))
 
+    def update(self, other: WordCounts) -> None:
+        """Add the counts of other, counted with the same stopwords, to these."""
+        self.counts.update(other.counts)
+        self.doc_freq.update(other.doc_freq)
+        self.firsts.update(other.firsts)
+
 
 def _word_counts(corpus: Corpus, stopwords: frozenset[str] = frozenset()) -> WordCounts:
     """WordCounts of a corpus, each poem tokenized whole."""

@@ -68,6 +68,11 @@ class RhymeAnnotation:
     rhymed_fraction: float
     oov_end_words: tuple[str, ...]
 
+    def counts(self) -> tuple[bool, float, int, int]:
+        """What RhymeStats.add counts: any scheme, rhymed fraction, rhymed lines, lines."""
+        flags = self.rhymed_line_flags
+        return bool(self.schemes), self.rhymed_fraction, sum(flags), len(flags)
+
     @property
     def scheme_names(self) -> set[str]:
         return {m.scheme for m in self.schemes}
@@ -93,8 +98,9 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
     """
     n = poem.line_count
     words = tuple(map(_last_word, poem.tokens))
-    # lines_rhyme's test, with each end word's parts looked up once.
-    parts = [frozenset() if w is None else _rhyme_parts(dictionary, w) for w in words]
+    # lines_rhyme's test, with each distinct end word's parts looked up once.
+    found = {w: _rhyme_parts(dictionary, w) for w in dict.fromkeys(words) if w is not None}
+    parts = [found.get(w, frozenset()) for w in words]
 
     def r(i: int, j: int) -> bool:
         return not parts[i].isdisjoint(parts[j])
@@ -120,9 +126,8 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
         if r(i + 1, i + 3) and not abab:
             record("ABCB", (i + 1, i + 3))
 
-    oov = tuple(
-        sorted({w for w in words if w is not None and not dictionary.lookup(w)})
-    )
+    # _rhyme_parts memoizes every dictionary word it looks up, and no other word.
+    oov = tuple(sorted(w for w in found if w.lower() not in dictionary.rhyme_part_memo))
     return RhymeAnnotation(
         end_words=words,
         rhymed_line_flags=tuple(flags),
@@ -146,14 +151,14 @@ class RhymeStats:
     rhymed_lines: int = 0
     lines: int = 0
 
-    def add(self, annotation: RhymeAnnotation) -> None:
-        """Count one poem's annotation."""
-        flags = annotation.rhymed_line_flags
-        self.poems_with_rhyme += bool(annotation.schemes)
+    def add(self, counts: tuple[bool, float, int, int]) -> None:
+        """Count one poem's RhymeAnnotation.counts()."""
+        rhymed, fraction, rhymed_lines, lines = counts
+        self.poems_with_rhyme += rhymed
         self.poem_count += 1
-        self.rhymed_fraction_sum += annotation.rhymed_fraction
-        self.rhymed_lines += sum(flags)
-        self.lines += len(flags)
+        self.rhymed_fraction_sum += fraction
+        self.rhymed_lines += rhymed_lines
+        self.lines += lines
 
     @property
     def poems_with_rhyme_pct(self) -> float:
@@ -174,5 +179,5 @@ def corpus_rhyme_stats(corpus: Corpus, dictionary: PronouncingDictionary) -> Rhy
         raise ValueError("empty corpus")
     stats = RhymeStats()
     for record in corpus.records:
-        stats.add(annotate_rhymes(parse_structure(record), dictionary))
+        stats.add(annotate_rhymes(parse_structure(record), dictionary).counts())
     return stats

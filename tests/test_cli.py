@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from poemetrics import lexstats, meter, rhyme, structure
+from poemetrics import cli, lexstats, meter, rhyme, structure
 from poemetrics.cli import main
 from poemetrics.corpus import EXPECTED_FORM_LENGTHS, load_corpus, strip_prefatory
 
@@ -62,6 +64,72 @@ def test_analyze_is_deterministic_across_thread_counts(tmp_path):
     assert main([*args, "--out", str(out1), "--threads", "1"]) == 0
     assert main([*args, "--out", str(out8), "--threads", "8"]) == 0
     assert _tree_bytes(out1) == _tree_bytes(out8)
+
+
+def _styled_corpus(path: Path, size: int, offset: int) -> str:
+    """size poems drawn in turn from both fixtures, styled sonnet, ode, unlabeled and haiku."""
+    texts = [r.text for p in (HUMAN, GPT) for r in load_corpus(p)]
+    styles = ("sonnet", "ode", None, "haiku")
+    rows = [{"id": f"{path.stem}-{i}", "text": texts[(offset + i) % len(texts)], "source": "human",
+             **({"style": styles[i % 4]} if styles[i % 4] else {})} for i in range(size)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("sizes, flags", [
+    ((9,), ["--per-poem", "--emit-plots"]),
+    ((7, 3, 10), ["--compare", "--min-docs", "1", "--per-poem", "--emit-plots", "--format", "json"]),
+], ids=["one-corpus", "three-corpora"])
+def test_process_pool_is_byte_identical_across_chunk_edges(sizes, flags, tmp_path, monkeypatch,
+                                                           caplog):
+    # Chunks of 2 poems end inside style groups and split each corpus; fork carries the patch.
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 2)
+    caplog.set_level(logging.INFO, logger=cli.__name__)
+    corpora = [_styled_corpus(tmp_path / f"c{i}.jsonl", n, 3 * i) for i, n in enumerate(sizes)]
+    trees = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        assert main(["analyze", *corpora, *flags, "--threads", str(threads),
+                     "--out", str(out)]) == 0
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1] == trees[2]
+    chunks = sum((n + 1) // 2 for n in sizes)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"scoring {sum(sizes)} poems in process",
+        f"scoring {sum(sizes)} poems in {chunks} chunks on 2 processes",
+        f"scoring {sum(sizes)} poems in {chunks} chunks on 3 processes",
+    ]
+
+
+def test_worker_error_is_one_error_line_and_leaves_no_process(tmp_path, monkeypatch, capsys):
+    annotate = cli.annotate_rhymes
+
+    def fail_on_one_poem(poem, dictionary):
+        if poem.lines[0].startswith("Upon the hill"):
+            raise ValueError("cannot annotate this poem")
+        return annotate(poem, dictionary)
+
+    monkeypatch.setattr(cli, "annotate_rhymes", fail_on_one_poem)
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 1)
+    out = tmp_path / "o"
+    assert main(["analyze", HUMAN, GPT, "--per-poem", "--threads", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: cannot annotate this poem\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_verbose_analyze_logs_how_poems_are_scored(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger=cli.__name__)
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 3)
+    args = ["analyze", HUMAN, GPT, "-v", "--compare", "--min-docs", "1", "--format", "json"]
+    assert main([*args, "--threads", "2", "--out", str(tmp_path / "pool")]) == 0
+    # Without fork the poems are scored in this process, with the same bytes.
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert main([*args, "--threads", "2", "--out", str(tmp_path / "fallback")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "scoring 8 poems in 4 chunks on 2 processes", "scoring 8 poems in process"]
+    assert _tree_bytes(tmp_path / "pool") == _tree_bytes(tmp_path / "fallback")
+    assert b"scoring" not in (tmp_path / "pool" / "report.json").read_bytes()
 
 
 def test_analyze_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -393,12 +461,13 @@ def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
     (["generate", "--max-output-tokens", "0"], "must be at least 1, got 0"),
     (["generate", "--styles", "free-verse"], "invalid choice: 'free-verse'"),
     (["compare", HUMAN, GPT, "--min-docs", "-3"], "must be at least 0, got -3"),
+    (["analyze", GPT, "--threads", "0"], "must be at least 1, got 0"),
 ], ids=["heatmap-rows", "heatmap-cols", "top-k", "concurrency", "max-retries",
         "timeout-zero", "timeout-inf", "rate-limit-zero", "rate-limit-negative", "rate-limit-nan",
         "alpha-total-zero", "alpha-total-negative", "alpha-total-nan", "iambic-threshold-nan",
         "iambic-threshold-above-1", "iambic-threshold-negative", "temperature-nan",
         "temperature-negative", "temperature-inf", "max-output-tokens-zero", "styles-free-verse",
-        "min-docs-negative"])
+        "min-docs-negative", "threads-zero"])
 def test_out_of_range_flag_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     from mock_server import MockChatEndpoint
 
@@ -569,15 +638,24 @@ def test_verbose_flag_logs_pending_count(tmp_path):
     assert verbose.stdout == quiet.stdout.replace("quiet", "verbose")
 
 
-def test_import_loads_no_http_stack():
-    # generate imports urllib.request only when it sends a request.
+def _loaded_by_importing_cli(modules: set[str]) -> str:
+    """Which of modules a fresh `import poemetrics.cli` loads, as a printed sorted list."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, poemetrics.cli; "
-            "print(sorted({'requests', 'http.client', 'urllib.request'} & set(sys.modules)))")
+    code = f"import sys, poemetrics.cli; print(sorted({modules!r} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_import_loads_no_http_stack():
+    # generate imports urllib.request only when it sends a request.
+    assert _loaded_by_importing_cli({"requests", "http.client", "urllib.request"}) == "[]\n"
+
+
+def test_import_loads_no_process_pool():
+    # analyze imports them only to score with --threads N > 1.
+    assert _loaded_by_importing_cli({"multiprocessing", "concurrent.futures.process"}) == "[]\n"
 
 
 TRACED_ANALYZE = """

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,35 @@ _LINE = st.lists(
 def test_annotation_end_words_are_the_line_end_words(dictionary, text):
     poem = parse_structure(text)
     assert annotate_rhymes(poem, dictionary).end_words == tuple(map(end_word, poem.lines))
+
+
+class _CountingLookups:
+    """A dictionary's lookups, counted per word, behind a rhyme memo of its own."""
+
+    def __init__(self, dictionary):
+        self.dictionary, self.rhyme_part_memo, self.looked_up = dictionary, {}, Counter()
+
+    def lookup(self, word):
+        self.looked_up[word.lower()] += 1
+        return self.dictionary.lookup(word)
+
+
+# Lines whose end words repeat, rhyme, or are unknown.
+_OOV_LINE = st.lists(
+    st.one_of(st.sampled_from(["day", "way", "zzyzzx", "na\u00efve", "1914", "--"]),
+              st.text(alphabet="abdeyz\u00e9", min_size=1, max_size=4)),
+    min_size=1, max_size=3,
+).map(" ".join)
+
+
+@given(st.lists(_OOV_LINE, min_size=1, max_size=9).map("\n".join))
+def test_oov_end_words_come_from_one_lookup_per_end_word(dictionary, text):
+    counting = _CountingLookups(dictionary)
+    annotation = annotate_rhymes(parse_structure(text), counting)
+    words = annotation.end_words
+    assert list(annotation.oov_end_words) == sorted(
+        {w for w in words if w and not dictionary.lookup(w)})
+    assert max(counting.looked_up.values(), default=0) <= 1
 
 
 def test_lines_rhyme_examples(dictionary):
@@ -208,5 +238,5 @@ def test_fold_rhyme_stats_adds_fractions_left_to_right():
                                  rhymed_fraction=0.1, oov_end_words=())
     stats = RhymeStats()
     for _ in range(10):
-        stats.add(annotation)
+        stats.add(annotation.counts())
     assert stats.avg_rhymed_fraction == 0.09999999999999999
