@@ -58,15 +58,16 @@ def _valid_phoneme(phoneme: str) -> bool:
 class PronouncingDictionary:
     """Word -> pronunciation variants, keyed case-insensitively.
 
-    The memo tables hold a word's rhyme parts and stress string, filled on
-    first use and only for words in the dictionary, so they never outgrow it.
-    Threads may fill them at once without a lock: a race stores the same value.
+    The memo tables map each token asked about, known or not, to its rhyme
+    parts (None when unknown) and stress string. A scoring run fills those of
+    its own dataclasses.replace copy, which shares entries and starts empty.
+    Threads may fill them at once without a lock: a race stores equal values.
     """
 
     entries: dict[str, tuple[Variant, ...]]
     source_sha256: str
     skipped_lines: int = 0
-    rhyme_part_memo: dict[str, frozenset[Variant]] = field(
+    rhyme_part_memo: dict[str, frozenset[Variant] | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     stress_memo: dict[str, str] = field(
         default_factory=dict, init=False, repr=False, compare=False)

@@ -7,7 +7,7 @@ tables/ (CSV or JSON), grids/ (occupancy matrices), plots/ (optional SVG),
 annotations/ (optional per-poem rhyme) and a combined report.json. Invalid
 input is rejected before any output is written: exit 1 for a corpus problem,
 2 for a flag value. Output is deterministic: identical inputs and flags produce
-byte-identical reports. --threads N scores the poems in N forked worker
+byte-identical reports. --threads N scores the poems in up to N forked worker
 processes; their numbers are folded here in input order, the same additions in
 the same order as scoring in process, so the bytes do not depend on N.
 """
@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from operator import add
 from pathlib import Path
@@ -138,15 +138,14 @@ _CHUNK_POEMS = 400
 _worker_run: tuple = ()
 
 
-def _score_poems(records, families, dictionary, threshold, per_poem, stress, counted):
+def _score_poems(records, families, dictionary, threshold, per_poem, counted):
     """Score each record once, in input order, computing only the families asked for.
 
     Yields per poem its style, line count, stanza sizes, rhyme counts, --per-poem
     line, meter scan, pronoun counts and touchstone hits; a family not asked for
     yields None. Each non-blank line is tokenized once, on the poem's first read
     of its tokens, and end words, meter, pronouns, touchstones and word counts
-    all come from them. stress is the token-to-stress memo of this process's run
-    (see meter.scan_poem). Each poem's tokens are added to counted, unless None.
+    all come from them. Each poem's tokens are added to counted, unless None.
     """
     for record in records:
         poem = parse_structure(record)
@@ -162,7 +161,7 @@ def _score_poems(records, families, dictionary, threshold, per_poem, stress, cou
                 line = json.dumps({**annotation.to_json_dict(), "id": record.id},
                                   ensure_ascii=False, sort_keys=True)
         if "meter" in families:
-            scan = scan_poem(poem, dictionary, threshold, stress)
+            scan = scan_poem(poem, dictionary, threshold)
         if "lexstats" in families:
             pronouns, hits = pronoun_counts(words), touchstone_hits(words)
         yield record.style, poem.line_count, poem.stanza_sizes, rhyme, line, scan, pronouns, hits
@@ -197,11 +196,10 @@ def _start_worker(*run) -> None:
 def _score_chunk(chunk: tuple[int, int]):
     """A worker's _score_poems list of the chunk (corpus index, first poem), with its WordCounts."""
     i, start = chunk
-    corpora, families, dictionary, threshold, per_poem, compared, stopwords, stress = _worker_run
+    corpora, families, dictionary, threshold, per_poem, compared, stopwords = _worker_run
     counted = WordCounts(stopwords) if i < compared else None
     records = corpora[i].records[start:start + _CHUNK_POEMS]
-    return list(_score_poems(records, families, dictionary, threshold, per_poem, stress,
-                             counted)), counted
+    return list(_score_poems(records, families, dictionary, threshold, per_poem, counted)), counted
 
 
 def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared, processes,
@@ -210,30 +208,32 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared,
 
     Returns per corpus its ALL group, its groups by style (keyed by record.style,
     None for unlabeled) and its --per-poem lines; the WordCounts of the first
-    `compared` corpora; and meanwhile's result. With processes > 1 where fork is
-    available, each corpus is cut into chunks of _CHUNK_POEMS poems, which
-    min(processes, chunks) forked workers score while this process runs
-    meanwhile(); the chunks are folded here in input order, so every float sum
-    is added in the same order as in process, and integer word counts merge
-    exactly. Otherwise each poem is scored and folded here as it is read. Each
-    process keeps its own meter stress memo, dropped when this call returns.
+    `compared` corpora; and meanwhile's result. Poems are scored on a copy of
+    dictionary whose memos start empty and are dropped on return. Each corpus is
+    cut into chunks of _CHUNK_POEMS poems; when min(processes, chunks) > 1 and
+    fork is available, that many forked workers, each with its own inherited
+    copy, score the chunks while this process runs meanwhile(); the chunks are
+    folded here in input order, so every float sum is added in the same order as
+    in process, and integer word counts merge exactly. Otherwise each poem is
+    scored and folded here as it is read.
     """
+    dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
     counted = [WordCounts(stopwords) for _ in corpora[:compared]]
     scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
     poems = sum(map(len, corpora))
-    if processes > 1:
+    chunks = [(i, start) for i, corpus in enumerate(corpora)
+              for start in range(0, len(corpus), _CHUNK_POEMS)]
+    workers = min(processes, len(chunks))
+    if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            chunks = [(i, start) for i, corpus in enumerate(corpora)
-                      for start in range(0, len(corpus), _CHUNK_POEMS)]
-            workers = min(processes, len(chunks))
             logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
                         workers)
-            run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords, {})
+            run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords)
             # With fork, run reaches each worker unpickled; only chunks and results travel.
             pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                        _start_worker, run)
@@ -248,11 +248,10 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared,
                 pool.shutdown(cancel_futures=True)
             return scored, counted, done
     logger.info("scoring %d poems in process", poems)
-    stress: dict[str, str] = {}
     for i, corpus in enumerate(corpora):
         _fold_poems(scored[i], _score_poems(corpus.records, families, dictionary, threshold,
-                                            per_poem, stress,
-                                            counted[i] if i < compared else None), families)
+                                            per_poem, counted[i] if i < compared else None),
+                    families)
     return scored, counted, meanwhile()
 
 
@@ -351,6 +350,10 @@ def _load_corpora(paths: list[str], args) -> list[Corpus]:
         )
         if not loaded.records:
             raise CorpusError(f"corpus has no poems: {raw}")
+        for record in loaded.records:
+            # These labels name the ALL and unlabeled rows; a style so named would share their key.
+            if record.style in (ALL_STYLES, UNLABELED):
+                raise CorpusError(f"{raw}: poem {record.id!r}: style {record.style!r} is reserved")
         label = loaded.label
         n = 2
         while label in labels_seen:

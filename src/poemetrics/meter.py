@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
@@ -38,33 +38,23 @@ class StressSequence:
 
 def word_stress(word: str, dictionary: PronouncingDictionary) -> str:
     """Stress symbols for one word, using its first dictionary variant."""
-    key = word.lower()
-    stress = dictionary.stress_memo.get(key)
-    if stress is None:
-        variants = dictionary.lookup(key)
-        if not variants:
-            return "?" * estimate_syllables(word)
-        pattern = stress_pattern(variants[0])
-        stress = "x" if len(pattern) == 1 else pattern.replace("2", "1")
-        dictionary.stress_memo[key] = stress
-    return stress
+    variants = dictionary.lookup(word)
+    if not variants:
+        return "?" * estimate_syllables(word)
+    pattern = stress_pattern(variants[0])
+    return "x" if len(pattern) == 1 else pattern.replace("2", "1")
 
 
-def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary,
-                   memo: dict[str, str]) -> str:
-    """The line's concatenated word_stress strings, each token's taken from memo.
-
-    memo maps a token to its word_stress under this dictionary, known word or
-    not; a missing entry is filled here. It belongs to one scoring run, which
-    makes it and drops it: the dictionary's own memo holds its words only.
-    """
+def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary) -> str:
+    """The tokens' word_stress strings joined, each memoized in dictionary.stress_memo."""
+    memo = dictionary.stress_memo
     return "".join([memo[w] if w in memo else memo.setdefault(w, word_stress(w, dictionary))
                     for w in tokens])
 
 
 def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
     """Concatenated word stress patterns for one line of text."""
-    return StressSequence(digits=_stress_digits(tokenize(line), dictionary, {}), line=line_index)
+    return StressSequence(digits=_stress_digits(tokenize(line), dictionary), line=line_index)
 
 
 def alignment_score(digits: str, pattern: str = IAMB) -> float:
@@ -99,16 +89,14 @@ def iambic_score(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
-    memo: dict[str, str] | None = None,
 ) -> MeterVerdict:
     """Mean per-line iambic alignment; dominant when the mean meets threshold.
 
     Lines with fewer than two resolvable (non-"?") syllables are not
-    scored; they still contribute to syllables_per_line. memo is the run's
-    token-to-stress memo (see _stress_digits); without one a fresh memo is used.
+    scored; they still contribute to syllables_per_line. Each token's stress
+    is memoized on the dictionary (see _stress_digits).
     """
-    memo = {} if memo is None else memo
-    digits = [_stress_digits(t, dictionary, memo) for t in poem.tokens]
+    digits = [_stress_digits(t, dictionary) for t in poem.tokens]
     scorable = [d for d in digits if len(d) - d.count("?") >= 2]
     if not scorable:
         raise UnscannableError("no scannable lines")
@@ -156,15 +144,14 @@ def scan_poem(
     poem: PoemStructure,
     dictionary: PronouncingDictionary,
     threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
-    memo: dict[str, str] | None = None,
 ) -> tuple[float, bool] | None:
     """(iambic score, dominant) of one poem, as iambic_score gives it; None when unscannable.
 
-    A run scoring many poems passes one memo to every call, so each distinct
-    token's stress is worked out once per run (see _stress_digits).
+    A run scoring many poems passes every call the same dictionary, so each
+    distinct token's stress is worked out once per run (see _stress_digits).
     """
     try:
-        verdict = iambic_score(poem, dictionary, threshold, memo)
+        verdict = iambic_score(poem, dictionary, threshold)
     except UnscannableError:
         return None
     return verdict.iambic_score, verdict.dominant
@@ -178,7 +165,7 @@ def corpus_meter_stats(
     """Share of poems whose mean line alignment is iambic-dominant."""
     if not len(corpus):
         raise ValueError("empty corpus")
-    stats, memo = CorpusMeterStats(), {}
+    stats, run = CorpusMeterStats(), replace(dictionary)  # with memos for this call only
     for record in corpus.records:
-        stats.add(scan_poem(parse_structure(record), dictionary, threshold, memo))
+        stats.add(scan_poem(parse_structure(record), run, threshold))
     return stats

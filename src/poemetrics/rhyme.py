@@ -10,7 +10,7 @@ affect detection.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
 from .corpus import Corpus
@@ -27,21 +27,18 @@ def end_word(line: str) -> str | None:
     return _last_word(tokenize(line))
 
 
-def _rhyme_parts(dictionary: PronouncingDictionary, word: str) -> frozenset[Variant]:
-    key = word.lower()
-    parts = dictionary.rhyme_part_memo.get(key)
-    if parts is None:
-        variants = dictionary.lookup(key)
-        found = set()
-        for variant in variants:
-            try:
-                found.add(rhyme_part(variant))
-            except ValueError:
-                continue
-        parts = frozenset(found)
-        if variants:
-            dictionary.rhyme_part_memo[key] = parts
-    return parts
+def _rhyme_parts(dictionary: PronouncingDictionary, word: str) -> frozenset[Variant] | None:
+    """The rhyming parts of the word's variants; None when it is not in the dictionary."""
+    variants = dictionary.lookup(word)
+    if not variants:
+        return None
+    found = set()
+    for variant in variants:
+        try:
+            found.add(rhyme_part(variant))
+        except ValueError:
+            continue
+    return frozenset(found)
 
 
 def lines_rhyme(word_a: str | None, word_b: str | None, dictionary: PronouncingDictionary) -> bool:
@@ -51,7 +48,8 @@ def lines_rhyme(word_a: str | None, word_b: str | None, dictionary: PronouncingD
     """
     if word_a is None or word_b is None:
         return False
-    return not _rhyme_parts(dictionary, word_a).isdisjoint(_rhyme_parts(dictionary, word_b))
+    parts_a, parts_b = _rhyme_parts(dictionary, word_a), _rhyme_parts(dictionary, word_b)
+    return parts_a is not None and parts_b is not None and not parts_a.isdisjoint(parts_b)
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,16 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
     when (i, i+2) and (i+1, i+3) rhyme, ABBA when (i, i+3) and (i+1, i+2)
     rhyme, and ABCB when (i+1, i+3) rhyme without ABAB holding on the same
     window. A line is flagged when it is bound by a matched pair in any
-    detected window.
+    detected window. Each end word's rhyming parts are memoized in
+    dictionary.rhyme_part_memo, None for a word not in the dictionary.
     """
     n = poem.line_count
     words = tuple(map(_last_word, poem.tokens))
-    # lines_rhyme's test, with each distinct end word's parts looked up once.
-    found = {w: _rhyme_parts(dictionary, w) for w in dict.fromkeys(words) if w is not None}
-    parts = [found.get(w, frozenset()) for w in words]
+    memo = dictionary.rhyme_part_memo
+    found = {w: memo[w] if w in memo else memo.setdefault(w, _rhyme_parts(dictionary, w))
+             for w in dict.fromkeys(words) if w is not None}
+    # lines_rhyme's test: a missing or unknown end word rhymes with nothing.
+    parts = [found.get(w) or frozenset() for w in words]
 
     def r(i: int, j: int) -> bool:
         return not parts[i].isdisjoint(parts[j])
@@ -126,8 +127,7 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
         if r(i + 1, i + 3) and not abab:
             record("ABCB", (i + 1, i + 3))
 
-    # _rhyme_parts memoizes every dictionary word it looks up, and no other word.
-    oov = tuple(sorted(w for w in found if w.lower() not in dictionary.rhyme_part_memo))
+    oov = tuple(sorted(w for w, p in found.items() if p is None))
     return RhymeAnnotation(
         end_words=words,
         rhymed_line_flags=tuple(flags),
@@ -177,7 +177,7 @@ def corpus_rhyme_stats(corpus: Corpus, dictionary: PronouncingDictionary) -> Rhy
     """Share of poems with any detected scheme and mean rhymed-line fraction."""
     if not len(corpus):
         raise ValueError("empty corpus")
-    stats = RhymeStats()
+    stats, run = RhymeStats(), replace(dictionary)  # with memos for this call only
     for record in corpus.records:
-        stats.add(annotate_rhymes(parse_structure(record), dictionary).counts())
+        stats.add(annotate_rhymes(parse_structure(record), run).counts())
     return stats

@@ -45,6 +45,8 @@ IAMBIC_LINE = "Upon a stage where shadows nightly reign"
 
 @pytest.fixture(scope="session")
 def dictionary():
+    """The bundled dictionary, shared by every test. Its memos collect each word any test
+    asks about, so a test that asserts memo contents loads a dictionary of its own."""
     return load_bundled_dictionary()
 
 

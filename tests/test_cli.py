@@ -132,6 +132,14 @@ def test_verbose_analyze_logs_how_poems_are_scored(tmp_path, monkeypatch, caplog
     assert b"scoring" not in (tmp_path / "pool" / "report.json").read_bytes()
 
 
+def test_one_chunk_is_scored_in_process(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger=cli.__name__)
+    assert main(["analyze", HUMAN, "-v", "--threads", "4", "--out", str(tmp_path / "o")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"scoring {len(load_corpus(HUMAN))} poems in process"]
+    assert multiprocessing.active_children() == []
+
+
 def test_analyze_output_does_not_depend_on_the_hash_seed(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     trees = []
@@ -375,19 +383,25 @@ def _lengths_rows(tmp_path, records: list[dict]) -> list[tuple[str, int, float]]
 
 
 def test_group_rows_are_all_then_sorted_styles_then_unlabeled(tmp_path):
-    # A style spelled like the unlabeled row's label still gets a row of its own.
-    records = [{"id": "a", "text": "one line", "source": "human", "style": "(none)"},
+    records = [{"id": "a", "text": "one line", "source": "human", "style": "sonnet"},
                {"id": "b", "text": "one line", "source": "human", "style": "ode"},
                {"id": "c", "text": "one line", "source": "human"}]
     assert [row[:2] for row in _lengths_rows(tmp_path, records)] == [
-        ("ALL", 3), ("(none)", 1), ("ode", 1), ("(none)", 1)]
+        ("ALL", 3), ("ode", 1), ("sonnet", 1), ("(none)", 1)]
 
 
-def test_literal_none_style_row_holds_its_own_poems(tmp_path):
-    records = [{"id": "a", "text": "two\nlines", "source": "human", "style": "(none)"},
-               {"id": "c", "text": "one line", "source": "human"}]
-    assert _lengths_rows(tmp_path, records) == [
-        ("ALL", 2, 1.5), ("(none)", 1, 2.0), ("(none)", 1, 1.0)]
+def test_literal_none_style_row_holds_its_own_poems(tmp_path, capsys):
+    # A style spelled like the ALL or unlabeled row's label would share that row's key.
+    for style in ("ALL", "(none)"):
+        records = [{"id": "c", "text": "one line", "source": "human"},
+                   {"id": "a", "text": "two\nlines", "source": "human", "style": style}]
+        corpus_path = tmp_path / "styled.jsonl"
+        corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        assert main(["analyze", str(corpus_path), "--per-poem", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}: poem 'a': style {style!r} is reserved\n")
+        assert not out.exists()
 
 
 def test_directory_corpus_with_source_default(tmp_path):

@@ -1,8 +1,8 @@
 """Oracles for analyze's fast path.
 
 analyze scores each poem once and folds every (corpus, style) table row
-from those per-poem results, with per-word dictionary work memoized on the
-dictionary and each token's stress memoized for the run. Each line is
+from those per-poem results, with each end word's rhyme parts and each
+token's stress memoized on the run's copy of the dictionary. Each line is
 tokenized once, and pronoun, touchstone and log-odds counts come from those
 tokens. These tests rebuild the rows and the per-word results with plain
 loops over the reference functions, or with the library functions that
@@ -15,12 +15,14 @@ import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import reduce
 from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from poemetrics import cli
 from poemetrics.arpabet import load_bundled_dictionary, load_dictionary, rhyme_part, stress_pattern
 from poemetrics.cli import main
 from poemetrics.corpus import EXPECTED_FORM_LENGTHS, Corpus, load_corpus, strip_prefatory
@@ -39,12 +41,11 @@ from poemetrics.meter import (
     estimate_syllables,
     iambic_score,
     scan_poem,
-    word_stress,
 )
-from poemetrics.rhyme import _rhyme_parts, annotate_rhymes, corpus_rhyme_stats
+from poemetrics.rhyme import annotate_rhymes, corpus_rhyme_stats, end_word
 from poemetrics.structure import parse_structure, summarize_lengths
 
-from conftest import make_corpus
+from conftest import DATA_DIR, make_corpus
 
 STYLES = ("sonnet", "haiku", "free verse", "ballad", None)
 VOWEL_LESS = ("qzz", "xvv", "brr", "tsk", "pfft", "hmm")
@@ -271,29 +272,42 @@ def _reference_stress(dictionary, word):
     return "x" if len(pattern) == 1 else pattern.replace("2", "1")
 
 
+def _memo_parts(dictionary, word):
+    """What annotate_rhymes memoizes for an end word: its reference parts, None when unknown."""
+    return _reference_parts(dictionary, word) if dictionary.lookup(word) else None
+
+
 def test_memoized_word_work_equals_uncached_reference():
     dictionary = load_bundled_dictionary()
     assert not dictionary.rhyme_part_memo and not dictionary.stress_memo
     words = [*dictionary.words(), *PROBE_WORDS]
-    reference = {w: (_reference_parts(dictionary, w), _reference_stress(dictionary, w))
-                 for w in words}
+    poem = parse_structure("\n".join(words))
+    ends = set(filter(None, map(end_word, poem.lines)))
+    stress = "".join(_reference_stress(dictionary, w) for w in words)
+    annotations = []
     for state in ("cold", "warm"):
-        for word, (parts, stress) in reference.items():
-            assert _rhyme_parts(dictionary, word) == parts, (state, word)
-            assert word_stress(word, dictionary) == stress, (state, word)
-    assert len(dictionary.rhyme_part_memo) == len(dictionary.stress_memo) == len(dictionary)
+        for word in words:
+            assert _stress_digits((word,), dictionary) == _reference_stress(dictionary, word), (
+                state, word)
+        assert _stress_digits(words, dictionary) == stress, state
+        annotations.append(annotate_rhymes(poem, dictionary))
+        assert dictionary.rhyme_part_memo == {w: _memo_parts(dictionary, w) for w in ends}, state
+    assert annotations[0] == annotations[1]
+    assert annotations[0].oov_end_words == tuple(sorted(w for w in ends if w not in dictionary))
+    assert dictionary.stress_memo == {w: _reference_stress(dictionary, w) for w in words}
+    assert len(dictionary.stress_memo) == len(set(words)) > len(dictionary)
 
 
 def test_memo_filled_by_racing_threads_matches_reference():
     dictionary = load_bundled_dictionary()
     words = [*dictionary.words(), *PROBE_WORDS]
-    reference = {w: (_reference_parts(dictionary, w), _reference_stress(dictionary, w))
-                 for w in words}
+    stress = {w: _reference_stress(dictionary, w) for w in words}
 
     def check(offset):
         shifted = words[offset:] + words[:offset]
-        return all((_rhyme_parts(dictionary, w), word_stress(w, dictionary)) == reference[w]
-                   for w in shifted)
+        poem = parse_structure("\n".join(shifted))
+        return (all(_stress_digits((w,), dictionary) == stress[w] for w in shifted)
+                and annotate_rhymes(poem, dictionary) == annotate_rhymes(poem, replace(dictionary)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -303,30 +317,33 @@ def test_memo_filled_by_racing_threads_matches_reference():
             assert all(f.result(timeout=60) for f in futures)
     finally:
         sys.setswitchinterval(interval)
-    assert len(dictionary.rhyme_part_memo) == len(dictionary.stress_memo) == len(dictionary)
+    ends = set(filter(None, map(end_word, words)))
+    assert dictionary.rhyme_part_memo == {w: _memo_parts(dictionary, w) for w in ends}
+    assert dictionary.stress_memo == stress
+    assert len(dictionary.stress_memo) == len(set(words)) > len(dictionary)
 
 
-def test_memo_holds_only_dictionary_words():
+def test_scoring_leaves_the_given_dictionary_memos_empty(tmp_path, monkeypatch):
     dictionary = load_bundled_dictionary()
     rng = random.Random(7)
     known = rng.sample(dictionary.words(), 50)
-    nonce = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyzé") for _ in range(7))
-             for _ in range(2000)]
-    nonce = [w for w in nonce if w not in dictionary]
-    texts = [
-        "\n".join(
-            " ".join(rng.choice(known) if rng.random() < 0.1 else rng.choice(nonce)
-                     for _ in range(6))
-            for _ in range(4)
-        )
-        for _ in range(200)
-    ]
+    texts = ["\n".join(" ".join(rng.choice(known + ["florbix", "qzz"]) for _ in range(6))
+                       for _ in range(4))
+             for _ in range(20)]
     corpus = make_corpus(texts)
     corpus_rhyme_stats(corpus, dictionary)
     corpus_meter_stats(corpus, dictionary)
-    assert dictionary.rhyme_part_memo and dictionary.stress_memo
-    assert set(dictionary.rhyme_part_memo) <= set(known)
-    assert set(dictionary.stress_memo) <= set(known)
+    assert not dictionary.rhyme_part_memo and not dictionary.stress_memo
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_dictionary",
+                        lambda path: loaded.append(load_dictionary(path)) or loaded[-1])
+    paths = [str(DATA_DIR / "fixture_human.jsonl"), str(DATA_DIR / "fixture_gpt.jsonl")]
+    for threads in ("1", "2"):
+        assert main(["analyze", *paths, "--threads", threads,
+                     "--out", str(tmp_path / threads)]) == 0
+    assert len(loaded) == 2
+    assert all(not d.rhyme_part_memo and not d.stress_memo for d in loaded)
 
 
 # Dictionary words and nonce words: non-ASCII, mixed case, trailing digits, curly apostrophes.
@@ -342,14 +359,19 @@ _MEMO_POEMS = st.lists(st.lists(_MEMO_TOKENS, min_size=1, max_size=8).map(" ".jo
 
 @given(st.lists(_MEMO_POEMS, min_size=1, max_size=6))
 def test_run_stress_memo_equals_fresh_memo_and_reference(dictionary, texts):
-    shared: dict[str, str] = {}
+    # The session dictionary is warm with every word earlier examples and tests asked about.
     for text in texts:
         poem = parse_structure(text)
-        assert scan_poem(poem, dictionary, memo=shared) == scan_poem(poem, dictionary, memo={})
-        for line in poem.lines:
-            reference = "".join(_reference_stress(dictionary, w) for w in tokenize(line))
-            assert _stress_digits(tokenize(line), dictionary, shared) == reference
-    assert shared == {w: _reference_stress(dictionary, w) for w in shared}
+        fresh = replace(dictionary)
+        assert scan_poem(poem, dictionary) == scan_poem(poem, fresh)
+        annotation = annotate_rhymes(poem, dictionary)
+        assert annotation == annotate_rhymes(poem, fresh)
+        ends = set(filter(None, annotation.end_words))
+        assert fresh.rhyme_part_memo == {w: _memo_parts(dictionary, w) for w in ends}
+        for tokens in poem.tokens:
+            reference = "".join(_reference_stress(dictionary, w) for w in tokens)
+            assert _stress_digits(tokens, dictionary) == reference
+        assert fresh.stress_memo == {w: _reference_stress(dictionary, w) for w in fresh.stress_memo}
 
 
 def test_each_run_scores_with_its_own_dictionary(tmp_path):

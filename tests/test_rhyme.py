@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from poemetrics.arpabet import PronouncingDictionary
 from poemetrics.lexstats import tokenize
 from poemetrics.rhyme import (
     RhymeAnnotation,
@@ -94,6 +95,24 @@ def test_oov_end_words_come_from_one_lookup_per_end_word(dictionary, text):
     assert list(annotation.oov_end_words) == sorted(
         {w for w in words if w and not dictionary.lookup(w)})
     assert max(counting.looked_up.values(), default=0) <= 1
+
+
+def test_corpus_rhyme_stats_looks_each_end_word_up_once(dictionary):
+    looked_up = Counter()
+
+    class Counting(PronouncingDictionary):
+        def lookup(self, word):
+            looked_up[word] += 1
+            return super().lookup(word)
+
+    # Unknown and known end words, each ending lines of several poems.
+    texts = ["the day\nof florbix\nin qzz", "florbix away\nthe day", "qzz\nflorbix\nday",
+             "a florbix\nzyxwvut\nthe qzz\nzyxwvut"]
+    counting = Counting(dictionary.entries, dictionary.source_sha256)
+    stats = corpus_rhyme_stats(make_corpus(texts), counting)
+    assert set(looked_up) == {"day", "florbix", "qzz", "away", "zyxwvut"}
+    assert max(looked_up.values()) == 1
+    assert stats == corpus_rhyme_stats(make_corpus(texts), dictionary)
 
 
 def test_lines_rhyme_examples(dictionary):
