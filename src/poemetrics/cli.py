@@ -62,20 +62,15 @@ from .lexstats import (
 )
 from .meter import CorpusMeterStats, scan_poem
 from .rhyme import RhymeStats, annotate_rhymes
-from .structure import (
-    LengthSummary,
-    QuatrainStats,
-    occupancy_heatmap,
-    parse_structure,
-    summarize_lengths,
-)
+from .structure import (LengthSummary, OccupancyGrid, QuatrainStats, parse_structure,
+                        summarize_lengths)
 from . import svgplot
 
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .lexstats import first_word_logodds, logodds, pronoun_profile, touchstone_coverage  # noqa: F401
 from .meter import corpus_meter_stats  # noqa: F401
 from .rhyme import corpus_rhyme_stats  # noqa: F401
-from .structure import length_summary, quatrain_stats  # noqa: F401
+from .structure import length_summary, occupancy_heatmap, quatrain_stats  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -141,8 +136,8 @@ _worker_run: tuple = ()
 def _score_poems(records, families, dictionary, threshold, per_poem, counted):
     """Score each record once, in input order, computing only the families asked for.
 
-    Yields per poem its style, line count, stanza sizes, rhyme counts, --per-poem
-    line, meter scan, pronoun counts and touchstone hits; a family not asked for
+    Yields per poem its line count, stanza sizes, rhyme counts, --per-poem line,
+    meter scan, pronoun counts and touchstone hits; a family not asked for
     yields None. Each non-blank line is tokenized once, on the poem's first read
     of its tokens, and end words, meter, pronouns, touchstones and word counts
     all come from them. Each poem's tokens are added to counted, unless None.
@@ -164,17 +159,21 @@ def _score_poems(records, families, dictionary, threshold, per_poem, counted):
             scan = scan_poem(poem, dictionary, threshold)
         if "lexstats" in families:
             pronouns, hits = pronoun_counts(words), touchstone_hits(words)
-        yield record.style, poem.line_count, poem.stanza_sizes, rhyme, line, scan, pronouns, hits
+        yield poem.line_count, poem.stanza_sizes, rhyme, line, scan, pronouns, hits
 
 
-def _fold_poems(scored, scores, families) -> None:
-    """Add each poem's _score_poems numbers to its corpus's ALL group and its style's group.
+def _fold_poems(scored, grid, records, scores, families) -> None:
+    """Add each record's _score_poems numbers to its corpus's ALL group and its style's group.
 
-    scored is the corpus's (ALL group, groups by style, --per-poem lines).
+    scored is the corpus's (ALL group, groups by style, --per-poem lines). Each
+    record's text is added to grid, the corpus's OccupancyGrid, unless it is None.
     """
     everything, by_style, lines = scored
-    for style, line_count, stanza_sizes, rhyme, line, scan, pronouns, hits in scores:
-        for group in (everything, by_style[style]):
+    for record, score in zip(records, scores):
+        line_count, stanza_sizes, rhyme, line, scan, pronouns, hits = score
+        if grid is not None:
+            grid.add(record.text)
+        for group in (everything, by_style[record.style]):
             group.line_counts[line_count] += 1
             group.quatrains.add(stanza_sizes)
             if rhyme is not None:
@@ -203,19 +202,20 @@ def _score_chunk(chunk: tuple[int, int]):
 
 
 def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared, processes,
-                   meanwhile):
-    """Score every poem once and fold it into its groups, calling meanwhile() alongside.
+                   grids):
+    """Score every poem once and fold it into its groups and its corpus's grid.
 
-    Returns per corpus its ALL group, its groups by style (keyed by record.style,
-    None for unlabeled) and its --per-poem lines; the WordCounts of the first
-    `compared` corpora; and meanwhile's result. Poems are scored on a copy of
-    dictionary whose memos start empty and are dropped on return. Each corpus is
-    cut into chunks of _CHUNK_POEMS poems; when min(processes, chunks) > 1 and
-    fork is available, that many forked workers, each with its own inherited
-    copy, score the chunks while this process runs meanwhile(); the chunks are
-    folded here in input order, so every float sum is added in the same order as
-    in process, and integer word counts merge exactly. Otherwise each poem is
-    scored and folded here as it is read.
+    grids holds one OccupancyGrid or None per corpus; each poem's text is added
+    to its corpus's grid as the poem is folded. Returns per corpus its ALL group,
+    its groups by style (keyed by record.style, None for unlabeled) and its
+    --per-poem lines; and the WordCounts of the first `compared` corpora. Poems
+    are scored on a copy of dictionary whose memos start empty and are dropped
+    on return. Each corpus is cut into chunks of _CHUNK_POEMS poems; when
+    min(processes, chunks) > 1 and fork is available, that many forked workers,
+    each with its own inherited copy, score the chunks, and this process folds
+    them, records and grids included, in input order, so every float sum is
+    added in the same order as in process, and integer word counts merge
+    exactly. Otherwise each poem is scored and folded here as it is read.
     """
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
@@ -239,20 +239,20 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared,
                                        _start_worker, run)
             try:
                 results = pool.map(_score_chunk, chunks)
-                done = meanwhile()
-                for (i, _), (scores, counts) in zip(chunks, results):
-                    _fold_poems(scored[i], scores, families)
+                for (i, start), (scores, counts) in zip(chunks, results):
+                    records = corpora[i].records[start:start + _CHUNK_POEMS]
+                    _fold_poems(scored[i], grids[i], records, scores, families)
                     if counts is not None:
                         counted[i].update(counts)
             finally:
                 pool.shutdown(cancel_futures=True)
-            return scored, counted, done
+            return scored, counted
     logger.info("scoring %d poems in process", poems)
     for i, corpus in enumerate(corpora):
-        _fold_poems(scored[i], _score_poems(corpus.records, families, dictionary, threshold,
-                                            per_poem, counted[i] if i < compared else None),
-                    families)
-    return scored, counted, meanwhile()
+        scores = _score_poems(corpus.records, families, dictionary, threshold, per_poem,
+                              counted[i] if i < compared else None)
+        _fold_poems(scored[i], grids[i], corpus.records, scores, families)
+    return scored, counted
 
 
 def _group_rows(group: _Group, s: LengthSummary, families: tuple[str, ...]) -> dict[str, dict]:
@@ -464,16 +464,11 @@ def cmd_analyze(args) -> int:
     )
     corpora = _load_corpora(args.corpus, args)
     per_poem = args.per_poem and "rhyme" in families
-
-    def occupancy():
-        if "structure" not in families:
-            return {}
-        return {c.label: occupancy_heatmap(c, settings.heatmap_rows, settings.heatmap_cols)
-                for c in corpora}
-
-    scored, counted, grids = _score_corpora(corpora, families, dictionary,
-                                            settings.iambic_threshold, per_poem,
-                                            2 if compare else 0, args.threads, occupancy)
+    grids = {c.label: OccupancyGrid(settings.heatmap_rows, settings.heatmap_cols)
+             for c in corpora} if "structure" in families else {}
+    scored, counted = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
+                                     per_poem, 2 if compare else 0, args.threads,
+                                     [grids.get(c.label) for c in corpora])
     tables, boxplots = _fold_tables(corpora, scored, families)
     if compare:
         tables.update(_compare_tables(*counted, settings))

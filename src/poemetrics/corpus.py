@@ -154,7 +154,19 @@ def _normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n")
 
 
-_OPTIONAL_FIELDS = ("style", "subject", "template", "title")
+_FIELDS = ("id", "text", "source", "style", "subject", "template", "title")
+_NOT_TEXT = {bool: "true or false", list: "an array", dict: "an object"}
+
+
+def _not_utf8(path: Path) -> CorpusError:
+    """The error for a corpus that is not UTF-8, naming the file and line of its first bad byte."""
+    for file in sorted(path.glob("*.txt")) if path.is_dir() else [path]:
+        data = file.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            return CorpusError(f"{file}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8")
 
 
 def _record_from_mapping(
@@ -164,25 +176,21 @@ def _record_from_mapping(
     default_source: str | None,
     default_style: str | None,
 ) -> PoemRecord:
-    text = raw.get("text")
-    if text is None or text == "":
-        raise CorpusError(f"{where}: missing required field 'text'")
-    source = raw.get("source") or default_source
-    if not source:
-        raise CorpusError(f"{where}: missing required field 'source'")
-    kwargs = {}
-    for key in _OPTIONAL_FIELDS:
+    values = {"id": fallback_id, "source": default_source, "style": default_style}
+    for key in _FIELDS:
         value = raw.get(key)
+        if type(value) in _NOT_TEXT:
+            raise CorpusError(f"{where}: field {key!r} must be a string or a number, "
+                              f"not {_NOT_TEXT[type(value)]}")
         if value is not None and value != "":
-            kwargs[key] = value
-    kwargs.setdefault("style", default_style)
+            values[key] = str(value)  # as a CSV cell reads: a JSON number becomes its text
+    if "text" not in values:
+        raise CorpusError(f"{where}: missing required field 'text'")
+    if not values["source"]:
+        raise CorpusError(f"{where}: missing required field 'source'")
+    values["text"] = _normalize_newlines(values["text"])
     try:
-        return PoemRecord(
-            id=str(raw.get("id") or fallback_id),
-            text=_normalize_newlines(str(text)),
-            source=str(source),
-            **kwargs,
-        )
+        return PoemRecord(**values)
     except CorpusError as exc:
         raise CorpusError(f"{where}: {exc}") from exc
 
@@ -198,7 +206,8 @@ def load_corpus(
 
     format is one of "json-lines", "csv", "directory-of-text-files"; when
     None it is inferred from the path (directory, .csv suffix, else JSONL).
-    Malformed records raise CorpusError naming the file and line.
+    Fields are read as strings, as CSV cells are. Malformed records and bytes
+    that are not UTF-8 raise CorpusError naming the file and line.
     """
     path = Path(path)
     if not path.exists():
@@ -211,14 +220,17 @@ def load_corpus(
         else:
             format = "json-lines"
 
-    if format == "json-lines":
-        records = _load_jsonl(path, default_source, default_style)
-    elif format == "csv":
-        records = _load_csv(path, default_source, default_style)
-    elif format == "directory-of-text-files":
-        records = _load_directory(path, default_source, default_style)
-    else:
-        raise CorpusError(f"unknown corpus format {format!r}")
+    try:
+        if format == "json-lines":
+            records = _load_jsonl(path, default_source, default_style)
+        elif format == "csv":
+            records = _load_csv(path, default_source, default_style)
+        elif format == "directory-of-text-files":
+            records = _load_directory(path, default_source, default_style)
+        else:
+            raise CorpusError(f"unknown corpus format {format!r}")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return Corpus(label=path.stem or str(path), records=tuple(records))
 
 

@@ -141,48 +141,53 @@ def length_summary(corpus: Corpus) -> LengthSummary:
     return summarize_lengths([parse_structure(r).line_count for r in corpus.records])
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
-    """Mean character-cell occupancy over a corpus, rows x cols in [0, 1]."""
-
-    rows: int
-    cols: int
-    cells: tuple[tuple[float, ...], ...]
-
-    def to_csv(self) -> str:
-        return "\n".join(
-            ",".join(f"{v:.6f}" for v in row) for row in self.cells
-        ) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"rows": self.rows, "cols": self.cols, "cells": [list(r) for r in self.cells]}
-        )
-
-
 _INK_RE = re.compile(r"\S+")
 
 
-def occupancy_heatmap(corpus: Corpus, rows: int = 60, cols: int = 80) -> OccupancyGrid:
-    """Fraction of poems with a non-whitespace character at each (line, column) cell.
+class OccupancyGrid:
+    """Mean character-cell occupancy of the poems added so far, rows x cols in [0, 1].
 
     Row 0 is a poem's first non-blank line; later lines, blank ones included,
     take the rows below it. A tab is four columns.
     """
+
+    def __init__(self, rows: int, cols: int) -> None:
+        self.rows, self.cols, self.poems = rows, cols, 0
+        # Each run of ink adds 1 at its first cell and -1 past its last; a row's
+        # running sum is then its count per cell.
+        self.edges = [[0] * (cols + 1) for _ in range(rows)]
+
+    def add(self, text: str) -> None:
+        """Count one poem's non-whitespace cells."""
+        lines = text.split("\n")
+        first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+        for row, line in zip(self.edges, lines[first:first + self.rows]):
+            for ink in _INK_RE.finditer(line.replace("\t", "    "), 0, self.cols):
+                row[ink.start()] += 1
+                row[ink.end()] -= 1
+        self.poems += 1
+
+    @property
+    def cells(self) -> tuple[tuple[float, ...], ...]:
+        """Each cell's share of the poems added with a non-whitespace character there."""
+        n = self.poems
+        return tuple(tuple(v / n for v in accumulate(row[:self.cols])) for row in self.edges)
+
+    def to_csv(self) -> str:
+        return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in self.cells)
+
+    def to_json(self) -> str:
+        cells = [list(row) for row in self.cells]
+        return json.dumps({"rows": self.rows, "cols": self.cols, "cells": cells})
+
+
+def occupancy_heatmap(corpus: Corpus, rows: int = 60, cols: int = 80) -> OccupancyGrid:
+    """Fraction of poems with a non-whitespace character at each (line, column) cell."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be at least 1x1")
     if not len(corpus):
         raise ValueError("empty corpus")
-    # Each run of ink adds 1 at its first cell and -1 past its last; a row's
-    # running sum is then its count per cell.
-    edges = [[0] * (cols + 1) for _ in range(rows)]
+    grid = OccupancyGrid(rows, cols)
     for record in corpus.records:
-        lines = record.text.split("\n")
-        first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-        for row, line in zip(edges, lines[first:first + rows]):
-            for ink in _INK_RE.finditer(line.replace("\t", "    "), 0, cols):
-                row[ink.start()] += 1
-                row[ink.end()] -= 1
-    n = len(corpus)
-    cells = tuple(tuple(v / n for v in accumulate(row[:cols])) for row in edges)
-    return OccupancyGrid(rows=rows, cols=cols, cells=cells)
+        grid.add(record.text)
+    return grid

@@ -76,12 +76,15 @@ def _styled_corpus(path: Path, size: int, offset: int) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("sizes, flags", [
-    ((9,), ["--per-poem", "--emit-plots"]),
-    ((7, 3, 10), ["--compare", "--min-docs", "1", "--per-poem", "--emit-plots", "--format", "json"]),
-], ids=["one-corpus", "three-corpora"])
-def test_process_pool_is_byte_identical_across_chunk_edges(sizes, flags, tmp_path, monkeypatch,
-                                                           caplog):
+@pytest.mark.parametrize("command, sizes, flags", [
+    ("analyze", (9,), ["--per-poem", "--emit-plots"]),
+    ("analyze", (7, 3, 10),
+     ["--compare", "--min-docs", "1", "--per-poem", "--emit-plots", "--format", "json"]),
+    # Grids only: no word counts and no rhyme lines travel with the chunks.
+    ("structure", (7, 3, 10), ["--emit-plots", "--heatmap-rows", "12", "--heatmap-cols", "30"]),
+], ids=["one-corpus", "three-corpora", "structure"])
+def test_process_pool_is_byte_identical_across_chunk_edges(command, sizes, flags, tmp_path,
+                                                           monkeypatch, caplog):
     # Chunks of 2 poems end inside style groups and split each corpus; fork carries the patch.
     monkeypatch.setattr(cli, "_CHUNK_POEMS", 2)
     caplog.set_level(logging.INFO, logger=cli.__name__)
@@ -89,7 +92,7 @@ def test_process_pool_is_byte_identical_across_chunk_edges(sizes, flags, tmp_pat
     trees = []
     for threads in (1, 2, 3):
         out = tmp_path / f"t{threads}"
-        assert main(["analyze", *corpora, *flags, "--threads", str(threads),
+        assert main([command, *corpora, *flags, "--threads", str(threads),
                      "--out", str(out)]) == 0
         trees.append(_tree_bytes(out))
     assert trees[0] == trees[1] == trees[2]
@@ -99,6 +102,28 @@ def test_process_pool_is_byte_identical_across_chunk_edges(sizes, flags, tmp_pat
         f"scoring {sum(sizes)} poems in {chunks} chunks on 2 processes",
         f"scoring {sum(sizes)} poems in {chunks} chunks on 3 processes",
     ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_poem_is_added_to_its_grid_once_in_the_scoring_fold(threads, tmp_path,
+                                                                  monkeypatch):
+    def no_second_walk(*args):
+        raise AssertionError("occupancy_heatmap walks a corpus again")
+
+    added, add = [], structure.OccupancyGrid.add
+
+    def counting_add(grid, text):
+        added.append(text)
+        add(grid, text)
+
+    monkeypatch.setattr(cli, "occupancy_heatmap", no_second_walk)
+    monkeypatch.setattr(structure.OccupancyGrid, "add", counting_add)
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 3)
+    corpora = [_styled_corpus(tmp_path / f"c{i}.jsonl", n, i) for i, n in enumerate((7, 5))]
+    assert main(["analyze", *corpora, "--threads", str(threads),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert added == [strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or "")).text
+                     for path in corpora for r in load_corpus(path)]
 
 
 def test_worker_error_is_one_error_line_and_leaves_no_process(tmp_path, monkeypatch, capsys):
@@ -404,6 +429,42 @@ def test_literal_none_style_row_holds_its_own_poems(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_json_number_style_joins_its_text_group(tmp_path):
+    records = [{"id": "a", "text": "one line", "source": "human", "style": 5},
+               {"id": "b", "text": "two\nlines", "source": "human", "style": "5"},
+               {"id": "c", "text": "one line", "source": "human", "style": "ode"}]
+    assert _lengths_rows(tmp_path, records) == [("ALL", 3, 1.0), ("5", 2, 1.5), ("ode", 1, 1.0)]
+
+
+def test_json_array_field_fails_before_writing(tmp_path, capsys):
+    corpus_path = tmp_path / "listed.jsonl"
+    corpus_path.write_text(json.dumps({"id": "a", "text": "x", "source": "human"}) + "\n"
+                           + json.dumps({"id": "b", "text": ["a"], "source": "human"}) + "\n")
+    out = tmp_path / "out"
+    assert main(["structure", str(corpus_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus_path}: line 2: field 'text' must be a string or a number, "
+        "not an array\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, content, where", [
+    ("poems.jsonl", b'{"id": "a", "text": "x", "source": "human"}\n'
+                    b'{"id": "b", "text": "caf\xe9", "source": "human"}\n', "poems.jsonl: line 2"),
+    ("poems.csv", b'id,text,source\na,x,human\nb,caf\xe9,human\n', "poems.csv: line 3"),
+    ("poems/b.txt", b"caf\xe9\n", "poems/b.txt: line 1"),
+], ids=["jsonl", "csv", "directory"])
+def test_corpus_that_is_not_utf8_names_its_file(name, content, where, tmp_path, capsys):
+    (tmp_path / "poems").mkdir()
+    (tmp_path / "poems" / "a.txt").write_text("fine\n")
+    (tmp_path / name).write_bytes(content)
+    out = tmp_path / "out"
+    corpus = tmp_path / name.split("/")[0]
+    assert main(["structure", str(corpus), "--source-default", "human", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / where}: byte 0xe9 is not UTF-8\n"
+    assert not out.exists()
+
+
 def test_directory_corpus_with_source_default(tmp_path):
     out = tmp_path / "dir-report"
     assert main([
@@ -601,6 +662,8 @@ def test_rejected_api_key_is_an_error_line(tmp_path, capsys, monkeypatch):
 
 _HAIKU_ROW = json.dumps({"id": "a", "text": "x", "source": "gpt4", "style": "haiku",
                          "subject": "nature", "template": "general", "model": "gpt-4"})
+# A row whose subject holds the byte 0xe9, which is not UTF-8 on its own.
+_LATIN1_ROW = _HAIKU_ROW.replace("nature", "caf\udce9")
 
 
 @pytest.mark.parametrize("content, message", [
@@ -608,14 +671,15 @@ _HAIKU_ROW = json.dumps({"id": "a", "text": "x", "source": "gpt4", "style": "hai
      "line 2: invalid JSON"),
     (f"{_HAIKU_ROW}\n[1, 2]\n", "line 2: record is not a JSON object"),
     (f"{_HAIKU_ROW}\n[1, 2]", "line 2: record is not a JSON object"),
-], ids=["interior-garbage", "non-object", "unterminated-non-object"])
+    (f"{_HAIKU_ROW}\n{_LATIN1_ROW}\n", "line 2: byte 0xe9 is not UTF-8"),
+], ids=["interior-garbage", "non-object", "unterminated-non-object", "not-utf8"])
 def test_bad_resume_row_fails_before_any_request(content, message, tmp_path, capsys,
                                                  monkeypatch):
     from mock_server import MockChatEndpoint
 
     monkeypatch.setenv("POEM_TEST_KEY", "k")
     out = tmp_path / "gen.jsonl"
-    out.write_text(content, encoding="utf-8")
+    out.write_bytes(content.encode("utf-8", "surrogateescape"))
     with MockChatEndpoint() as endpoint:
         code = main([
             "generate", "--model", "gpt-4", "--out", str(out),

@@ -48,6 +48,30 @@ def test_invalid_json_names_the_line(tmp_path):
         load_corpus(path)
 
 
+def test_json_numbers_are_read_as_their_text(tmp_path):
+    path = tmp_path / "numbers.jsonl"
+    rows = [{"id": 7, "text": 12, "source": "human", "style": 5, "title": 1.5},
+            {"id": "b", "text": "y", "source": "human", "style": "5"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert [(r.id, r.text, r.style, r.title) for r in load_corpus(path)] == [
+        ("7", "12", "5", "1.5"), ("b", "y", "5", None)]
+
+
+@pytest.mark.parametrize("value, kind", [
+    (["a"], "an array"), ({"a": "b"}, "an object"), (True, "true or false"),
+])
+@pytest.mark.parametrize("key", ["id", "text", "style"])
+def test_json_field_that_is_not_text_names_file_line_and_field(key, value, kind, tmp_path):
+    path = tmp_path / "typed.jsonl"
+    rows = [{"id": "a", "text": "x", "source": "human"},
+            {"id": "b", "text": "y", "source": "human", key: value}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == (
+        f"{path}: line 2: field {key!r} must be a string or a number, not {kind}")
+
+
 def test_duplicate_id_is_an_error(tmp_path):
     path = tmp_path / "dup.jsonl"
     row = {"id": "same", "text": "x", "source": "human"}
