@@ -54,6 +54,20 @@ def _valid_phoneme(phoneme: str) -> bool:
     return digit is None
 
 
+def _valid_phones(phones: list[str], valid: set[str]) -> bool:
+    """Whether every phone is well formed (see _valid_phoneme).
+
+    valid holds the phones already found well formed, and gains these when
+    they all are, so that a load checks each distinct phone once.
+    """
+    if valid.issuperset(phones):
+        return True
+    if all(map(_valid_phoneme, phones)):
+        valid.update(phones)
+        return True
+    return False
+
+
 @dataclass(frozen=True)
 class PronouncingDictionary:
     """Word -> pronunciation variants, keyed case-insensitively.
@@ -113,6 +127,7 @@ def load_dictionary(path: str | Path) -> PronouncingDictionary:
     text = _decode(data)
     entries: dict[str, list[Variant]] = {}
     skipped = 0
+    valid: set[str] = set()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith(";;;"):
@@ -125,7 +140,7 @@ def load_dictionary(path: str | Path) -> PronouncingDictionary:
         m = _VARIANT_KEY_RE.match(word)
         if m:
             word = m.group(1)
-        if not word or not all(_valid_phoneme(p) for p in phones):
+        if not word or not _valid_phones(phones, valid):
             skipped += 1
             continue
         entries.setdefault(word.lower(), []).append(tuple(phones))

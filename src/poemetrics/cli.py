@@ -63,7 +63,7 @@ from .lexstats import (
 from .meter import CorpusMeterStats, scan_poem
 from .rhyme import RhymeStats, annotate_rhymes
 from .structure import (LengthSummary, OccupancyGrid, QuatrainStats, parse_structure,
-                        summarize_lengths)
+                        summarize_length_counts)
 from . import svgplot
 
 # Unused here; perfbench/tracing.py wraps these names on this module.
@@ -97,7 +97,9 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_table(out_dir: Path, name: str, columns: list[str], rows: list[dict], fmt: str) -> None:
+def _write_table(out_dir: Path, name: str, columns: list[str], rows: list[dict], text: str,
+                 fmt: str) -> None:
+    """Write one table as CSV, or as text, its rows' _json_text."""
     tables = out_dir / "tables"
     tables.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -108,9 +110,62 @@ def _write_table(out_dir: Path, name: str, columns: list[str], rows: list[dict],
             writer.writerow([_fmt(row.get(c)) for c in columns])
         (tables / f"{name}.csv").write_text(buf.getvalue(), encoding="utf-8")
     else:
-        (tables / f"{name}.json").write_text(
-            json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (tables / f"{name}.json").write_text(text + "\n", encoding="utf-8")
+
+
+class _JSONText(str):
+    """Text that _json_text gave at nesting level 0, placed as is in a later _json_text."""
+
+
+# The types whose values the C encoder writes as the indenting encoder does.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_chunks(obj, level: int = 0):
+    """The pieces of json.dumps(obj, indent=2, sort_keys=True), for JSON data with string keys.
+
+    json.dumps runs its pure-Python encoder whenever indent is set. Here each
+    object or list of scalars, and each list of non-empty objects of scalars
+    (table rows), is encoded by the C encoder in one call with a raw NUL, which
+    encoded JSON never holds, between its items, and the NULs become the
+    indented layout; other containers are laid out item by item. level is
+    obj's nesting depth, two spaces of indent each; a _JSONText is re-indented
+    to it.
+    """
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    if isinstance(obj, _JSONText):
+        yield obj.replace("\n", pad)
+    elif not isinstance(obj, (dict, list, tuple)):
+        yield json.dumps(obj)
+    elif not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+    elif _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
+        text = json.dumps(obj, separators=("\0", ": "), sort_keys=True)
+        yield text[0] + inner + text[1:-1].replace("\0", "," + inner) + pad + text[-1]
+    elif isinstance(obj, dict):
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield ("," if i else "{") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(value, level + 1)
+        yield pad + "}"
+    elif ({dict}.issuperset(map(type, obj)) and all(obj)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
+        # A row's items end in a scalar, never "}", so "}\0{" parts two rows.
+        text = json.dumps(obj, separators=("\0", ": "), sort_keys=True)
+        key = inner + "  "
+        yield "[" + inner + "{" + key
+        yield text[2:-2].replace("}\0{", inner + "}," + inner + "{" + key).replace("\0", "," + key)
+        yield inner + "}" + pad + "]"
+    else:
+        for i, value in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _json_chunks(value, level + 1)
+        yield pad + "]"
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), from _json_chunks."""
+    return "".join(_json_chunks(obj))
 
 
 @dataclass
@@ -311,7 +366,7 @@ def _fold_tables(corpora, scored, families):
             for style in sorted(by_style, key=lambda s: (s is None, s or ""))
         ]
         for style, group in labelled:
-            lengths = summarize_lengths(list(group.line_counts.elements()))
+            lengths = summarize_length_counts(group.line_counts)
             summaries.append((style, lengths))
             for name, row in _group_rows(group, lengths, families).items():
                 tables.setdefault(name, []).append(
@@ -378,10 +433,15 @@ def _write_report(
     settings: AnalysisSettings,
     corpora: list[Corpus],
 ) -> None:
+    """Write each table, each grid and report.json, which holds every table's JSON rows.
+
+    Each table's rows are encoded once, for its JSON table file and report.json alike.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in sorted(tables):
+    texts = {name: _JSONText(_json_text(rows)) for name, (_, rows) in sorted(tables.items())}
+    for name, text in texts.items():
         columns, rows = tables[name]
-        _write_table(out_dir, name, columns, rows, fmt)
+        _write_table(out_dir, name, columns, rows, text, fmt)
     if grids:
         grid_dir = out_dir / "grids"
         grid_dir.mkdir(parents=True, exist_ok=True)
@@ -396,13 +456,10 @@ def _write_report(
         "settings": asdict(settings),
         "corpora": {c.label: len(c) for c in corpora},
     }
-    report = {
-        "metadata": metadata,
-        "tables": {name: rows for name, (_, rows) in sorted(tables.items())},
-    }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report = {"metadata": metadata, "tables": texts}
+    with open(out_dir / "report.json", "w", encoding="utf-8") as handle:
+        handle.writelines(_json_chunks(report))
+        handle.write("\n")
 
 
 def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:

@@ -42,10 +42,17 @@ def tokenize(text: str) -> tuple[str, ...]:
     apostrophes (U+2019, U+02BC) count as "'", so "don\u2019t" is "don't".
     Capital dotted I (U+0130) reads as "i": its lowercase holds a combining
     dot that would split the token.
+
+    The line is lowercased once, before it is split, which gives the same
+    tokens as lowercasing each token, except around a capital sigma (U+03A3):
+    whether it lowers to final sigma depends on the characters past the token
+    ("\u0391\u03a3.\u0392"), so a line holding one lowercases token by token.
     """
     # str.translate is slower.
     text = text.replace("\u2019", "'").replace("\u02bc", "'").replace("\u0130", "i")
-    return tuple(t.lower() for t in _TOKEN_RE.findall(text))
+    if "\u03a3" in text:
+        return tuple(t.lower() for t in _TOKEN_RE.findall(text))
+    return tuple(_TOKEN_RE.findall(text.lower()))
 
 
 # Pronoun categories. The six sets are disjoint; archaic second-person forms
@@ -303,18 +310,20 @@ class TouchstoneCoverage:
         return 100.0 * self.poems_matched / self.poem_count if self.poem_count else 0.0
 
 
-# Each group with the prefixes of its "*" entries. No token holds "*", so a
-# prefix entry never matches exactly.
+# Each group with its "*" entries' prefixes, each after a space. No token holds
+# "*" or a space, so a prefix entry never matches exactly, and a token starts
+# with a prefix when " " and the space-joined tokens hold " " + prefix.
 _TOUCHSTONE_MATCHERS = tuple(
-    (group, tuple(w[:-1] for w in group if w.endswith("*"))) for group in DEFAULT_TOUCHSTONE_GROUPS
+    (group, tuple(" " + w[:-1] for w in group if w.endswith("*")))
+    for group in DEFAULT_TOUCHSTONE_GROUPS
 )
 
 
 def touchstone_hits(tokens: Sequence[str]) -> tuple[bool, ...]:
     """Whether a poem's tokens hold a member of each DEFAULT_TOUCHSTONE_GROUPS group, in order."""
-    words = set(tokens)
+    joined = " " + " ".join(tokens)
     return tuple(
-        not words.isdisjoint(group) or bool(prefixes) and any(w.startswith(prefixes) for w in words)
+        not group.isdisjoint(tokens) or any(map(joined.__contains__, prefixes))
         for group, prefixes in _TOUCHSTONE_MATCHERS
     )
 

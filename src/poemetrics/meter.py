@@ -9,10 +9,9 @@ per estimated syllable of out-of-vocabulary words.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
+from itertools import chain, filterfalse
 
 from .arpabet import PronouncingDictionary, stress_pattern
 from .corpus import Corpus
@@ -45,11 +44,18 @@ def word_stress(word: str, dictionary: PronouncingDictionary) -> str:
     return "x" if len(pattern) == 1 else pattern.replace("2", "1")
 
 
+def _stress_memo(words: Iterable[str], dictionary: PronouncingDictionary) -> dict[str, str]:
+    """dictionary.stress_memo, after adding the word_stress string of each word it lacks."""
+    memo = dictionary.stress_memo
+    # The filter reads the memo as it goes, so a word is scanned once however often it comes.
+    for word in filterfalse(memo.__contains__, words):
+        memo[word] = word_stress(word, dictionary)
+    return memo
+
+
 def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary) -> str:
     """The tokens' word_stress strings joined, each memoized in dictionary.stress_memo."""
-    memo = dictionary.stress_memo
-    return "".join([memo[w] if w in memo else memo.setdefault(w, word_stress(w, dictionary))
-                    for w in tokens])
+    return "".join(map(_stress_memo(tokens, dictionary).__getitem__, tokens))
 
 
 def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
@@ -94,20 +100,32 @@ def iambic_score(
 
     Lines with fewer than two resolvable (non-"?") syllables are not
     scored; they still contribute to syllables_per_line. Each token's stress
-    is memoized on the dictionary (see _stress_digits).
+    is memoized on the dictionary (see _stress_memo). A line's credit is
+    counted here, as alignment_score(digits) counts it: every "x", half of
+    every "?", and each "0" at an even position and "1" at an odd one. Every
+    partial sum is a multiple of 0.5, so each line's score is the same float.
     """
-    digits = [_stress_digits(t, dictionary) for t in poem.tokens]
-    scorable = [d for d in digits if len(d) - d.count("?") >= 2]
-    if not scorable:
+    stress = _stress_memo(chain.from_iterable(poem.tokens), dictionary).__getitem__
+    syllables = []
+    total, scanned = 0.0, 0
+    for tokens in poem.tokens:
+        digits = "".join(map(stress, tokens))
+        n, unknown = len(digits), digits.count("?")
+        syllables.append(n)
+        if n - unknown >= 2:
+            # Added left to right: sum() of floats rounds differently from Python 3.12 on.
+            total += (digits.count("x") + 0.5 * unknown + digits[::2].count("0")
+                      + digits[1::2].count("1")) / n
+            scanned += 1
+    if not scanned:
         raise UnscannableError("no scannable lines")
-    # Added left to right: sum() of floats rounds differently from Python 3.12 on.
-    score = reduce(add, map(alignment_score, scorable), 0.0) / len(scorable)
+    score = total / scanned
     return MeterVerdict(
         iambic_score=score,
         dominant=score >= threshold,
-        syllables_per_line=tuple(len(d) for d in digits),
+        syllables_per_line=tuple(syllables),
         threshold=threshold,
-        scanned_lines=len(scorable),
+        scanned_lines=scanned,
     )
 
 
@@ -148,7 +166,7 @@ def scan_poem(
     """(iambic score, dominant) of one poem, as iambic_score gives it; None when unscannable.
 
     A run scoring many poems passes every call the same dictionary, so each
-    distinct token's stress is worked out once per run (see _stress_digits).
+    distinct token's stress is worked out once per run (see _stress_memo).
     """
     try:
         verdict = iambic_score(poem, dictionary, threshold)

@@ -9,9 +9,13 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import add
 
 from .corpus import Corpus, PoemRecord
 from .lexstats import tokenize
@@ -27,7 +31,7 @@ class PoemStructure:
     def tokens(self) -> tuple[tuple[str, ...], ...]:
         """Each line's tokens, computed on first read and then kept. Tokens never
         span a line break, so together they are the whole text's tokens, in order."""
-        return tuple(tokenize(line) for line in self.lines)
+        return tuple(map(tokenize, self.lines))
 
 
 def parse_structure(poem: PoemRecord | str) -> PoemStructure:
@@ -103,26 +107,33 @@ class LengthSummary:
     count: int
 
 
-def _quantile(sorted_values: list[int], p: float) -> float:
-    # Linear interpolation between order statistics.
-    h = (len(sorted_values) - 1) * p
+def _quantile(values: list[int], ends: list[int], p: float) -> float:
+    # Linear interpolation between the order statistics at ranks floor(h) and
+    # ceil(h); ends[i] is the rank just past the last copy of values[i].
+    h = (ends[-1] - 1) * p
     lo = math.floor(h)
-    hi = math.ceil(h)
-    return sorted_values[lo] + (h - lo) * (sorted_values[hi] - sorted_values[lo])
+    low, high = (values[bisect_right(ends, rank)] for rank in (lo, math.ceil(h)))
+    return low + (h - lo) * (high - low)
 
 
-def summarize_lengths(line_counts: list[int]) -> LengthSummary:
-    """Five-number summary with whiskers at data points within 1.5 IQR fences."""
-    if not line_counts:
+def summarize_length_counts(counts: Mapping[int, int]) -> LengthSummary:
+    """summarize_lengths of the line counts that counts maps to their number of poems.
+
+    The order statistics are read by walking the distinct line counts in
+    order with their cumulative numbers, so the line counts are never listed.
+    """
+    values = sorted(v for v, k in counts.items() if k > 0)
+    if not values:
         raise ValueError("no line counts to summarize")
-    values = sorted(line_counts)
-    q1 = _quantile(values, 0.25)
-    median = _quantile(values, 0.5)
-    q3 = _quantile(values, 0.75)
+    ends = list(accumulate(counts[v] for v in values))
+    q1 = _quantile(values, ends, 0.25)
+    median = _quantile(values, ends, 0.5)
+    q3 = _quantile(values, ends, 0.75)
     reach = 1.5 * (q3 - q1)
     whisker_low = min(v for v in values if v >= q1 - reach)
     whisker_high = max(v for v in values if v <= q3 + reach)
-    outliers = tuple(v for v in values if v < whisker_low or v > whisker_high)
+    outliers = tuple(chain.from_iterable(
+        repeat(v, counts[v]) for v in values if v < whisker_low or v > whisker_high))
     return LengthSummary(
         median=median,
         q1=q1,
@@ -130,8 +141,13 @@ def summarize_lengths(line_counts: list[int]) -> LengthSummary:
         whisker_low=whisker_low,
         whisker_high=whisker_high,
         outliers=outliers,
-        count=len(values),
+        count=ends[-1],
     )
+
+
+def summarize_lengths(line_counts: list[int]) -> LengthSummary:
+    """Five-number summary with whiskers at data points within 1.5 IQR fences."""
+    return summarize_length_counts(Counter(line_counts))
 
 
 def length_summary(corpus: Corpus) -> LengthSummary:
@@ -141,37 +157,70 @@ def length_summary(corpus: Corpus) -> LengthSummary:
     return summarize_lengths([parse_structure(r).line_count for r in corpus.records])
 
 
-_INK_RE = re.compile(r"\S+")
+_INK_RE = re.compile(r"\S")
+# Whitespace other than a space.
+_BLANK_RE = re.compile(r"[^\S ]")
+# Poems whose lines an OccupancyGrid holds before it counts them; bounds the
+# memory the held lines and their padded block take.
+_GRID_BATCH = 256
 
 
 class OccupancyGrid:
     """Mean character-cell occupancy of the poems added so far, rows x cols in [0, 1].
 
     Row 0 is a poem's first non-blank line; later lines, blank ones included,
-    take the rows below it. A tab is four columns.
+    take the rows below it. A tab is four columns. The grid holds each row's
+    lines for up to _GRID_BATCH poems, then counts them column by column (see
+    _count); cells, to_csv and to_json count the lines held first.
     """
 
     def __init__(self, rows: int, cols: int) -> None:
         self.rows, self.cols, self.poems = rows, cols, 0
-        # Each run of ink adds 1 at its first cell and -1 past its last; a row's
-        # running sum is then its count per cell.
-        self.edges = [[0] * (cols + 1) for _ in range(rows)]
+        # Per cell, the poems counted so far with ink there.
+        self._ink = [[0] * cols for _ in range(rows)]
+        # Per row, the lines of the poems added since the last count.
+        self._held = [[] for _ in range(rows)]
 
     def add(self, text: str) -> None:
-        """Count one poem's non-whitespace cells."""
-        lines = text.split("\n")
-        first = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-        for row, line in zip(self.edges, lines[first:first + self.rows]):
-            for ink in _INK_RE.finditer(line.replace("\t", "    "), 0, self.cols):
-                row[ink.start()] += 1
-                row[ink.end()] -= 1
+        """Hold one poem's first rows of lines, from its first non-blank one, for counting."""
+        ink = _INK_RE.search(text)
+        if ink is not None:
+            start = text.rfind("\n", 0, ink.start()) + 1
+            # zip stops at the last row, before split's unsplit rest.
+            for held, line in zip(self._held, text[start:].split("\n", self.rows)):
+                held.append(line)
         self.poems += 1
+        if not self.poems % _GRID_BATCH:
+            self._count()
+
+    def _count(self) -> None:
+        """Add the held lines to the per-cell counts, then drop them.
+
+        Row by row, the lines are joined to expand their tabs at once, then each
+        is cut or padded to the longest of them (at most cols), so that the k
+        lines are k equal slices of one block. A column's ink count is then k
+        less the spaces in one strided slice, once every other whitespace
+        character in the block is a space: none is printable.
+        """
+        for ink, held in zip(self._ink, self._held):
+            if not held:  # and no later row holds a line either
+                break
+            lines = "\n".join(held).replace("\t", "    ").split("\n")
+            held.clear()
+            width = min(self.cols, max(map(len, lines)))
+            block = (f"%-{width}.{width}s" * len(lines)) % tuple(lines)
+            if not block.isprintable():
+                block = _BLANK_RE.sub(" ", block)
+            columns = map(slice, range(width), repeat(None), repeat(width))
+            spaces = map(str.count, map(block.__getitem__, columns), repeat(" "))
+            ink[:width] = map(add, ink, map(len(lines).__sub__, spaces))
 
     @property
     def cells(self) -> tuple[tuple[float, ...], ...]:
         """Each cell's share of the poems added with a non-whitespace character there."""
+        self._count()
         n = self.poems
-        return tuple(tuple(v / n for v in accumulate(row[:self.cols])) for row in self.edges)
+        return tuple(tuple(v / n for v in row) for row in self._ink)
 
     def to_csv(self) -> str:
         return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in self.cells)

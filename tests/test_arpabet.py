@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import hashlib
 import random
+import string
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from poemetrics.arpabet import (
     VOWELS,
+    _valid_phones,
     is_vowel,
     load_dictionary,
     rhyme_part,
     stress_pattern,
 )
+
+from kernel_oracles import phone_reference
 
 
 def test_parses_simple_entry(tmp_path):
@@ -138,3 +143,25 @@ def test_random_words_uppercase_lookup_matches(dictionary):
     words = dictionary.words()
     for word in rng.sample(words, 200):
         assert dictionary.lookup(word.upper()) == dictionary.lookup(word)
+
+
+def test_memoized_phone_check_agrees_with_the_phone_rule():
+    symbols = ["".join(p) for n in (1, 2, 3) for p in product(string.ascii_uppercase, repeat=n)]
+    phones = [s + d for s in symbols for d in ("", "0", "1", "2")]
+    phones += ["AH3", "ah0", "B1", "ABCD", "", "AH01", "1", "AH 0", "\u0391H0"]
+    warm: set[str] = set()
+    for phone in phones:
+        expected = phone_reference(phone)
+        assert _valid_phones([phone], set()) is expected, phone
+        assert _valid_phones([phone], warm) is expected, phone
+        assert (phone in warm) is expected
+        assert _valid_phones([phone], warm) is expected  # answered from the memo when valid
+    assert _valid_phones(["AH0", "AH3"], warm) is False
+
+
+def test_load_skips_each_line_with_a_bad_phone_after_good_ones(tmp_path):
+    path = tmp_path / "mini.dict"
+    path.write_text("A  AH0\nB  B IY1\nC  S AH3\nD  D IY1\nE  B1 IY1\nF  ABCD\n")
+    d = load_dictionary(path)
+    assert sorted(d.entries) == ["a", "b", "d"]
+    assert d.skipped_lines == 3

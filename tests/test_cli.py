@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from poemetrics import cli, lexstats, meter, rhyme, structure
 from poemetrics.cli import main
@@ -808,3 +809,21 @@ def test_benchmark_report_bytes_match_recorded_digests(workload, tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == BENCHMARK_DIGESTS[workload]
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(alphabet="a}{][\",:\\\0\n \u00e9\u4e00\U0001f600", max_size=6))
+_JSON_KEYS = st.text(alphabet="ab}{\"\0\u00e9", max_size=3)
+_JSON_ROWS = st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=4), max_size=4)
+_JSON_VALUES = st.recursive(_JSON_SCALARS | _JSON_ROWS,
+                            lambda inner: st.lists(inner, max_size=4)
+                            | st.dictionaries(_JSON_KEYS, inner, max_size=4), max_leaves=20)
+
+
+@given(_JSON_VALUES)
+@example({"tables": {"t": [{"a": float("nan"), "b": [], "c": {}}, {"a": -float("inf")}]}})
+@example([{}, {"a": 1}])
+def test_json_text_equals_indented_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    nested = {"k": cli._JSONText(cli._json_text(obj))}
+    assert cli._json_text(nested) == json.dumps({"k": obj}, indent=2, sort_keys=True)

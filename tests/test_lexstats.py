@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,6 +20,7 @@ from poemetrics.lexstats import (
 )
 
 from conftest import LIMERICK, make_corpus
+from kernel_oracles import tokenize_reference
 from logodds_oracle import oracle_first_word_scores, oracle_scores
 
 
@@ -59,6 +61,29 @@ def test_tokenize_reads_curly_apostrophes_as_straight():
 @given(st.text(alphabet="ab \u00e9\u00df0_'\u2019\u02bc-.", max_size=40))
 def test_tokenize_is_unchanged_by_straightening_curly_apostrophes(text):
     assert tokenize(text) == tokenize(text.replace("\u2019", "'").replace("\u02bc", "'"))
+
+
+def test_tokenize_equals_per_token_lowering_around_every_changing_code_point():
+    changing = [chr(i) for i in range(sys.maxunicode + 1)
+                if not 0xD800 <= i <= 0xDFFF and chr(i).lower() != chr(i)]
+    assert len(changing) > 1000
+    for c in changing:
+        for text in (c, f"a{c}a", f"A{c}B", f"a'{c}", f"{c}'a"):
+            assert tokenize(text) == tokenize_reference(text), text
+
+
+@pytest.mark.parametrize("text", ["\u0391\u03a3.\u0392", "\u0391\u03a3\u0301\u0392",
+                                  "\u0391\u03a3'\u0392", "\u0391\u03a3_\u0392"])
+def test_capital_sigma_lowers_as_in_its_own_token(text):
+    # Lowered whole, "\u0391\u03a3.\u0392" would give a medial sigma: "\u0392" is past the dot.
+    assert tokenize(text) == tokenize_reference(text)
+
+
+@given(st.text(alphabet="aZ9 .,'_-\u2019\u02bc\u0391\u03a3\u03c3\u03c2\u0392\u0130\u0301\u0307",
+               max_size=40))
+@example("\u0391\u03a3.\u0392")
+def test_tokenize_equals_per_token_reference(text):
+    assert tokenize(text) == tokenize_reference(text)
 
 
 @given(st.text(max_size=200))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
 from poemetrics import meter
+from poemetrics.arpabet import load_bundled_dictionary
 from poemetrics.meter import (
     CorpusMeterStats,
     UnscannableError,
@@ -190,3 +193,32 @@ def test_corpus_meter_stats_does_not_hide_other_value_errors(dictionary, monkeyp
     monkeypatch.setattr(meter, "iambic_score", broken)
     with pytest.raises(ValueError, match="not an unscannable poem"):
         corpus_meter_stats(make_corpus(["upon delight"]), dictionary)
+
+
+_DICTIONARY = load_bundled_dictionary()
+_DICTIONARY_WORDS = sorted(w for w in _DICTIONARY.entries if w.isalpha())
+# Dictionary words, unknown words scanned as "?" per vowel group, and unknown
+# words and numbers with no vowel, which scan as nothing.
+_METER_TOKENS = st.one_of(st.sampled_from(_DICTIONARY_WORDS),
+                          st.sampled_from(["glorfindel", "quoxa", "zeeb", "aeiou"]),
+                          st.sampled_from(["zzz", "brr", "tsk", "1914"]))
+_METER_LINES = st.lists(st.lists(_METER_TOKENS, min_size=1, max_size=8), min_size=1, max_size=6)
+
+
+@given(_METER_LINES)
+def test_inline_line_credit_equals_alignment_score(lines):
+    dictionary = _DICTIONARY
+    poem = parse_structure("\n".join(map(" ".join, lines)))
+    digits = [meter._stress_digits(tokens, dictionary) for tokens in poem.tokens]
+    scorable = [d for d in digits if len(d) - d.count("?") >= 2]
+    for line, d in zip(poem.lines, digits):
+        if d in scorable:
+            assert iambic_score(parse_structure(line), dictionary).iambic_score == alignment_score(d)
+    if not scorable:
+        with pytest.raises(UnscannableError):
+            iambic_score(poem, dictionary)
+        return
+    verdict = iambic_score(poem, dictionary)
+    assert verdict.iambic_score == reduce(add, map(alignment_score, scorable), 0.0) / len(scorable)
+    assert verdict.scanned_lines == len(scorable)
+    assert verdict.syllables_per_line == tuple(map(len, digits))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import Counter
 from itertools import chain
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from poemetrics import structure
 from poemetrics.corpus import Corpus, PoemRecord
 from poemetrics.lexstats import tokenize
 from poemetrics.structure import (
@@ -13,10 +16,12 @@ from poemetrics.structure import (
     occupancy_heatmap,
     parse_structure,
     quatrain_stats,
+    summarize_length_counts,
     summarize_lengths,
 )
 
 from conftest import DATA_DIR, LIMERICK, QUATRAINS, make_corpus
+from kernel_oracles import summarize_lengths_reference
 
 
 def brute_force_summary(counts):
@@ -186,6 +191,20 @@ def test_summary_matches_brute_force_on_random_corpora():
         assert list(s.outliers) == outliers
 
 
+@given(st.dictionaries(st.integers(1, 120), st.integers(1, 50), min_size=1, max_size=30))
+@example({14: 4, 55: 1})
+@example({7: 1})
+def test_summary_from_counts_matches_list_reference_and_brute_force(counts):
+    counter = Counter(counts)
+    line_counts = list(counter.elements())
+    s = summarize_length_counts(counter)
+    fields = (s.median, s.q1, s.q3, s.whisker_low, s.whisker_high, s.outliers, s.count)
+    assert fields == summarize_lengths_reference(line_counts)
+    med, q1, q3, lo, hi, outliers = brute_force_summary(line_counts)
+    assert fields == (med, q1, q3, lo, hi, tuple(outliers), len(line_counts))
+    assert summarize_lengths(line_counts) == s
+
+
 # --- occupancy_heatmap -----------------------------------------------------
 
 def test_single_poem_full_grid():
@@ -257,6 +276,37 @@ _GRID_LINES = st.lists(st.text(alphabet="ab \t\r\u00a0\u3000\u001c\u4e00", max_s
 def test_occupancy_matches_per_character_reference(texts, rows, cols):
     grid = occupancy_heatmap(make_corpus(texts), rows=rows, cols=cols)
     assert grid.cells == occupancy_reference(texts, rows, cols)
+
+
+@given(st.lists(_GRID_LINES.map("\n".join), min_size=1, max_size=7),
+       st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 2, 3]))
+@example(["ab", " \t\n\u00a0b", "\n\n\u3000a\tb"], 3, 6, 2)
+def test_occupancy_counted_in_batches_matches_reference(texts, rows, cols, batch):
+    # Batches of 1 to 3 poems put counts mid-corpus; blank poems count as poems with no ink.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structure, "_GRID_BATCH", batch)
+        grid = structure.OccupancyGrid(rows, cols)
+        for text in texts:
+            grid.add(text)
+        assert grid.cells == occupancy_reference(texts, rows, cols)
+        grid.add(texts[0])
+        assert grid.cells == occupancy_reference(texts + texts[:1], rows, cols)
+
+
+def test_occupancy_padding_is_bounded_by_the_text(monkeypatch):
+    texts = [f"ab\tc {i}\n\n x\u00a0y" for i in range(300)]
+    monkeypatch.setattr(structure, "_GRID_BATCH", len(texts))
+    grid = structure.OccupancyGrid(3, 10_000)
+    tracemalloc.start()
+    try:
+        for text in texts:
+            grid.add(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Lines padded to 10,000 columns would take 9 MB; padded to the longest line, 9 kB.
+    assert peak < 1_000_000
+    assert grid.cells == occupancy_reference(texts, 3, 10_000)
 
 
 def test_grid_serialization_round_trip():
