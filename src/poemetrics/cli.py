@@ -7,9 +7,11 @@ tables/ (CSV or JSON), grids/ (occupancy matrices), plots/ (optional SVG),
 annotations/ (optional per-poem rhyme) and a combined report.json. Invalid
 input is rejected before any output is written: exit 1 for a corpus problem,
 2 for a flag value. Output is deterministic: identical inputs and flags produce
-byte-identical reports. --threads N scores the poems in up to N forked worker
-processes; their numbers are folded here in input order, the same additions in
-the same order as scoring in process, so the bytes do not depend on N.
+byte-identical reports. --threads N scores the poems in up to N processes, this
+one included, which claim chunks of poems and fold them into their own totals;
+those are merged here, integers exactly and float sums replayed in input order,
+the same additions in the same order as scoring in process, so the bytes do not
+depend on N.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import os
 import sys
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from operator import add
 from pathlib import Path
 
@@ -180,12 +183,23 @@ class _Group:
     pronouns: list[int] = field(default_factory=lambda: [0] * (1 + len(PRONOUN_CATEGORIES)))
     touchstones: list[int] = field(default_factory=lambda: [0] * len(DEFAULT_TOUCHSTONE_GROUPS))
 
+    def merge(self, other: _Group) -> None:
+        """Add the totals of other, the same group's totals over other poems, to these."""
+        self.line_counts.update(other.line_counts)
+        self.quatrains.merge(other.quatrains)
+        self.rhyme.merge(other.rhyme)
+        self.meter.merge(other.meter)
+        self.pronouns = list(map(add, self.pronouns, other.pronouns))
+        self.touchstones = list(map(add, self.touchstones, other.touchstones))
 
-# Contiguous poems of one corpus per worker task under --threads N > 1.
-_CHUNK_POEMS = 400
 
-# The run a scoring worker process serves; set by _start_worker, in workers only.
-_worker_run: tuple = ()
+# Consecutive poems of one corpus per chunk that a scoring process claims under --threads N > 1.
+_CHUNK_POEMS = 100
+
+# Chunks grow past _CHUNK_POEMS poems so that a run has about this many at most: their
+# 4-byte indices are all written to the claim pipe before any process reads it, so they
+# must fit its buffer (64 KiB on Linux, 4 KiB at least).
+_MAX_CHUNKS = 1000
 
 
 def _score_poems(records, families, dictionary, threshold, per_poem, counted):
@@ -242,18 +256,160 @@ def _fold_poems(scored, grid, records, scores, families) -> None:
             lines.append(line)
 
 
-def _start_worker(*run) -> None:
-    global _worker_run
-    _worker_run = run
+def _chunks(corpora, size: int) -> list[tuple[int, slice]]:
+    """Each corpus cut into runs of size consecutive poems, as (corpus index, slice of its
+    records), in input order."""
+    return [(i, slice(start, start + size)) for i, corpus in enumerate(corpora)
+            for start in range(0, len(corpus), size)]
 
 
-def _score_chunk(chunk: tuple[int, int]):
-    """A worker's _score_poems list of the chunk (corpus index, first poem), with its WordCounts."""
-    i, start = chunk
-    corpora, families, dictionary, threshold, per_poem, compared, stopwords = _worker_run
-    counted = WordCounts(stopwords) if i < compared else None
-    records = corpora[i].records[start:start + _CHUNK_POEMS]
-    return list(_score_poems(records, families, dictionary, threshold, per_poem, counted)), counted
+def _empty_totals(corpora, compared, stopwords):
+    """Per corpus an empty ALL group, groups by style and --per-poem lines; and a WordCounts
+    for each of the first `compared` corpora."""
+    return ([(_Group(), defaultdict(_Group), []) for _ in corpora],
+            [WordCounts(stopwords) for _ in corpora[:compared]])
+
+
+def _fold_chunks(run, chunks, claims, grids):
+    """One scoring process's fold of the chunks it claims, in claim order.
+
+    run is (corpora, families, dictionary, threshold, per_poem, compared,
+    stopwords); chunks lists (corpus index, slice of its records); claims
+    yields chunk indices. Each claimed chunk's poems are scored and folded into
+    this process's totals, grids included, one OccupancyGrid or None per corpus.
+    Returns the totals, (scored, grids, counted) with scored and counted as
+    _score_corpora gives them but with float sums in claim order and no
+    --per-poem lines; and per claimed chunk index its order-sensitive parts:
+    each poem's (style, rhymed fraction, iambic score), None where not scored,
+    and its --per-poem lines.
+    """
+    corpora, families, dictionary, threshold, per_poem, compared, stopwords = run
+    scored, counted = _empty_totals(corpora, compared, stopwords)
+    parts = {}
+    for k in claims:
+        i, span = chunks[k]
+        records = corpora[i].records[span]
+        scores = list(_score_poems(records, families, dictionary, threshold, per_poem,
+                                   counted[i] if i < compared else None))
+        everything, by_style, _ = scored[i]
+        lines = []
+        _fold_poems((everything, by_style, lines), grids[i], records, scores, families)
+        parts[k] = ([(r.style, rhyme and rhyme[1], scan and scan[0])
+                     for r, (_, _, rhyme, _, scan, _, _) in zip(records, scores)], lines)
+    return (scored, grids, counted), parts
+
+
+def _merge_totals(totals, other) -> None:
+    """Add other, another process's _fold_chunks totals, to totals."""
+    (scored, grids, counted), (their_scored, their_grids, their_counted) = totals, other
+    for (everything, by_style, _), (their_all, their_styles, _) in zip(scored, their_scored):
+        everything.merge(their_all)
+        for style, group in their_styles.items():
+            by_style[style].merge(group)
+    for grid, theirs in zip(grids, their_grids):
+        if grid is not None:
+            grid.merge(theirs)
+    for mine, theirs in zip(counted, their_counted):
+        mine.update(theirs)
+
+
+def _replay(scored, chunks, parts) -> None:
+    """Redo every group's float sums from the chunks' per-poem values, and append their
+    --per-poem lines, in chunk order: the additions of the in-process fold, in its order."""
+    for everything, by_style, _ in scored:
+        for group in (everything, *by_style.values()):
+            group.rhyme.rhymed_fraction_sum = group.meter.iambic_score_sum = 0.0
+    for k, (i, _) in enumerate(chunks):
+        floats, lines = parts[k]
+        everything, by_style, all_lines = scored[i]
+        for style, fraction, score in floats:
+            for group in (everything, by_style[style]):
+                if fraction is not None:
+                    group.rhyme.rhymed_fraction_sum += fraction
+                if score is not None:
+                    group.meter.iambic_score_sum += score
+        all_lines.extend(lines)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a scoring process, shown as that error's cause."""
+
+
+def _serve(run, chunks, claims, grids, result_fd: int):
+    """A forked scoring process: fold the chunks it claims, write (None, _fold_chunks result)
+    or (error, its traceback) pickled to result_fd, and exit; never returns."""
+    import pickle
+    import traceback
+
+    code = 1
+    try:
+        try:
+            result = None, _fold_chunks(run, chunks, claims, grids)
+        except Exception as exc:
+            result = exc, traceback.format_exc()
+        with open(result_fd, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_join(run, chunks, processes, grids):
+    """Score and fold the chunks in `processes` processes, this one and processes - 1 forked.
+
+    Every chunk index is written to a pipe first; each process claims chunks by
+    reading 4-byte indices from it until it is empty, and folds them with
+    _fold_chunks. Each worker sends its totals and parts once; this process
+    merges the totals, which are integers, then replays the float sums and
+    --per-poem lines in chunk order (_replay), so the bytes do not depend on who
+    claimed what. An error in any process, or a worker that did not exit
+    normally, raises here after every worker is ended and reaped.
+    """
+    import pickle
+    import signal
+
+    read_claims, write_claims = os.pipe()
+    os.write(write_claims, b"".join(k.to_bytes(4, "big") for k in range(len(chunks))))
+    os.close(write_claims)
+    claims = map(int.from_bytes, iter(partial(os.read, read_claims, 4), b""), repeat("big"))
+    sys.stdout.flush()
+    sys.stderr.flush()
+    workers = {}  # pid: the read end of its result pipe
+    try:
+        for _ in range(processes - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if not pid:
+                os.close(read_end)
+                _serve(run, chunks, claims, grids, write_end)
+            os.close(write_end)
+            workers[pid] = open(read_end, "rb")
+        totals, parts = _fold_chunks(run, chunks, claims, grids)
+        for pid, pipe in list(workers.items()):
+            try:
+                error, result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # cut short: the exit status says why
+                error = result = None
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if code or result is None:
+                raise ChildProcessError("a scoring process " + (
+                    f"was ended by {signal.Signals(-code).name}" if code < 0
+                    else f"exited with status {code}"))
+            if error is not None:
+                raise error from _WorkerTraceback(result)
+            _merge_totals(totals, result[0])
+            parts.update(result[1])
+    finally:
+        os.close(read_claims)
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    scored, _, counted = totals
+    _replay(scored, chunks, parts)
+    return scored, counted
 
 
 def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared, processes,
@@ -265,44 +421,24 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared,
     its groups by style (keyed by record.style, None for unlabeled) and its
     --per-poem lines; and the WordCounts of the first `compared` corpora. Poems
     are scored on a copy of dictionary whose memos start empty and are dropped
-    on return. Each corpus is cut into chunks of _CHUNK_POEMS poems; when
-    min(processes, chunks) > 1 and fork is available, that many forked workers,
-    each with its own inherited copy, score the chunks, and this process folds
-    them, records and grids included, in input order, so every float sum is
-    added in the same order as in process, and integer word counts merge
-    exactly. Otherwise each poem is scored and folded here as it is read.
+    on return. Each corpus is cut into chunks of _CHUNK_POEMS poems, or more
+    past _MAX_CHUNKS chunks; when min(processes, chunks) > 1 and fork is
+    available, that many processes, this one included, each with its own
+    memos, claim and fold the chunks (_fork_join). Otherwise each poem is
+    scored and folded here as it is read.
     """
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
-    counted = [WordCounts(stopwords) for _ in corpora[:compared]]
-    scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
     poems = sum(map(len, corpora))
-    chunks = [(i, start) for i, corpus in enumerate(corpora)
-              for start in range(0, len(corpus), _CHUNK_POEMS)]
-    workers = min(processes, len(chunks))
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
-                        workers)
-            run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords)
-            # With fork, run reaches each worker unpickled; only chunks and results travel.
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                       _start_worker, run)
-            try:
-                results = pool.map(_score_chunk, chunks)
-                for (i, start), (scores, counts) in zip(chunks, results):
-                    records = corpora[i].records[start:start + _CHUNK_POEMS]
-                    _fold_poems(scored[i], grids[i], records, scores, families)
-                    if counts is not None:
-                        counted[i].update(counts)
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return scored, counted
+    chunks = _chunks(corpora, max(_CHUNK_POEMS, -(-poems // _MAX_CHUNKS)))
+    processes = min(processes, len(chunks))
+    if processes > 1 and hasattr(os, "fork"):
+        logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
+                    processes)
+        run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords)
+        return _fork_join(run, chunks, processes, grids)
     logger.info("scoring %d poems in process", poems)
+    scored, counted = _empty_totals(corpora, compared, stopwords)
     for i, corpus in enumerate(corpora):
         scores = _score_poems(corpus.records, families, dictionary, threshold, per_poem,
                               counted[i] if i < compared else None)
@@ -613,7 +749,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table file format")
     parser.add_argument("--threads", type=_bounded(int, 1), default=1,
-                        help="worker processes for scoring poems (default 1: in this process); "
+                        help="processes scoring poems, this one included (default 1); "
                              "reports are byte-identical at every count")
     parser.add_argument("--emit-plots", action="store_true",
                         help="also write simple SVG plots")

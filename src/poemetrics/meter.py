@@ -147,6 +147,16 @@ class CorpusMeterStats:
             self.iambic_score_sum += scan[0]
             self.dominant_poems += scan[1]
 
+    def merge(self, other: CorpusMeterStats) -> None:
+        """Add the counts of other, another group's poems, to these.
+
+        iambic_score_sum is then summed in merge order, not input order.
+        """
+        self.dominant_poems += other.dominant_poems
+        self.poem_count += other.poem_count
+        self.iambic_score_sum += other.iambic_score_sum
+        self.unscannable_poems += other.unscannable_poems
+
     @property
     def pct_dominant_iambic(self) -> float:
         scanned = self.poem_count - self.unscannable_poems

@@ -160,6 +160,17 @@ class RhymeStats:
         self.rhymed_lines += rhymed_lines
         self.lines += lines
 
+    def merge(self, other: RhymeStats) -> None:
+        """Add the counts of other, another group's poems, to these.
+
+        rhymed_fraction_sum is then summed in merge order, not input order.
+        """
+        self.poems_with_rhyme += other.poems_with_rhyme
+        self.poem_count += other.poem_count
+        self.rhymed_fraction_sum += other.rhymed_fraction_sum
+        self.rhymed_lines += other.rhymed_lines
+        self.lines += other.lines
+
     @property
     def poems_with_rhyme_pct(self) -> float:
         return 100.0 * self.poems_with_rhyme / self.poem_count

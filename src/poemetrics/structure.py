@@ -75,6 +75,13 @@ class QuatrainStats:
         self.quatrain_stanzas += hits
         self.stanza_count += len(stanza_sizes)
 
+    def merge(self, other: QuatrainStats) -> None:
+        """Add the counts of other, another group's poems, to these."""
+        self.poems_with_quatrain += other.poems_with_quatrain
+        self.poem_count += other.poem_count
+        self.quatrain_stanzas += other.quatrain_stanzas
+        self.stanza_count += other.stanza_count
+
     @property
     def poems_with_quatrain_pct(self) -> float:
         return 100.0 * self.poems_with_quatrain / self.poem_count
@@ -214,6 +221,18 @@ class OccupancyGrid:
             columns = map(slice, range(width), repeat(None), repeat(width))
             spaces = map(str.count, map(block.__getitem__, columns), repeat(" "))
             ink[:width] = map(add, ink, map(len(lines).__sub__, spaces))
+
+    def merge(self, other: OccupancyGrid) -> None:
+        """Add the poems of other, a grid of the same shape, to this one's counts."""
+        self._count()
+        other._count()
+        self._ink = [list(map(add, mine, theirs)) for mine, theirs in zip(self._ink, other._ink)]
+        self.poems += other.poems
+
+    def __getstate__(self) -> dict:
+        # A pickled grid holds counts only, not the lines held for counting.
+        self._count()
+        return self.__dict__
 
     @property
     def cells(self) -> tuple[tuple[float, ...], ...]:

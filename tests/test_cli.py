@@ -3,11 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -87,21 +88,23 @@ def _styled_corpus(path: Path, size: int, offset: int) -> str:
 def test_process_pool_is_byte_identical_across_chunk_edges(command, sizes, flags, tmp_path,
                                                            monkeypatch, caplog):
     # Chunks of 2 poems end inside style groups and split each corpus; fork carries the patch.
+    # 5 processes claim from one pipe on fewer cores.
     monkeypatch.setattr(cli, "_CHUNK_POEMS", 2)
     caplog.set_level(logging.INFO, logger=cli.__name__)
     corpora = [_styled_corpus(tmp_path / f"c{i}.jsonl", n, 3 * i) for i, n in enumerate(sizes)]
     trees = []
-    for threads in (1, 2, 3):
+    for threads in (1, 2, 3, 5):
         out = tmp_path / f"t{threads}"
         assert main([command, *corpora, *flags, "--threads", str(threads),
                      "--out", str(out)]) == 0
         trees.append(_tree_bytes(out))
-    assert trees[0] == trees[1] == trees[2]
+    assert trees[0] == trees[1] == trees[2] == trees[3]
     chunks = sum((n + 1) // 2 for n in sizes)
     assert [r.getMessage() for r in caplog.records] == [
         f"scoring {sum(sizes)} poems in process",
         f"scoring {sum(sizes)} poems in {chunks} chunks on 2 processes",
         f"scoring {sum(sizes)} poems in {chunks} chunks on 3 processes",
+        f"scoring {sum(sizes)} poems in {chunks} chunks on 5 processes",
     ]
 
 
@@ -111,20 +114,26 @@ def test_each_poem_is_added_to_its_grid_once_in_the_scoring_fold(threads, tmp_pa
     def no_second_walk(*args):
         raise AssertionError("occupancy_heatmap walks a corpus again")
 
-    added, add = [], structure.OccupancyGrid.add
+    # Adds made in forked scoring processes are seen through a file that each appends to.
+    log, add = tmp_path / "added.jsonl", structure.OccupancyGrid.add
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def counting_add(grid, text):
-        added.append(text)
+        os.write(fd, (json.dumps(text) + "\n").encode())
         add(grid, text)
 
     monkeypatch.setattr(cli, "occupancy_heatmap", no_second_walk)
     monkeypatch.setattr(structure.OccupancyGrid, "add", counting_add)
     monkeypatch.setattr(cli, "_CHUNK_POEMS", 3)
     corpora = [_styled_corpus(tmp_path / f"c{i}.jsonl", n, i) for i, n in enumerate((7, 5))]
-    assert main(["analyze", *corpora, "--threads", str(threads),
-                 "--out", str(tmp_path / "o")]) == 0
-    assert added == [strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or "")).text
-                     for path in corpora for r in load_corpus(path)]
+    try:
+        assert main(["analyze", *corpora, "--threads", str(threads),
+                     "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.close(fd)
+    added = [json.loads(line) for line in log.read_text().splitlines()]
+    assert sorted(added) == sorted(strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or "")).text
+                                   for path in corpora for r in load_corpus(path))
 
 
 def test_worker_error_is_one_error_line_and_leaves_no_process(tmp_path, monkeypatch, capsys):
@@ -141,7 +150,45 @@ def test_worker_error_is_one_error_line_and_leaves_no_process(tmp_path, monkeypa
     assert main(["analyze", HUMAN, GPT, "--per-poem", "--threads", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: cannot annotate this poem\n"
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_workers(monkeypatch, act) -> None:
+    """Make each forked scoring process call act() before it folds its claims."""
+    parent, fold = os.getpid(), cli._fold_chunks
+
+    def fold_after_act(*args):
+        if os.getpid() != parent:
+            act()
+        return fold(*args)
+
+    monkeypatch.setattr(cli, "_fold_chunks", fold_after_act)
+
+
+def test_killed_worker_is_one_error_line_and_leaves_no_process(tmp_path, monkeypatch, capsys):
+    _in_workers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 1)
+    out = tmp_path / "o"
+    assert main(["analyze", HUMAN, GPT, "--per-poem", "--threads", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: a scoring process was ended by SIGKILL\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_error_in_this_process_ends_the_workers(tmp_path, monkeypatch):
+    # The workers would outlive the test by far; the failed run must end them.
+    _in_workers(monkeypatch, lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "annotate_rhymes", lambda poem, dictionary: 1 / 0)
+    out = tmp_path / "o"
+    started = time.monotonic()
+    with pytest.raises(ZeroDivisionError):
+        main(["analyze", HUMAN, GPT, "--threads", "2", "--out", str(out)])
+    assert time.monotonic() - started < 30
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verbose_analyze_logs_how_poems_are_scored(tmp_path, monkeypatch, caplog):
@@ -150,7 +197,7 @@ def test_verbose_analyze_logs_how_poems_are_scored(tmp_path, monkeypatch, caplog
     args = ["analyze", HUMAN, GPT, "-v", "--compare", "--min-docs", "1", "--format", "json"]
     assert main([*args, "--threads", "2", "--out", str(tmp_path / "pool")]) == 0
     # Without fork the poems are scored in this process, with the same bytes.
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert main([*args, "--threads", "2", "--out", str(tmp_path / "fallback")]) == 0
     assert [r.getMessage() for r in caplog.records] == [
         "scoring 8 poems in 4 chunks on 2 processes", "scoring 8 poems in process"]
@@ -163,7 +210,8 @@ def test_one_chunk_is_scored_in_process(tmp_path, caplog):
     assert main(["analyze", HUMAN, "-v", "--threads", "4", "--out", str(tmp_path / "o")]) == 0
     assert [r.getMessage() for r in caplog.records] == [
         f"scoring {len(load_corpus(HUMAN))} poems in process"]
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_analyze_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -733,8 +781,9 @@ def test_import_loads_no_http_stack():
 
 
 def test_import_loads_no_process_pool():
-    # analyze imports them only to score with --threads N > 1.
-    assert _loaded_by_importing_cli({"multiprocessing", "concurrent.futures.process"}) == "[]\n"
+    # analyze imports pickle only to score with --threads N > 1, and no process pool at all.
+    assert _loaded_by_importing_cli(
+        {"multiprocessing", "concurrent.futures.process", "pickle"}) == "[]\n"
 
 
 TRACED_ANALYZE = """

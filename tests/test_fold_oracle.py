@@ -25,10 +25,12 @@ from hypothesis import given, strategies as st
 from poemetrics import cli
 from poemetrics.arpabet import load_bundled_dictionary, load_dictionary, rhyme_part, stress_pattern
 from poemetrics.cli import main
-from poemetrics.corpus import EXPECTED_FORM_LENGTHS, Corpus, load_corpus, strip_prefatory
+from poemetrics.corpus import (EXPECTED_FORM_LENGTHS, Corpus, PoemRecord, load_corpus,
+                               strip_prefatory)
 from poemetrics.lexstats import (
     PRONOUN_CATEGORIES,
     first_word_logodds,
+    load_stopwords,
     logodds,
     pronoun_profile,
     tokenize,
@@ -43,7 +45,7 @@ from poemetrics.meter import (
     scan_poem,
 )
 from poemetrics.rhyme import annotate_rhymes, corpus_rhyme_stats, end_word
-from poemetrics.structure import parse_structure, summarize_lengths
+from poemetrics.structure import OccupancyGrid, parse_structure, summarize_lengths
 
 from conftest import DATA_DIR, make_corpus
 
@@ -395,3 +397,54 @@ def test_each_run_scores_with_its_own_dictionary(tmp_path):
                      "--format", "json"]) == 0
         row = json.loads((out / "report.json").read_text(encoding="utf-8"))["tables"]["meter"][0]
         assert (row["mean_iambic_score"], row["pct_dominant_iambic"]) == expected[path], path
+
+
+# The fixture poems, and one that cannot be scanned, for corpora drawn below.
+_FOLD_TEXTS = (*(r.text for name in ("fixture_human.jsonl", "fixture_gpt.jsonl")
+                 for r in load_corpus(DATA_DIR / name)), "Qzz brr\ntsk pfft")
+_FOLD_CORPORA = st.lists(
+    st.lists(st.tuples(st.sampled_from(_FOLD_TEXTS), st.sampled_from(STYLES)),
+             min_size=1, max_size=12),
+    min_size=1, max_size=3,
+).map(lambda corpora: [
+    Corpus(label=f"c{i}", records=tuple(
+        PoemRecord(id=f"c{i}-{j}", text=text, source="human", style=style)
+        for j, (text, style) in enumerate(poems)))
+    for i, poems in enumerate(corpora)
+])
+
+
+def _grids(corpora):
+    return [OccupancyGrid(6, 20) for _ in corpora]
+
+
+@given(corpora=_FOLD_CORPORA, size=st.integers(1, 5), data=st.data())
+def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
+    # However the chunks are shared among processes and claimed, merging each process's
+    # totals and replaying the chunks' floats and lines in order gives the in-process fold.
+    families = ("structure", "rhyme", "meter", "lexstats")
+    compared = data.draw(st.integers(0, min(2, len(corpora))), label="compared")
+    expected_grids = _grids(corpora)
+    expected = cli._score_corpora(corpora, families, dictionary, 0.75, True, compared, 1,
+                                  expected_grids)
+    chunks = cli._chunks(corpora, size)
+    processes = data.draw(st.integers(1, 4), label="processes")
+    owners = data.draw(st.lists(st.integers(0, processes - 1), min_size=len(chunks),
+                                max_size=len(chunks)), label="owners")
+    run = (corpora, families, replace(dictionary), 0.75, True, compared,
+           load_stopwords() if compared else frozenset())
+    folds = []
+    for p in range(processes):
+        claims = data.draw(st.permutations([k for k, owner in enumerate(owners) if owner == p]),
+                           label=f"claims of {p}")
+        folds.append(cli._fold_chunks(run, chunks, claims, _grids(corpora)))
+    folds = data.draw(st.permutations(folds), label="merge order")
+    (totals, parts), rest = folds[0], folds[1:]
+    for their_totals, their_parts in rest:
+        cli._merge_totals(totals, their_totals)
+        parts.update(their_parts)
+    scored, grids, counted = totals
+    cli._replay(scored, chunks, parts)
+    # _Group, WordCounts and the stats dataclasses compare field by field, floats by ==.
+    assert (scored, counted) == expected
+    assert [(g.poems, g.cells) for g in grids] == [(g.poems, g.cells) for g in expected_grids]
