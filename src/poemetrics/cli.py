@@ -7,11 +7,11 @@ tables/ (CSV or JSON), grids/ (occupancy matrices), plots/ (optional SVG),
 annotations/ (optional per-poem rhyme) and a combined report.json. Invalid
 input is rejected before any output is written: exit 1 for a corpus problem,
 2 for a flag value. Output is deterministic: identical inputs and flags produce
-byte-identical reports. --threads N scores the poems in up to N processes, this
-one included, which claim chunks of poems and fold them into their own totals;
-those are merged here, integers exactly and float sums replayed in input order,
-the same additions in the same order as scoring in process, so the bytes do not
-depend on N.
+byte-identical reports. Every poem is scored once, by one fold over chunks of
+consecutive poems. --threads N runs that fold in up to N processes, this one
+included, which claim chunks and fold them into their own totals; those are
+merged here, integers exactly, and the float sums are redone in input order
+whatever N is, so the bytes do not depend on N.
 """
 
 from __future__ import annotations
@@ -193,67 +193,13 @@ class _Group:
         self.touchstones = list(map(add, self.touchstones, other.touchstones))
 
 
-# Consecutive poems of one corpus per chunk that a scoring process claims under --threads N > 1.
+# Consecutive poems of one corpus per chunk that a scoring process claims.
 _CHUNK_POEMS = 100
 
 # Chunks grow past _CHUNK_POEMS poems so that a run has about this many at most: their
 # 4-byte indices are all written to the claim pipe before any process reads it, so they
 # must fit its buffer (64 KiB on Linux, 4 KiB at least).
 _MAX_CHUNKS = 1000
-
-
-def _score_poems(records, families, dictionary, threshold, per_poem, counted):
-    """Score each record once, in input order, computing only the families asked for.
-
-    Yields per poem its line count, stanza sizes, rhyme counts, --per-poem line,
-    meter scan, pronoun counts and touchstone hits; a family not asked for
-    yields None. Each non-blank line is tokenized once, on the poem's first read
-    of its tokens, and end words, meter, pronouns, touchstones and word counts
-    all come from them. Each poem's tokens are added to counted, unless None.
-    """
-    for record in records:
-        poem = parse_structure(record)
-        rhyme = line = scan = pronouns = hits = None
-        if counted is not None or "lexstats" in families:
-            words = tuple(chain.from_iterable(poem.tokens))
-        if counted is not None:
-            counted.add(words)
-        if "rhyme" in families:
-            annotation = annotate_rhymes(poem, dictionary)
-            rhyme = annotation.counts()
-            if per_poem:
-                line = json.dumps({**annotation.to_json_dict(), "id": record.id},
-                                  ensure_ascii=False, sort_keys=True)
-        if "meter" in families:
-            scan = scan_poem(poem, dictionary, threshold)
-        if "lexstats" in families:
-            pronouns, hits = pronoun_counts(words), touchstone_hits(words)
-        yield poem.line_count, poem.stanza_sizes, rhyme, line, scan, pronouns, hits
-
-
-def _fold_poems(scored, grid, records, scores, families) -> None:
-    """Add each record's _score_poems numbers to its corpus's ALL group and its style's group.
-
-    scored is the corpus's (ALL group, groups by style, --per-poem lines). Each
-    record's text is added to grid, the corpus's OccupancyGrid, unless it is None.
-    """
-    everything, by_style, lines = scored
-    for record, score in zip(records, scores):
-        line_count, stanza_sizes, rhyme, line, scan, pronouns, hits = score
-        if grid is not None:
-            grid.add(record.text)
-        for group in (everything, by_style[record.style]):
-            group.line_counts[line_count] += 1
-            group.quatrains.add(stanza_sizes)
-            if rhyme is not None:
-                group.rhyme.add(rhyme)
-            if "meter" in families:
-                group.meter.add(scan)
-            if pronouns is not None:
-                group.pronouns = list(map(add, group.pronouns, pronouns))
-                group.touchstones = list(map(add, group.touchstones, hits))
-        if line is not None:
-            lines.append(line)
 
 
 def _chunks(corpora, size: int) -> list[tuple[int, slice]]:
@@ -263,39 +209,66 @@ def _chunks(corpora, size: int) -> list[tuple[int, slice]]:
             for start in range(0, len(corpus), size)]
 
 
-def _empty_totals(corpora, compared, stopwords):
-    """Per corpus an empty ALL group, groups by style and --per-poem lines; and a WordCounts
-    for each of the first `compared` corpora."""
-    return ([(_Group(), defaultdict(_Group), []) for _ in corpora],
-            [WordCounts(stopwords) for _ in corpora[:compared]])
-
-
 def _fold_chunks(run, chunks, claims, grids):
-    """One scoring process's fold of the chunks it claims, in claim order.
+    """One scoring process's fold of the chunks it claims, in claim order: the one place
+    where a poem is scored.
 
     run is (corpora, families, dictionary, threshold, per_poem, compared,
     stopwords); chunks lists (corpus index, slice of its records); claims
-    yields chunk indices. Each claimed chunk's poems are scored and folded into
-    this process's totals, grids included, one OccupancyGrid or None per corpus.
-    Returns the totals, (scored, grids, counted) with scored and counted as
-    _score_corpora gives them but with float sums in claim order and no
-    --per-poem lines; and per claimed chunk index its order-sensitive parts:
-    each poem's (style, rhymed fraction, iambic score), None where not scored,
-    and its --per-poem lines.
+    yields chunk indices; grids holds one OccupancyGrid or None per corpus.
+    Each claimed poem is parsed and scored once, for the families asked for
+    only, and added straight to its corpus's ALL group, its style's group, its
+    grid and, for the first `compared` corpora, its WordCounts. Each non-blank
+    line is tokenized once, on the poem's first read of its tokens, and end
+    words, meter, pronouns, touchstones and word counts all come from them.
+
+    Returns the totals, (scored, grids, counted): per corpus its ALL group,
+    groups by style and an empty --per-poem list, float sums in claim order;
+    and the WordCounts. Also returns per claimed chunk index what _replay
+    reads: the poems' rhymed fractions and iambic scores (None when
+    unscannable), each empty when its family was not scored, and their
+    --per-poem lines.
     """
     corpora, families, dictionary, threshold, per_poem, compared, stopwords = run
-    scored, counted = _empty_totals(corpora, compared, stopwords)
+    scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
+    counted = [WordCounts(stopwords) for _ in corpora[:compared]]
+    rhymes, meters, lexical = (family in families for family in ("rhyme", "meter", "lexstats"))
     parts = {}
     for k in claims:
         i, span = chunks[k]
-        records = corpora[i].records[span]
-        scores = list(_score_poems(records, families, dictionary, threshold, per_poem,
-                                   counted[i] if i < compared else None))
         everything, by_style, _ = scored[i]
-        lines = []
-        _fold_poems((everything, by_style, lines), grids[i], records, scores, families)
-        parts[k] = ([(r.style, rhyme and rhyme[1], scan and scan[0])
-                     for r, (_, _, rhyme, _, scan, _, _) in zip(records, scores)], lines)
+        grid, counting = grids[i], counted[i] if i < compared else None
+        fractions, scores, lines = parts[k] = [], [], []
+        for record in corpora[i].records[span]:
+            poem = parse_structure(record)
+            if grid is not None:
+                grid.add(record.text)
+            if counting is not None or lexical:
+                words = tuple(chain.from_iterable(poem.tokens))
+            if counting is not None:
+                counting.add(words)
+            if rhymes:
+                annotation = annotate_rhymes(poem, dictionary)
+                rhyme = annotation.counts()
+                fractions.append(rhyme[1])
+                if per_poem:
+                    lines.append(json.dumps({**annotation.to_json_dict(), "id": record.id},
+                                            ensure_ascii=False, sort_keys=True))
+            if meters:
+                scan = scan_poem(poem, dictionary, threshold)
+                scores.append(scan and scan[0])
+            if lexical:
+                pronouns, hits = pronoun_counts(words), touchstone_hits(words)
+            for group in (everything, by_style[record.style]):
+                group.line_counts[poem.line_count] += 1
+                group.quatrains.add(poem.stanza_sizes)
+                if rhymes:
+                    group.rhyme.add(rhyme)
+                if meters:
+                    group.meter.add(scan)
+                if lexical:
+                    group.pronouns = list(map(add, group.pronouns, pronouns))
+                    group.touchstones = list(map(add, group.touchstones, hits))
     return (scored, grids, counted), parts
 
 
@@ -313,20 +286,23 @@ def _merge_totals(totals, other) -> None:
         mine.update(theirs)
 
 
-def _replay(scored, chunks, parts) -> None:
-    """Redo every group's float sums from the chunks' per-poem values, and append their
-    --per-poem lines, in chunk order: the additions of the in-process fold, in its order."""
+def _replay(corpora, scored, chunks, parts) -> None:
+    """Redo every group's float sums from the chunks' parts, and append their --per-poem
+    lines, in chunk order, that is in input order, whatever order the chunks were claimed
+    and merged in. Each poem's style is read from its record in corpora."""
     for everything, by_style, _ in scored:
         for group in (everything, *by_style.values()):
             group.rhyme.rhymed_fraction_sum = group.meter.iambic_score_sum = 0.0
-    for k, (i, _) in enumerate(chunks):
-        floats, lines = parts[k]
+    for k, (i, span) in enumerate(chunks):
+        fractions, scores, lines = parts[k]
         everything, by_style, all_lines = scored[i]
-        for style, fraction, score in floats:
-            for group in (everything, by_style[style]):
-                if fraction is not None:
-                    group.rhyme.rhymed_fraction_sum += fraction
-                if score is not None:
+        records = corpora[i].records[span]
+        for record, fraction in zip(records, fractions):
+            for group in (everything, by_style[record.style]):
+                group.rhyme.rhymed_fraction_sum += fraction
+        for record, score in zip(records, scores):
+            if score is not None:
+                for group in (everything, by_style[record.style]):
                     group.meter.iambic_score_sum += score
         all_lines.extend(lines)
 
@@ -355,15 +331,15 @@ def _serve(run, chunks, claims, grids, result_fd: int):
 
 
 def _fork_join(run, chunks, processes, grids):
-    """Score and fold the chunks in `processes` processes, this one and processes - 1 forked.
+    """Fold the chunks in `processes` processes, this one and processes - 1 forked.
 
     Every chunk index is written to a pipe first; each process claims chunks by
     reading 4-byte indices from it until it is empty, and folds them with
     _fold_chunks. Each worker sends its totals and parts once; this process
-    merges the totals, which are integers, then replays the float sums and
-    --per-poem lines in chunk order (_replay), so the bytes do not depend on who
-    claimed what. An error in any process, or a worker that did not exit
-    normally, raises here after every worker is ended and reaped.
+    merges the totals, which are integers but for the float sums that _replay
+    redoes, and returns them with every chunk's parts, as _fold_chunks does for
+    all chunks. An error in any process, a worker that did not exit normally or
+    a failed fork raises here after every worker is ended and reaped.
     """
     import pickle
     import signal
@@ -378,7 +354,12 @@ def _fork_join(run, chunks, processes, grids):
     try:
         for _ in range(processes - 1):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
             if not pid:
                 os.close(read_end)
                 _serve(run, chunks, claims, grids, write_end)
@@ -407,42 +388,39 @@ def _fork_join(run, chunks, processes, grids):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    scored, _, counted = totals
-    _replay(scored, chunks, parts)
-    return scored, counted
+    return totals, parts
 
 
 def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared, processes,
                    grids):
     """Score every poem once and fold it into its groups and its corpus's grid.
 
-    grids holds one OccupancyGrid or None per corpus; each poem's text is added
-    to its corpus's grid as the poem is folded. Returns per corpus its ALL group,
-    its groups by style (keyed by record.style, None for unlabeled) and its
-    --per-poem lines; and the WordCounts of the first `compared` corpora. Poems
-    are scored on a copy of dictionary whose memos start empty and are dropped
-    on return. Each corpus is cut into chunks of _CHUNK_POEMS poems, or more
-    past _MAX_CHUNKS chunks; when min(processes, chunks) > 1 and fork is
-    available, that many processes, this one included, each with its own
-    memos, claim and fold the chunks (_fork_join). Otherwise each poem is
-    scored and folded here as it is read.
+    grids holds one OccupancyGrid or None per corpus. Returns per corpus its ALL
+    group, its groups by style (keyed by record.style, None for unlabeled) and
+    its --per-poem lines; and the WordCounts of the first `compared` corpora.
+    Poems are scored on a copy of dictionary whose memos start empty and are
+    dropped on return. Each corpus is cut into chunks of _CHUNK_POEMS poems, or
+    more past _MAX_CHUNKS chunks, and every chunk is folded by _fold_chunks:
+    here, in chunk order, when min(processes, chunks) is 1 or fork is
+    unavailable; otherwise by that many processes, this one included, each with
+    its own memos (_fork_join). Either way _replay then redoes the float sums
+    and gathers the --per-poem lines in input order, so the bytes do not depend
+    on processes.
     """
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
     poems = sum(map(len, corpora))
     chunks = _chunks(corpora, max(_CHUNK_POEMS, -(-poems // _MAX_CHUNKS)))
     processes = min(processes, len(chunks))
+    run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords)
     if processes > 1 and hasattr(os, "fork"):
         logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
                     processes)
-        run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords)
-        return _fork_join(run, chunks, processes, grids)
-    logger.info("scoring %d poems in process", poems)
-    scored, counted = _empty_totals(corpora, compared, stopwords)
-    for i, corpus in enumerate(corpora):
-        scores = _score_poems(corpus.records, families, dictionary, threshold, per_poem,
-                              counted[i] if i < compared else None)
-        _fold_poems(scored[i], grids[i], corpus.records, scores, families)
+        (scored, _, counted), parts = _fork_join(run, chunks, processes, grids)
+    else:
+        logger.info("scoring %d poems in process", poems)
+        (scored, _, counted), parts = _fold_chunks(run, chunks, range(len(chunks)), grids)
+    _replay(corpora, scored, chunks, parts)
     return scored, counted
 
 

@@ -23,9 +23,7 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
 from importlib import resources
-from operator import add
 
 from .corpus import Corpus
 
@@ -95,41 +93,31 @@ def pronoun_counts(tokens: Sequence[str]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def fold_pronouns(counts: Sequence[tuple[int, ...]], per_poem: bool = False) -> PronounProfile:
-    """Pronoun profile of a group from its poems' pronoun_counts, in input order.
-
-    Poems with no tokens are skipped.
-    """
-    counted = [c for c in counts if c[0]]
-    token_total = sum(c[0] for c in counted)
+def fold_pronouns(counts: Sequence[tuple[int, ...]]) -> PronounProfile:
+    """Pooled pronoun profile of a group from its poems' pronoun_counts."""
+    token_total = sum(c[0] for c in counts)
     totals, freqs = {}, {}
     for k, category in enumerate(PRONOUN_CATEGORIES, start=1):
-        totals[category] = sum(c[k] for c in counted)
-        if per_poem:
-            rates = [100.0 * c[k] / c[0] for c in counted]
-            freqs[category] = reduce(add, rates, 0.0) / len(rates) if rates else 0.0
-        else:
-            freqs[category] = 100.0 * totals[category] / token_total if token_total else 0.0
+        totals[category] = sum(c[k] for c in counts)
+        freqs[category] = 100.0 * totals[category] / token_total if token_total else 0.0
     return PronounProfile(per_100_words=freqs, counts=totals, total_tokens=token_total)
 
 
 def pronoun_profile(
     corpus: Corpus,
     exclude_subjects: set[str] | None = None,
-    per_poem: bool = False,
 ) -> PronounProfile:
     """Pronoun-category frequencies per 100 words, pooled over the corpus.
 
     exclude_subjects removes poems whose subject label is in the given set
-    before counting. per_poem=True averages per-poem rates instead of
-    pooling counts (poems with no tokens are skipped).
+    before counting.
     """
     records = list(corpus.records)
     if exclude_subjects:
         records = [r for r in records if r.subject not in exclude_subjects]
     if not records:
         raise ValueError("no poems left after subject exclusion")
-    return fold_pronouns([pronoun_counts(tokenize(r.text)) for r in records], per_poem)
+    return fold_pronouns([pronoun_counts(tokenize(r.text)) for r in records])
 
 
 def load_stopwords() -> frozenset[str]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
@@ -172,6 +173,32 @@ def test_killed_worker_is_one_error_line_and_leaves_no_process(tmp_path, monkeyp
     out = tmp_path / "o"
     assert main(["analyze", HUMAN, GPT, "--per-poem", "--threads", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: a scoring process was ended by SIGKILL\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_is_one_error_line_and_leaks_nothing(tmp_path, monkeypatch, capsys):
+    fork, forks = os.fork, []
+    failure = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise failure
+        return fork()
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 1)
+    out = tmp_path / "o"
+    before = open_fds()
+    assert main(["analyze", HUMAN, GPT, "--threads", "3", "--out", str(out)]) == 1
+    assert open_fds() == before
+    assert len(forks) == 2
+    assert capsys.readouterr().err == f"error: {failure}\n"
     assert not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -834,9 +861,13 @@ build = {"styled-pair": inputs.styled_pair, "wide-vocab": inputs.wide_vocab}[wor
 build(101, corpora, truth)
 spec = run.WORKLOADS[workload]
 paths = [str(corpora / f"{label}.jsonl") for label in spec["labels"]]
-code = main(["analyze", *paths, "--compare", "--out", str(work / "out"), *spec["flags"]])
-print(hashlib.sha256((work / "out" / "report.json").read_bytes()).hexdigest())
-sys.exit(code)
+# With its flags, then with each --threads count given after the work directory.
+for i, threads in enumerate([None, *sys.argv[3:]]):
+    out = work / f"out-{i}"
+    extra = [] if threads is None else ["--threads", threads]
+    if main(["analyze", *paths, "--compare", "--out", str(out), *spec["flags"], *extra]):
+        sys.exit(1)
+    print("sha256", hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
 """
 
 # report.json of each analyze benchmark workload at seed 101, run with its flags.
@@ -845,19 +876,24 @@ BENCHMARK_DIGESTS = {
     "wide-vocab": "dcae773f58ec6e7ebace44c007591705e9271b9a0e490fa30e5ca59a1dbf6507",
 }
 
+# The workloads run --threads 2 and 1; each is also run at the other's count.
+OTHER_THREADS = {"styled-pair": "1", "wide-vocab": "2"}
+
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_DIGESTS))
 def test_benchmark_report_bytes_match_recorded_digests(workload, tmp_path):
     # perfbench/inputs.py reads the dictionary by a path relative to the repo root.
     repo = Path(__file__).resolve().parents[1]
     run = subprocess.run(
-        [sys.executable, "-c", BENCHMARK_REPORT, workload, str(tmp_path)],
+        [sys.executable, "-c", BENCHMARK_REPORT, workload, str(tmp_path),
+         OTHER_THREADS[workload]],
         cwd=repo,
         env={**os.environ, "PYTHONPATH": str(repo / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == BENCHMARK_DIGESTS[workload]
+    digests = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("sha256 ")]
+    assert digests == [BENCHMARK_DIGESTS[workload]] * 2
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -159,8 +159,18 @@ def _reference_rows(corpus: Corpus, dictionary) -> dict[str, list[dict]]:
     return tables
 
 
-@pytest.mark.parametrize("seed,threads", [(1, 1), (2, 2), (3, 1)])
-def test_analyze_rows_equal_per_poem_reference(tmp_path, seed, threads):
+@pytest.mark.parametrize("seed,threads,chunk_poems", [
+    pytest.param(1, 1, None, id="1-1"),
+    pytest.param(2, 2, None, id="2-2"),
+    pytest.param(3, 1, None, id="3-1"),
+    # Chunks of 7 poems end inside each 80-poem corpus and its style groups.
+    pytest.param(4, 1, 7, id="4-1-chunks-of-7"),
+    pytest.param(5, 3, 7, id="5-3-chunks-of-7"),
+])
+def test_analyze_rows_equal_per_poem_reference(tmp_path, monkeypatch, seed, threads,
+                                               chunk_poems):
+    if chunk_poems:
+        monkeypatch.setattr(cli, "_CHUNK_POEMS", chunk_poems)
     rng = random.Random(seed)
     dictionary = load_bundled_dictionary()
     words = rng.sample(dictionary.words(), 300)
@@ -225,7 +235,7 @@ def _lexical_reference(a: Corpus, b: Corpus, min_docs: int) -> dict[str, list[di
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_lexical_rows_equal_whole_poem_reference(tmp_path, seed):
+def test_lexical_rows_equal_whole_poem_reference(tmp_path, monkeypatch, seed):
     rng = random.Random(seed)
     dictionary = load_bundled_dictionary()
     words = rng.sample(dictionary.words(), 300) + list(LEXICAL_PROBES)
@@ -240,8 +250,13 @@ def test_lexical_rows_equal_whole_poem_reference(tmp_path, seed):
         "analyze-2": (["analyze", "--compare", "--threads", "2"], expected),
         "compare": (["compare"], {n: expected[n] for n in ("logodds", "first_words")}),
         "lexstats": (["lexstats"], {n: expected[n] for n in ("pronouns", "touchstones")}),
+        # Chunks of 7 poems end inside each 80-poem corpus and its style groups.
+        "analyze-1-chunks-of-7": (["analyze", "--compare", "--threads", "1"], expected),
+        "analyze-3-chunks-of-7": (["analyze", "--compare", "--threads", "3"], expected),
     }
     for name, (command, want) in runs.items():
+        if name.endswith("chunks-of-7"):
+            monkeypatch.setattr(cli, "_CHUNK_POEMS", 7)
         out = tmp_path / name
         assert main([command[0], *map(str, paths), *command[1:], "--out", str(out),
                      "--format", "json", "--min-docs", "3"]) == 0
@@ -444,7 +459,7 @@ def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
         cli._merge_totals(totals, their_totals)
         parts.update(their_parts)
     scored, grids, counted = totals
-    cli._replay(scored, chunks, parts)
+    cli._replay(corpora, scored, chunks, parts)
     # _Group, WordCounts and the stats dataclasses compare field by field, floats by ==.
     assert (scored, counted) == expected
     assert [(g.poems, g.cells) for g in grids] == [(g.poems, g.cells) for g in expected_grids]

@@ -11,7 +11,6 @@ from poemetrics.lexstats import (
     DEFAULT_TOUCHSTONE_GROUPS,
     PRONOUN_CATEGORIES,
     first_word_logodds,
-    fold_pronouns,
     load_stopwords,
     logodds,
     pronoun_profile,
@@ -140,14 +139,6 @@ def test_excluding_every_subject_is_an_error():
         pronoun_profile(Corpus(label="t", records=records), exclude_subjects={"holiday"})
 
 
-def test_per_poem_mean_differs_from_pooled():
-    corpus = make_corpus(["we we we we", "the morning light grows golden slowly"])
-    pooled = pronoun_profile(corpus)
-    per_poem = pronoun_profile(corpus, per_poem=True)
-    assert pooled.per_100_words["first_plural"] == pytest.approx(40.0)
-    assert per_poem.per_100_words["first_plural"] == pytest.approx(50.0)
-
-
 # --- weighted log-odds -------------------------------------------------------
 
 DOCS_A = [
@@ -264,13 +255,6 @@ def test_stopwords_removed_by_default():
     words = {r.word for r in logodds(a, b, min_docs=1)}
     assert "the" not in words
     assert "golden" in words
-
-
-def test_per_poem_pronoun_rates_add_left_to_right():
-    # Ten poems at 0.1 first-singular per 100 words; sum() of floats rounds
-    # their total to 1.0 from Python 3.12 on.
-    profile = fold_pronouns([(1000, 1, 0, 0, 0, 0, 0)] * 10, per_poem=True)
-    assert profile.per_100_words["first_singular"] == 0.09999999999999999
 
 
 def test_stopword_list_is_loaded():
