@@ -73,9 +73,11 @@ class PronouncingDictionary:
     """Word -> pronunciation variants, keyed case-insensitively.
 
     The memo tables map each token asked about, known or not, to its rhyme
-    parts (None when unknown) and stress string. A scoring run fills those of
-    its own dataclasses.replace copy, which shares entries and starts empty.
-    Threads may fill them at once without a lock: a race stores equal values.
+    parts (None when unknown) and stress string; stress_strings holds one
+    copy of each distinct stress string, which every token with that string
+    shares. A scoring run fills those of its own dataclasses.replace copy,
+    which shares entries and starts empty. Threads may fill them at once
+    without a lock: a race stores equal values.
     """
 
     entries: dict[str, tuple[Variant, ...]]
@@ -84,6 +86,8 @@ class PronouncingDictionary:
     rhyme_part_memo: dict[str, frozenset[Variant] | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     stress_memo: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    stress_strings: dict[str, str] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def lookup(self, word: str) -> tuple[Variant, ...]:

@@ -8,7 +8,8 @@ annotations/ (optional per-poem rhyme) and a combined report.json. Invalid
 input is rejected before any output is written: exit 1 for a corpus problem,
 2 for a flag value. Output is deterministic: identical inputs and flags produce
 byte-identical reports. Every poem is scored once, by one fold over chunks of
-consecutive poems. --threads N runs that fold in up to N processes, this one
+consecutive poems, which reads each chunk of a JSON Lines corpus from its file
+as it folds it. --threads N runs that fold in up to N processes, this one
 included, which claim chunks and fold them into their own totals; those are
 merged here, integers exactly, and the float sums are redone in input order
 whatever N is, so the bytes do not depend on N.
@@ -24,7 +25,10 @@ import logging
 import math
 import os
 import sys
-from collections import Counter, defaultdict
+import tempfile
+from array import array
+from collections import Counter, defaultdict, deque
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import chain, repeat
@@ -33,13 +37,7 @@ from pathlib import Path
 
 from . import __version__
 from .arpabet import PronouncingDictionary, bundled_dictionary_path, load_dictionary
-from .corpus import (
-    Corpus,
-    CorpusError,
-    EXPECTED_FORM_LENGTHS,
-    load_corpus,
-    strip_prefatory,
-)
+from .corpus import CorpusError, EXPECTED_FORM_LENGTHS, open_corpus, strip_prefatory
 from .generate import (
     AuthenticationError,
     ChatCompletionsClient,
@@ -70,6 +68,7 @@ from .structure import (LengthSummary, OccupancyGrid, QuatrainStats, parse_struc
 from . import svgplot
 
 # Unused here; perfbench/tracing.py wraps these names on this module.
+from .corpus import load_corpus  # noqa: F401
 from .lexstats import first_word_logodds, logodds, pronoun_profile, touchstone_coverage  # noqa: F401
 from .meter import corpus_meter_stats  # noqa: F401
 from .rhyme import corpus_rhyme_stats  # noqa: F401
@@ -209,66 +208,107 @@ def _chunks(corpora, size: int) -> list[tuple[int, slice]]:
             for start in range(0, len(corpus), size)]
 
 
+def _read_chunk(corpus, span: slice, strip: bool) -> list:
+    """The records of one chunk of corpus, each checked for a reserved style and stripped
+    of prefatory lines when strip says so, in input order, so the first fault raised is
+    the chunk's first.
+
+    The chunk is parsed whole before it is scored: parsing poem by poem between
+    scoring them took longer.
+    """
+    records = []
+    for record in corpus.read(span):
+        # These labels name the ALL and unlabeled rows; a style so named would share their key.
+        if record.style in (ALL_STYLES, UNLABELED):
+            raise CorpusError(f"{corpus.name}: poem {record.id!r}: "
+                              f"style {record.style!r} is reserved")
+        if strip:
+            record = strip_prefatory(record, EXPECTED_FORM_LENGTHS.get(record.style or ""))
+        records.append(record)
+    return records
+
+
 def _fold_chunks(run, chunks, claims, grids):
     """One scoring process's fold of the chunks it claims, in claim order: the one place
-    where a poem is scored.
+    where a poem is read and scored.
 
-    run is (corpora, families, dictionary, threshold, per_poem, compared,
-    stopwords); chunks lists (corpus index, slice of its records); claims
-    yields chunk indices; grids holds one OccupancyGrid or None per corpus.
-    Each claimed poem is parsed and scored once, for the families asked for
+    run is (corpora, families, dictionary, threshold, strip, spool, compared,
+    stopwords): corpora are open_corpus readers, strip says whether to strip
+    prefatory lines, and spool is the directory for --per-poem lines or None.
+    chunks lists (corpus index, slice of its records); claims yields chunk
+    indices; grids holds one OccupancyGrid or None per corpus. Each claimed
+    chunk is read by _read_chunk, so a process holds one chunk of records at a
+    time; then each poem is parsed and scored once, for the families asked for
     only, and added straight to its corpus's ALL group, its style's group, its
     grid and, for the first `compared` corpora, its WordCounts. Each non-blank
     line is tokenized once, on the poem's first read of its tokens, and end
     words, meter, pronouns, touchstones and word counts all come from them.
+    With a spool, the --per-poem lines go to a file of this fold's own there.
 
     Returns the totals, (scored, grids, counted): per corpus its ALL group,
-    groups by style and an empty --per-poem list, float sums in claim order;
-    and the WordCounts. Also returns per claimed chunk index what _replay
-    reads: the poems' rhymed fractions and iambic scores (None when
-    unscannable), each empty when its family was not scored, and their
-    --per-poem lines.
+    groups by style and an empty list for its spooled lines, float sums in
+    claim order; and the WordCounts. Also returns per claimed chunk index what
+    the checks and _replay read: its poems' ids and styles (one str object per
+    style), arrays of their rhymed fractions and iambic scores (NaN when
+    unscannable), each empty when its family was not scored, and (spool file,
+    start, end) of its --per-poem lines, or None. A chunk with a record fault
+    has the CorpusError instead, and the fold then claims every chunk left and
+    stops: no process folds a chunk past it, and none before it is left
+    unfolded.
     """
-    corpora, families, dictionary, threshold, per_poem, compared, stopwords = run
+    corpora, families, dictionary, threshold, strip, spool, compared, stopwords = run
     scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
     counted = [WordCounts(stopwords) for _ in corpora[:compared]]
     rhymes, meters, lexical = (family in families for family in ("rhyme", "meter", "lexstats"))
+    styles = {}
     parts = {}
-    for k in claims:
-        i, span = chunks[k]
-        everything, by_style, _ = scored[i]
-        grid, counting = grids[i], counted[i] if i < compared else None
-        fractions, scores, lines = parts[k] = [], [], []
-        for record in corpora[i].records[span]:
-            poem = parse_structure(record)
-            if grid is not None:
-                grid.add(record.text)
-            if counting is not None or lexical:
-                words = tuple(chain.from_iterable(poem.tokens))
-            if counting is not None:
-                counting.add(words)
-            if rhymes:
-                annotation = annotate_rhymes(poem, dictionary)
-                rhyme = annotation.counts()
-                fractions.append(rhyme[1])
-                if per_poem:
-                    lines.append(json.dumps({**annotation.to_json_dict(), "id": record.id},
-                                            ensure_ascii=False, sort_keys=True))
-            if meters:
-                scan = scan_poem(poem, dictionary, threshold)
-                scores.append(scan and scan[0])
-            if lexical:
-                pronouns, hits = pronoun_counts(words), touchstone_hits(words)
-            for group in (everything, by_style[record.style]):
-                group.line_counts[poem.line_count] += 1
-                group.quatrains.add(poem.stanza_sizes)
-                if rhymes:
-                    group.rhyme.add(rhyme)
-                if meters:
-                    group.meter.add(scan)
-                if lexical:
-                    group.pronouns = list(map(add, group.pronouns, pronouns))
-                    group.touchstones = list(map(add, group.touchstones, hits))
+    with (tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="", dir=spool,
+                                      delete=False) if spool else nullcontext()) as out:
+        for k in claims:
+            i, span = chunks[k]
+            corpus, (everything, by_style, _) = corpora[i], scored[i]
+            grid, counting = grids[i], counted[i] if i < compared else None
+            ids, kinds, fractions, scores = [], [], array("d"), array("d")
+            start = out and out.tell()
+            try:
+                for record in _read_chunk(corpus, span, strip):
+                    style = styles.setdefault(record.style, record.style)
+                    ids.append(record.id)
+                    kinds.append(style)
+                    poem = parse_structure(record)
+                    if grid is not None:
+                        grid.add(record.text)
+                    if counting is not None or lexical:
+                        words = tuple(chain.from_iterable(poem.tokens))
+                    if counting is not None:
+                        counting.add(words)
+                    if rhymes:
+                        annotation = annotate_rhymes(poem, dictionary)
+                        rhyme = annotation.counts()
+                        fractions.append(rhyme[1])
+                        if out:
+                            out.write(json.dumps({**annotation.to_json_dict(), "id": record.id},
+                                                 ensure_ascii=False, sort_keys=True) + "\n")
+                    if meters:
+                        scan = scan_poem(poem, dictionary, threshold)
+                        scores.append(scan[0] if scan else math.nan)
+                    if lexical:
+                        pronouns, hits = pronoun_counts(words), touchstone_hits(words)
+                    for group in (everything, by_style[style]):
+                        group.line_counts[poem.line_count] += 1
+                        group.quatrains.add(poem.stanza_sizes)
+                        if rhymes:
+                            group.rhyme.add(rhyme)
+                        if meters:
+                            group.meter.add(scan)
+                        if lexical:
+                            group.pronouns = list(map(add, group.pronouns, pronouns))
+                            group.touchstones = list(map(add, group.touchstones, hits))
+            except CorpusError as exc:  # a record fault: only reading raises one
+                parts[k] = exc
+                deque(claims, maxlen=0)  # claim every chunk left: none comes before this one
+                break
+            parts[k] = ids, kinds, fractions, scores, out and (out.name, start, out.tell())
     return (scored, grids, counted), parts
 
 
@@ -286,25 +326,50 @@ def _merge_totals(totals, other) -> None:
         mine.update(theirs)
 
 
-def _replay(corpora, scored, chunks, parts) -> None:
-    """Redo every group's float sums from the chunks' parts, and append their --per-poem
-    lines, in chunk order, that is in input order, whatever order the chunks were claimed
-    and merged in. Each poem's style is read from its record in corpora."""
+def _check_input(corpora, chunks, parts) -> None:
+    """Raise the first fault of the input, whichever process met it: corpora in order, and
+    in each its first record fault in input order, then "no poems", then its first
+    duplicate id.
+
+    parts are every fold's; a chunk may be missing only past a record fault (see
+    _fold_chunks), so every chunk before the first one is here.
+    """
+    for i, corpus in enumerate(corpora):
+        mine = [parts.get(k) for k, (j, _) in enumerate(chunks) if j == i]
+        for part in mine:
+            if isinstance(part, CorpusError):
+                raise part
+        if not len(corpus):
+            raise CorpusError(f"corpus has no poems: {corpus.name}")
+        seen: set[str] = set()
+        for ids, *_ in mine:
+            for poem_id in ids:
+                if poem_id in seen:
+                    # Named by load_corpus's label, the file's stem: only a file can repeat an id.
+                    raise CorpusError(f"duplicate poem id {poem_id!r} in corpus "
+                                      f"{Path(corpus.name).stem!r}")
+                seen.add(poem_id)
+
+
+def _replay(scored, chunks, parts) -> None:
+    """Redo every group's float sums from the chunks' parts, each poem's value added to its
+    style's group, and list their --per-poem spool ranges, in chunk order, that is in
+    input order, whatever order the chunks were claimed and merged in."""
     for everything, by_style, _ in scored:
         for group in (everything, *by_style.values()):
             group.rhyme.rhymed_fraction_sum = group.meter.iambic_score_sum = 0.0
-    for k, (i, span) in enumerate(chunks):
-        fractions, scores, lines = parts[k]
-        everything, by_style, all_lines = scored[i]
-        records = corpora[i].records[span]
-        for record, fraction in zip(records, fractions):
-            for group in (everything, by_style[record.style]):
+    for k, (i, _) in enumerate(chunks):
+        _, styles, fractions, scores, spooled = parts[k]
+        everything, by_style, all_spooled = scored[i]
+        for style, fraction in zip(styles, fractions):
+            for group in (everything, by_style[style]):
                 group.rhyme.rhymed_fraction_sum += fraction
-        for record, score in zip(records, scores):
-            if score is not None:
-                for group in (everything, by_style[record.style]):
+        for style, score in zip(styles, scores):
+            if not math.isnan(score):
+                for group in (everything, by_style[style]):
                     group.meter.iambic_score_sum += score
-        all_lines.extend(lines)
+        if spooled:
+            all_spooled.append(spooled)
 
 
 class _WorkerTraceback(Exception):
@@ -391,28 +456,30 @@ def _fork_join(run, chunks, processes, grids):
     return totals, parts
 
 
-def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared, processes,
-                   grids):
-    """Score every poem once and fold it into its groups and its corpus's grid.
+def _score_corpora(corpora, families, dictionary, threshold, strip, spool, compared,
+                   processes, grids):
+    """Read and check every poem, and score it once into its groups and its corpus's grid.
 
-    grids holds one OccupancyGrid or None per corpus. Returns per corpus its ALL
-    group, its groups by style (keyed by record.style, None for unlabeled) and
-    its --per-poem lines; and the WordCounts of the first `compared` corpora.
-    Poems are scored on a copy of dictionary whose memos start empty and are
-    dropped on return. Each corpus is cut into chunks of _CHUNK_POEMS poems, or
-    more past _MAX_CHUNKS chunks, and every chunk is folded by _fold_chunks:
-    here, in chunk order, when min(processes, chunks) is 1 or fork is
-    unavailable; otherwise by that many processes, this one included, each with
-    its own memos (_fork_join). Either way _replay then redoes the float sums
-    and gathers the --per-poem lines in input order, so the bytes do not depend
-    on processes.
+    corpora are open_corpus readers; grids holds one OccupancyGrid or None per
+    corpus. Returns per corpus its ALL group, its groups by style (keyed by
+    record.style, None for unlabeled) and the (spool file, start, end) ranges
+    of its --per-poem lines, with spool the directory for them or None; and the
+    WordCounts of the first `compared` corpora. Poems are scored on a copy of
+    dictionary whose memos start empty and are dropped on return. Each corpus
+    is cut into chunks of _CHUNK_POEMS poems, or more past _MAX_CHUNKS chunks,
+    and every chunk is read and folded by _fold_chunks: here, in chunk order,
+    when min(processes, chunks) is 1 or fork is unavailable; otherwise by that
+    many processes, this one included, each with its own memos (_fork_join).
+    Either way _check_input then raises the input's first fault, and _replay
+    redoes the float sums and lists the spooled lines in input order, so the
+    bytes do not depend on processes.
     """
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
     poems = sum(map(len, corpora))
     chunks = _chunks(corpora, max(_CHUNK_POEMS, -(-poems // _MAX_CHUNKS)))
     processes = min(processes, len(chunks))
-    run = (corpora, families, dictionary, threshold, per_poem, compared, stopwords)
+    run = (corpora, families, dictionary, threshold, strip, spool, compared, stopwords)
     if processes > 1 and hasattr(os, "fork"):
         logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
                     processes)
@@ -420,7 +487,8 @@ def _score_corpora(corpora, families, dictionary, threshold, per_poem, compared,
     else:
         logger.info("scoring %d poems in process", poems)
         (scored, _, counted), parts = _fold_chunks(run, chunks, range(len(chunks)), grids)
-    _replay(corpora, scored, chunks, parts)
+    _check_input(corpora, chunks, parts)
+    _replay(scored, chunks, parts)
     return scored, counted
 
 
@@ -510,32 +578,36 @@ def _compare_tables(a: WordCounts, b: WordCounts, s: AnalysisSettings) -> dict:
     }
 
 
-def _load_corpora(paths: list[str], args) -> list[Corpus]:
+def _load_corpora(paths: list[str], args) -> list:
+    """Each corpus as open_corpus gives it, relabelled where its label is taken: a JSON
+    Lines file is only indexed here, and every fault is raised as the fold meets it."""
     corpora = []
     labels_seen: set[str] = set()
     for raw in paths:
-        loaded = load_corpus(
-            raw, default_source=args.source_default, default_style=args.style_default
-        )
-        if not loaded.records:
-            raise CorpusError(f"corpus has no poems: {raw}")
-        for record in loaded.records:
-            # These labels name the ALL and unlabeled rows; a style so named would share their key.
-            if record.style in (ALL_STYLES, UNLABELED):
-                raise CorpusError(f"{raw}: poem {record.id!r}: style {record.style!r} is reserved")
-        label = loaded.label
+        corpus = open_corpus(raw, default_source=args.source_default,
+                             default_style=args.style_default)
+        label = corpus.label
         n = 2
         while label in labels_seen:
-            label = f"{loaded.label}-{n}"
+            label = f"{corpus.label}-{n}"
             n += 1
         labels_seen.add(label)
-        records = loaded.records
-        if not args.no_strip_prefatory:
-            records = tuple(
-                strip_prefatory(r, EXPECTED_FORM_LENGTHS.get(r.style or "")) for r in records
-            )
-        corpora.append(Corpus(label=label, records=records))
+        corpus.label = label
+        corpora.append(corpus)
     return corpora
+
+
+def _write_annotations(out_dir: Path, corpora, scored) -> None:
+    """Copy each corpus's spooled --per-poem lines, in input order, to its annotation file."""
+    annotations_dir = out_dir / "annotations"
+    annotations_dir.mkdir(parents=True, exist_ok=True)
+    for corpus, (_, _, spooled) in zip(corpora, scored):
+        with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
+                  encoding="utf-8") as handle:
+            for name, start, end in spooled:
+                with open(name, "rb") as spool:
+                    spool.seek(start)
+                    handle.write(spool.read(end - start).decode())
 
 
 def _write_report(
@@ -545,7 +617,7 @@ def _write_report(
     grids: dict[str, object],
     dictionary: PronouncingDictionary,
     settings: AnalysisSettings,
-    corpora: list[Corpus],
+    corpora: list,
 ) -> None:
     """Write each table, each grid and report.json, which holds every table's JSON rows.
 
@@ -637,21 +709,18 @@ def cmd_analyze(args) -> int:
     per_poem = args.per_poem and "rhyme" in families
     grids = {c.label: OccupancyGrid(settings.heatmap_rows, settings.heatmap_cols)
              for c in corpora} if "structure" in families else {}
-    scored, counted = _score_corpora(corpora, families, dictionary, settings.iambic_threshold,
-                                     per_poem, 2 if compare else 0, args.threads,
-                                     [grids.get(c.label) for c in corpora])
-    tables, boxplots = _fold_tables(corpora, scored, families)
-    if compare:
-        tables.update(_compare_tables(*counted, settings))
-
     out_dir = Path(args.out)
-    if per_poem:
-        annotations_dir = out_dir / "annotations"
-        annotations_dir.mkdir(parents=True, exist_ok=True)
-        for corpus, (_, _, lines) in zip(corpora, scored):
-            with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
-                      encoding="utf-8") as handle:
-                handle.writelines(line + "\n" for line in lines)
+    # The scoring processes spool --per-poem lines here; it is removed however the run ends.
+    with tempfile.TemporaryDirectory() if per_poem else nullcontext() as spool:
+        scored, counted = _score_corpora(corpora, families, dictionary,
+                                         settings.iambic_threshold, settings.strip_prefatory,
+                                         spool, 2 if compare else 0, args.threads,
+                                         [grids.get(c.label) for c in corpora])
+        tables, boxplots = _fold_tables(corpora, scored, families)
+        if compare:
+            tables.update(_compare_tables(*counted, settings))
+        if per_poem:
+            _write_annotations(out_dir, corpora, scored)
     _write_report(out_dir, args.format, tables, grids, dictionary, settings, corpora)
     if args.emit_plots:
         _write_plots(out_dir, tables, grids, boxplots, settings.top_k)

@@ -5,6 +5,8 @@ the fields (id, text, source, style, subject, template, title); the CSV and
 directory loaders normalize into the same records. Unknown fields are
 ignored. A leading UTF-8 byte order mark is dropped, and line endings are
 normalized CRLF -> LF at load time; text is otherwise preserved byte-exactly.
+load_corpus reads a corpus whole; open_corpus gives a reader of chunks of
+it, which for JSON Lines holds only an index of the record lines.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field, replace
+from array import array
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 # Closed style vocabulary for generated poems: eight fixed forms, nine
@@ -169,30 +173,54 @@ def _not_utf8(path: Path) -> CorpusError:
             return CorpusError(f"{file}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8")
 
 
-def _record_from_mapping(
-    raw: dict,
-    where: str,
-    fallback_id: str,
-    default_source: str | None,
-    default_style: str | None,
-) -> PoemRecord:
-    values = {"id": fallback_id, "source": default_source, "style": default_style}
+class _Rows:
+    """What the records of one file share: the start of their error locations, such as
+    "<path>: line", the stem of their fallback ids, and the default source and style."""
+
+    __slots__ = ("where", "stem", "default_source", "default_style")
+
+    def __init__(self, path: Path, unit: str, default_source, default_style):
+        self.where, self.stem = f"{path}: {unit}", path.stem
+        self.default_source, self.default_style = default_source, default_style
+
+
+def _record_from_mapping(raw: dict, n: int, rows: _Rows) -> PoemRecord:
+    """The record of row or line n of a file; without an id its id is "<stem>-<n:04d>"."""
+    values = {"source": rows.default_source, "style": rows.default_style}
     for key in _FIELDS:
         value = raw.get(key)
         if type(value) in _NOT_TEXT:
-            raise CorpusError(f"{where}: field {key!r} must be a string or a number, "
+            raise CorpusError(f"{rows.where} {n}: field {key!r} must be a string or a number, "
                               f"not {_NOT_TEXT[type(value)]}")
         if value is not None and value != "":
             values[key] = str(value)  # as a CSV cell reads: a JSON number becomes its text
     if "text" not in values:
-        raise CorpusError(f"{where}: missing required field 'text'")
+        raise CorpusError(f"{rows.where} {n}: missing required field 'text'")
     if not values["source"]:
-        raise CorpusError(f"{where}: missing required field 'source'")
+        raise CorpusError(f"{rows.where} {n}: missing required field 'source'")
+    if "id" not in values:
+        values["id"] = f"{rows.stem}-{n:04d}"
     values["text"] = _normalize_newlines(values["text"])
     try:
         return PoemRecord(**values)
     except CorpusError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
+        raise CorpusError(f"{rows.where} {n}: {exc}") from exc
+
+
+_FORMATS = ("json-lines", "csv", "directory-of-text-files")
+
+
+def _format(path: Path, format: str | None) -> str:
+    """format, or the format inferred from the path (directory, .csv suffix, else JSONL)."""
+    if not path.exists():
+        raise CorpusError(f"corpus path does not exist: {path}")
+    if format is None:
+        if path.is_dir():
+            return "directory-of-text-files"
+        return "csv" if path.suffix.lower() == ".csv" else "json-lines"
+    if format not in _FORMATS:
+        raise CorpusError(f"unknown corpus format {format!r}")
+    return format
 
 
 def load_corpus(
@@ -207,85 +235,198 @@ def load_corpus(
     format is one of "json-lines", "csv", "directory-of-text-files"; when
     None it is inferred from the path (directory, .csv suffix, else JSONL).
     Fields are read as strings, as CSV cells are. Malformed records and bytes
-    that are not UTF-8 raise CorpusError naming the file and line.
+    that are not UTF-8 raise CorpusError naming the file and line. A JSON
+    Lines file is read as one chunk of open_corpus's reader.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus path does not exist: {path}")
-    if format is None:
-        if path.is_dir():
-            format = "directory-of-text-files"
-        elif path.suffix.lower() == ".csv":
-            format = "csv"
-        else:
-            format = "json-lines"
-
+    format = _format(path, format)
+    if format == "json-lines":
+        records = _read_jsonl(path, _Rows(path, "line", default_source, default_style))
+    else:
+        records = _LOADERS[format](path, default_source, default_style)
     try:
-        if format == "json-lines":
-            records = _load_jsonl(path, default_source, default_style)
-        elif format == "csv":
-            records = _load_csv(path, default_source, default_style)
-        elif format == "directory-of-text-files":
-            records = _load_directory(path, default_source, default_style)
-        else:
-            raise CorpusError(f"unknown corpus format {format!r}")
+        return Corpus(label=path.stem or str(path), records=tuple(records))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    return Corpus(label=path.stem or str(path), records=tuple(records))
 
 
-def _load_jsonl(path: Path, default_source, default_style) -> list[PoemRecord]:
-    records = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+class JsonLinesIndex:
+    """A JSON Lines corpus read a chunk of records at a time (see open_corpus).
+
+    It holds where each record's line starts (a byte offset) and that line's
+    number, not the records: read parses only the lines of the span asked for.
+    name is the path as given.
+    """
+
+    def __init__(self, name: str, label: str, path: Path, rows: _Rows):
+        self.name, self.label, self.path, self.rows = name, label, path, rows
+        self.starts, self.linenos = _index_jsonl(path)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def read(self, span: slice) -> Iterator[PoemRecord]:
+        """The records of span, parsed one at a time as they are taken."""
+        first, stop, _ = span.indices(len(self))
+        if first >= stop:
+            return iter(())
+        return _read_jsonl(self.path, self.rows, self.starts[first], self.linenos[first],
+                           stop - first)
+
+
+class LoadedCorpus:
+    """A corpus loaded whole (see open_corpus): its records up to its first fault, if any,
+    which counts as one more record and which read raises in that record's place. name
+    is the path as given."""
+
+    def __init__(self, name: str, label: str, records: tuple[PoemRecord, ...],
+                 fault: CorpusError | None = None):
+        self.name, self.label, self.records, self.fault = name, label, records, fault
+
+    def __len__(self) -> int:
+        return len(self.records) + (self.fault is not None)
+
+    def read(self, span: slice) -> Iterator[PoemRecord]:
+        first, stop, _ = span.indices(len(self))
+        yield from self.records[first:stop]
+        if stop > len(self.records):
+            raise self.fault
+
+
+def open_corpus(
+    path: str | Path,
+    format: str | None = None,
+    *,
+    default_source: str | None = None,
+    default_style: str | None = None,
+) -> JsonLinesIndex | LoadedCorpus:
+    """A corpus to read in chunks: len() records, read(span) gives those of a slice.
+
+    A JSON Lines file is indexed here and parsed only by read, so a caller
+    holds one chunk of its records at a time. A CSV file or a directory of
+    .txt files is loaded whole, up to its first fault. Nothing is raised
+    here: read raises each fault in its record's place, and one that spoils
+    the whole file in the first, so that a caller reading in order meets the
+    faults in input order. An OSError met here becomes a CorpusError with
+    its message. format and the defaults are as for load_corpus, and read
+    gives the records, ids and errors that load_corpus does.
+    """
+    name, path = str(path), Path(path)
+    label = path.stem or str(path)
+    records: list[PoemRecord] = []
+    try:
+        format = _format(path, format)
+        if format == "json-lines":
+            return JsonLinesIndex(name, label, path,
+                                  _Rows(path, "line", default_source, default_style))
+        try:
+            records.extend(_LOADERS[format](path, default_source, default_style))
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+    except CorpusError as exc:
+        return LoadedCorpus(name, label, tuple(records), exc)
+    except OSError as exc:
+        return LoadedCorpus(name, label, tuple(records), CorpusError(str(exc)))
+    return LoadedCorpus(name, label, tuple(records))
+
+
+_BOM = b"\xef\xbb\xbf"
+# The ASCII characters that str.strip() removes.
+_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _text_lines(handle) -> Iterator[bytes]:
+    """The lines of a binary file as text mode splits them, at LF, CRLF or a lone CR, each
+    with its own line end (a last line may have none)."""
+    for line in handle:
+        if b"\r" in line:
+            yield from line.splitlines(keepends=True)
+        else:
+            yield line
+
+
+def _blank(line: bytes) -> bool:
+    """Whether the line is blank once decoded, by str.strip(); a line that is not UTF-8 is not."""
+    rest = line.lstrip(_ASCII_SPACE)
+    if not rest or rest[0] < 0x80:
+        return not rest
+    try:
+        return not rest.decode().strip()
+    except UnicodeDecodeError:
+        return False
+
+
+def _index_jsonl(path: Path) -> tuple[array, array]:
+    """The byte offset and line number of each non-blank line of a JSON Lines file."""
+    starts, linenos = array("q"), array("q")
+    with open(path, "rb") as handle:
+        offset = len(_BOM) if handle.read(len(_BOM)) == _BOM else 0
+        handle.seek(offset)
+        for lineno, line in enumerate(_text_lines(handle), start=1):
+            if not _blank(line):
+                starts.append(offset)
+                linenos.append(lineno)
+            offset += len(line)
+    return starts, linenos
+
+
+def _read_jsonl(path: Path, rows: _Rows, start: int = 0, lineno: int = 1,
+                count: int = -1) -> Iterator[PoemRecord]:
+    """count records (every one when negative) of a JSON Lines file, parsed one at a time
+    from the line that starts at byte start and is numbered lineno.
+
+    Lines are split and numbered as text mode splits them (see _text_lines),
+    blank lines are skipped, and a byte order mark is dropped at byte 0 only.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        if not start and handle.read(len(_BOM)) != _BOM:
+            handle.seek(0)
+        for lineno, line in enumerate(_text_lines(handle), start=lineno):
+            if _blank(line):
                 continue
+            if line.endswith((b"\r", b"\r\n")):
+                line = line.rstrip(b"\r\n") + b"\n"  # as text mode reads it
             try:
-                raw = json.loads(line)
+                raw = json.loads(line.decode())
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{rows.where} {lineno}: byte 0x{line[exc.start]:02x} "
+                                  "is not UTF-8") from None
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise CorpusError(f"{rows.where} {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(raw, dict):
-                raise CorpusError(f"{path}: line {lineno}: record is not a JSON object")
-            records.append(
-                _record_from_mapping(
-                    raw, f"{path}: line {lineno}", f"{path.stem}-{lineno:04d}",
-                    default_source, default_style,
-                )
-            )
-    return records
+                raise CorpusError(f"{rows.where} {lineno}: record is not a JSON object")
+            yield _record_from_mapping(raw, lineno, rows)
+            count -= 1
+            if not count:
+                return
 
 
-def _load_csv(path: Path, default_source, default_style) -> list[PoemRecord]:
-    records = []
+def _load_csv(path: Path, default_source, default_style) -> Iterator[PoemRecord]:
+    rows = _Rows(path, "row", default_source, default_style)
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "text" not in reader.fieldnames:
             raise CorpusError(f"{path}: CSV header row with a 'text' column is required")
         for index, row in enumerate(reader, start=1):
-            where = f"{path}: row {index}"
-            records.append(
-                _record_from_mapping(
-                    row, where, f"{path.stem}-{index:04d}", default_source, default_style
-                )
-            )
-    return records
+            yield _record_from_mapping(row, index, rows)
 
 
-def _load_directory(path: Path, default_source, default_style) -> list[PoemRecord]:
+def _load_directory(path: Path, default_source, default_style) -> Iterator[PoemRecord]:
     if default_source is None:
         raise CorpusError(
             f"{path}: loading a directory of text files requires a default source"
         )
-    records = []
     for file in sorted(path.glob("*.txt")):
         text = _normalize_newlines(file.read_text(encoding="utf-8-sig"))
         try:
-            records.append(
-                PoemRecord(id=file.stem, text=text, source=default_source, style=default_style)
-            )
+            yield PoemRecord(id=file.stem, text=text, source=default_source, style=default_style)
         except CorpusError as exc:
             raise CorpusError(f"{file}: {exc}") from exc
-    return records
+
+
+# The loaders of the formats read whole.
+_LOADERS = {"csv": _load_csv, "directory-of-text-files": _load_directory}
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

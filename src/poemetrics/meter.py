@@ -45,11 +45,15 @@ def word_stress(word: str, dictionary: PronouncingDictionary) -> str:
 
 
 def _stress_memo(words: Iterable[str], dictionary: PronouncingDictionary) -> dict[str, str]:
-    """dictionary.stress_memo, after adding the word_stress string of each word it lacks."""
-    memo = dictionary.stress_memo
+    """dictionary.stress_memo, after adding the word_stress string of each word it lacks.
+
+    Equal strings are stored once, as the one in dictionary.stress_strings.
+    """
+    memo, strings = dictionary.stress_memo, dictionary.stress_strings
     # The filter reads the memo as it goes, so a word is scanned once however often it comes.
     for word in filterfalse(memo.__contains__, words):
-        memo[word] = word_stress(word, dictionary)
+        stress = word_stress(word, dictionary)
+        memo[word] = strings.setdefault(stress, stress)
     return memo
 
 

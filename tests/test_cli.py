@@ -9,7 +9,9 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from poemetrics import cli, lexstats, meter, rhyme, structure
+from poemetrics import corpus as corpus_module
 from poemetrics.cli import main
 from poemetrics.corpus import EXPECTED_FORM_LENGTHS, load_corpus, strip_prefatory
 
@@ -214,6 +217,138 @@ def test_error_in_this_process_ends_the_workers(tmp_path, monkeypatch):
         main(["analyze", HUMAN, GPT, "--threads", "2", "--out", str(out)])
     assert time.monotonic() - started < 30
     assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fault_corpus(path: Path, rows: str) -> str:
+    """A corpus of one line per letter of rows: o a poem, j a line that is not JSON, r a poem
+    of the reserved style ALL, d a poem with the first poem's id, b a blank line."""
+    lines = {"j": lambda n: "not json", "b": lambda n: "   ",
+             "o": lambda n: json.dumps({"id": f"p{n}", "text": "one\ntwo", "source": "human"}),
+             "r": lambda n: json.dumps({"id": f"p{n}", "text": "x", "source": "human",
+                                        "style": "ALL"}),
+             "d": lambda n: json.dumps({"id": "p0", "text": "y", "source": "human"})}
+    path.write_text("".join(lines[kind](n) + "\n" for n, kind in enumerate(rows)))
+    return str(path)
+
+
+@pytest.mark.parametrize("first, second, error", [
+    ("oodoj", "oooor", "{a}: line 5: invalid JSON (Expecting value)"),
+    ("ooodo", "oojoo", "duplicate poem id 'p0' in corpus 'a'"),
+    ("oooooo", "oorojo", "{b}: poem 'p2': style 'ALL' is reserved"),
+    ("ojoor", "oooooj", "{a}: line 2: invalid JSON (Expecting value)"),
+    ("oodobr", "j", "{a}: poem 'p5': style 'ALL' is reserved"),
+    ("bb", "ojr", "corpus has no poems: {a}"),
+    ("oooo", "ooboodj", "{b}: line 7: invalid JSON (Expecting value)"),
+], ids=["json-before-duplicate", "duplicate-before-next-corpus", "reserved-before-json",
+        "first-json-wins", "reserved-before-duplicate", "empty-before-next-corpus",
+        "blank-lines-count"])
+def test_first_fault_is_the_error_at_every_thread_count(first, second, error, tmp_path,
+                                                        monkeypatch, capsys):
+    # Chunks of one poem spread the faults over the processes, which claim them in any order.
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 1)
+    paths = {"a": _fault_corpus(tmp_path / "a.jsonl", first),
+             "b": _fault_corpus(tmp_path / "b.jsonl", second)}
+    out = tmp_path / "o"
+    for threads in ("1", "2", "3"):
+        assert main(["analyze", paths["a"], paths["b"], "--per-poem", "--threads", threads,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error.format(**paths)}\n", threads
+        assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_process_holds_one_chunk_of_records(threads, tmp_path, monkeypatch):
+    # Each process logs how many records made by the reader are alive each time it makes one.
+    made, log = corpus_module._record_from_mapping, tmp_path / "live.log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    live = []
+
+    def counted(*args):
+        record = made(*args)
+        live.append(None)
+        weakref.finalize(record, live.pop)
+        os.write(fd, f"{os.getpid()} {len(live)}\n".encode())
+        return record
+
+    corpora = [_styled_corpus(tmp_path / f"c{i}.jsonl", 20, i) for i in range(2)]
+    monkeypatch.setattr(corpus_module, "_record_from_mapping", counted)
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 3)
+    try:
+        assert main(["analyze", *corpora, "--compare", "--min-docs", "1", "--per-poem",
+                     "--threads", threads, "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.close(fd)
+    counts = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert len(counts) == 40
+    assert len({pid for pid, _ in counts}) == int(threads)
+    # One chunk, and at most the last record of the chunk before, which the fold's loop
+    # variable holds until the next chunk is read.
+    assert max(n for _, n in counts) <= 3 + 1
+
+
+def _fail_in_this_process(monkeypatch):
+    parent, annotate = os.getpid(), cli.annotate_rhymes
+
+    def annotate_here(poem, dictionary):
+        if os.getpid() == parent:
+            raise ZeroDivisionError("scoring failed")
+        return annotate(poem, dictionary)
+
+    monkeypatch.setattr(cli, "annotate_rhymes", annotate_here)
+
+
+_EAGAIN = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def _fail_to_fork(monkeypatch):
+    def no_fork():
+        raise _EAGAIN
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.parametrize("scenario, error", [
+    ("success", None),
+    ("record-fault", "line 3: invalid JSON"),
+    ("worker-corpus-error", "error: raised in a worker\n"),
+    ("worker-killed", "error: a scoring process was ended by SIGKILL\n"),
+    ("failed-fork", f"error: {_EAGAIN}\n"),
+    ("error-in-this-process", "scoring failed"),
+])
+def test_no_temporary_file_outlives_the_run(scenario, error, tmp_path, monkeypatch, capsys):
+    def raise_corpus_error():
+        raise cli.CorpusError("raised in a worker")
+
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 1)
+    corpus = _styled_corpus(tmp_path / "c.jsonl", 6, 0)
+    if scenario == "record-fault":
+        lines = Path(corpus).read_text().splitlines(keepends=True)
+        Path(corpus).write_text("".join(lines[:2] + ["{\n"] + lines[3:]))
+    elif scenario == "worker-corpus-error":
+        _in_workers(monkeypatch, raise_corpus_error)
+    elif scenario == "worker-killed":
+        _in_workers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    elif scenario == "failed-fork":
+        _fail_to_fork(monkeypatch)
+    elif scenario == "error-in-this-process":
+        _fail_in_this_process(monkeypatch)
+    out = tmp_path / "o"
+    argv = ["analyze", corpus, HUMAN, "--per-poem", "--threads", "3", "--out", str(out)]
+    if scenario == "error-in-this-process":
+        with pytest.raises(ZeroDivisionError, match=error):
+            main(argv)
+    else:
+        assert main(argv) == (error is not None)
+        assert error is None or error in capsys.readouterr().err
+    assert out.exists() == (error is None)
+    assert list(temp.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

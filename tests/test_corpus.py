@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from poemetrics.corpus import (
     CANONICAL_STYLES,
@@ -11,6 +11,7 @@ from poemetrics.corpus import (
     CorpusError,
     PoemRecord,
     load_corpus,
+    open_corpus,
     save_corpus,
     strip_prefatory,
 )
@@ -239,3 +240,84 @@ def test_strip_never_shortens_below_expected(expected):
     stripped = strip_prefatory(poem, expected_lines=expected)
     nonblank = [l for l in stripped.text.split("\n") if l.strip()]
     assert len(nonblank) >= min(expected, 15)
+
+
+# --- chunk reader ------------------------------------------------------------
+
+# Whitespace-only lines are blank: str.strip() removes all of these, though text mode splits at
+# none of them.
+_BLANK_CHARS = " \t 　\x0b\x0c\x1c\x85"
+_LINE_ENDS = ("\n", "\r\n", "\r")
+_RECORD_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(str.strip)
+_LINES = st.lists(st.one_of(
+    st.tuples(st.booleans(), _RECORD_TEXT, st.sampled_from([None, "ode", "sonnet"])),
+    st.text(st.sampled_from(_BLANK_CHARS), max_size=3),
+), max_size=12)
+
+
+def _text_mode_records(path) -> tuple[PoemRecord, ...]:
+    """A JSON Lines file's records as reading it in text mode gives them: lines split at LF,
+    CRLF and a lone CR, a BOM dropped at the start, blank lines by str.strip()."""
+    records = []
+    with open(path, encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                raw = json.loads(line)
+                records.append(PoemRecord(id=raw.get("id", f"{path.stem}-{lineno:04d}"),
+                                          text=raw["text"].replace("\r\n", "\n"),
+                                          source="human", style=raw.get("style")))
+    return tuple(records)
+
+
+@given(lines=_LINES, ends=st.lists(st.sampled_from(_LINE_ENDS), min_size=12, max_size=12),
+       bom=st.booleans(), final_end=st.booleans(), ascii_only=st.booleans())
+# Lone-CR line ends, and a line blank but for U+00A0, which bytes.strip() would keep.
+@example(lines=[(False, "one", None), (True, "two", "ode"), "", " \u00a0", (False, "é", None)],
+         ends=["\r"] * 12, bom=True, final_end=False, ascii_only=False)
+def test_chunk_reads_equal_load_corpus(tmp_path_factory, lines, ends, bom, final_end,
+                                       ascii_only):
+    path = tmp_path_factory.mktemp("chunks") / "poems.jsonl"
+    text = "﻿" if bom else ""
+    for n, line in enumerate(lines):
+        if isinstance(line, tuple):
+            has_id, poem, style = line
+            row = {"text": poem, "source": "human", **({"id": f"p{n}"} if has_id else {}),
+                   **({"style": style} if style else {})}
+            line = json.dumps(row, ensure_ascii=ascii_only)
+        text += line + (ends[n] if final_end or n < len(lines) - 1 else "")
+    path.write_bytes(text.encode("utf-8"))
+    whole = load_corpus(path).records
+    assert whole == _text_mode_records(path)
+    reader = open_corpus(path)
+    assert len(reader) == len(whole)
+    for size in range(1, 6):
+        read = [r for start in range(0, len(reader), size)
+                for r in reader.read(slice(start, start + size))]
+        assert tuple(read) == whole, size
+
+
+def test_chunk_read_names_the_line_of_its_fault(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    row = json.dumps({"text": "x", "source": "human"})
+    path.write_bytes(f"{row}\r\n \r\n{row}\r\nnot json\r\n".encode() + b"caf\xe9\n")
+    reader = open_corpus(path)
+    assert len(reader) == 4
+    assert [r.id for r in reader.read(slice(0, 2))] == ["bad-0001", "bad-0003"]
+    with pytest.raises(CorpusError, match=rf"^{path}: line 4: invalid JSON \(Expecting value\)$"):
+        list(reader.read(slice(1, 3)))
+    with pytest.raises(CorpusError, match=rf"^{path}: line 5: byte 0xe9 is not UTF-8$"):
+        list(reader.read(slice(3, 4)))
+
+
+def test_open_corpus_raises_a_fault_in_its_records_place(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("id,text,source\na,x,human\nb, ,human\nc,y,human\n")
+    reader = open_corpus(path)
+    assert len(reader) == 2
+    assert [r.id for r in reader.read(slice(0, 1))] == ["a"]
+    with pytest.raises(CorpusError, match=r"rows.csv: row 2: poem 'b': text is empty"):
+        list(reader.read(slice(0, 2)))
+    missing = open_corpus(tmp_path / "missing.jsonl")
+    assert len(missing) == 1
+    with pytest.raises(CorpusError, match="does not exist"):
+        list(missing.read(slice(0, 1)))

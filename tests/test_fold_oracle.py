@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import reduce
@@ -25,8 +26,8 @@ from hypothesis import given, strategies as st
 from poemetrics import cli
 from poemetrics.arpabet import load_bundled_dictionary, load_dictionary, rhyme_part, stress_pattern
 from poemetrics.cli import main
-from poemetrics.corpus import (EXPECTED_FORM_LENGTHS, Corpus, PoemRecord, load_corpus,
-                               strip_prefatory)
+from poemetrics.corpus import (EXPECTED_FORM_LENGTHS, Corpus, LoadedCorpus, PoemRecord,
+                               load_corpus, strip_prefatory)
 from poemetrics.lexstats import (
     PRONOUN_CATEGORIES,
     first_word_logodds,
@@ -313,6 +314,11 @@ def test_memoized_word_work_equals_uncached_reference():
     assert annotations[0].oov_end_words == tuple(sorted(w for w in ends if w not in dictionary))
     assert dictionary.stress_memo == {w: _reference_stress(dictionary, w) for w in words}
     assert len(dictionary.stress_memo) == len(set(words)) > len(dictionary)
+    # Equal stress strings are one object, so the memo holds each distinct string once.
+    distinct = set(dictionary.stress_memo.values())
+    assert len(set(map(id, dictionary.stress_memo.values()))) == len(distinct)
+    assert dictionary.stress_strings == {s: s for s in distinct}
+    assert not replace(dictionary).stress_strings
 
 
 def test_memo_filled_by_racing_threads_matches_reference():
@@ -422,7 +428,7 @@ _FOLD_CORPORA = st.lists(
              min_size=1, max_size=12),
     min_size=1, max_size=3,
 ).map(lambda corpora: [
-    Corpus(label=f"c{i}", records=tuple(
+    LoadedCorpus(name=f"c{i}", label=f"c{i}", records=tuple(
         PoemRecord(id=f"c{i}-{j}", text=text, source="human", style=style)
         for j, (text, style) in enumerate(poems)))
     for i, poems in enumerate(corpora)
@@ -433,6 +439,18 @@ def _grids(corpora):
     return [OccupancyGrid(6, 20) for _ in corpora]
 
 
+def _unspooled(scored):
+    """scored with each corpus's spool ranges replaced by the --per-poem text they hold."""
+    def text(spooled):
+        parts = []
+        for name, start, end in spooled:
+            with open(name, "rb") as handle:
+                handle.seek(start)
+                parts.append(handle.read(end - start).decode())
+        return "".join(parts)
+    return [(everything, by_style, text(spooled)) for everything, by_style, spooled in scored]
+
+
 @given(corpora=_FOLD_CORPORA, size=st.integers(1, 5), data=st.data())
 def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
     # However the chunks are shared among processes and claimed, merging each process's
@@ -440,26 +458,29 @@ def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
     families = ("structure", "rhyme", "meter", "lexstats")
     compared = data.draw(st.integers(0, min(2, len(corpora))), label="compared")
     expected_grids = _grids(corpora)
-    expected = cli._score_corpora(corpora, families, dictionary, 0.75, True, compared, 1,
-                                  expected_grids)
-    chunks = cli._chunks(corpora, size)
-    processes = data.draw(st.integers(1, 4), label="processes")
-    owners = data.draw(st.lists(st.integers(0, processes - 1), min_size=len(chunks),
-                                max_size=len(chunks)), label="owners")
-    run = (corpora, families, replace(dictionary), 0.75, True, compared,
-           load_stopwords() if compared else frozenset())
-    folds = []
-    for p in range(processes):
-        claims = data.draw(st.permutations([k for k, owner in enumerate(owners) if owner == p]),
-                           label=f"claims of {p}")
-        folds.append(cli._fold_chunks(run, chunks, claims, _grids(corpora)))
-    folds = data.draw(st.permutations(folds), label="merge order")
-    (totals, parts), rest = folds[0], folds[1:]
-    for their_totals, their_parts in rest:
-        cli._merge_totals(totals, their_totals)
-        parts.update(their_parts)
-    scored, grids, counted = totals
-    cli._replay(corpora, scored, chunks, parts)
-    # _Group, WordCounts and the stats dataclasses compare field by field, floats by ==.
-    assert (scored, counted) == expected
+    with tempfile.TemporaryDirectory() as spool:
+        expected, expected_counted = cli._score_corpora(
+            corpora, families, dictionary, 0.75, True, spool, compared, 1, expected_grids)
+        expected = _unspooled(expected), expected_counted
+        chunks = cli._chunks(corpora, size)
+        processes = data.draw(st.integers(1, 4), label="processes")
+        owners = data.draw(st.lists(st.integers(0, processes - 1), min_size=len(chunks),
+                                    max_size=len(chunks)), label="owners")
+        run = (corpora, families, replace(dictionary), 0.75, True, spool, compared,
+               load_stopwords() if compared else frozenset())
+        folds = []
+        for p in range(processes):
+            claims = data.draw(st.permutations([k for k, owner in enumerate(owners)
+                                                if owner == p]), label=f"claims of {p}")
+            folds.append(cli._fold_chunks(run, chunks, claims, _grids(corpora)))
+        folds = data.draw(st.permutations(folds), label="merge order")
+        (totals, parts), rest = folds[0], folds[1:]
+        for their_totals, their_parts in rest:
+            cli._merge_totals(totals, their_totals)
+            parts.update(their_parts)
+        scored, grids, counted = totals
+        cli._check_input(corpora, chunks, parts)
+        cli._replay(scored, chunks, parts)
+        # _Group, WordCounts and the stats dataclasses compare field by field, floats by ==.
+        assert (_unspooled(scored), counted) == expected
     assert [(g.poems, g.cells) for g in grids] == [(g.poems, g.cells) for g in expected_grids]
