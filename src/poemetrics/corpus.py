@@ -169,7 +169,9 @@ def _not_utf8(path: Path) -> CorpusError:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # Lines end at LF, CRLF or a lone CR, as _text_lines splits them.
+            ends = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+            line = ends - data.count(b"\r\n", 0, exc.start) + 1
             return CorpusError(f"{file}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8")
 
 

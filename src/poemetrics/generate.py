@@ -9,14 +9,17 @@ duplicating any (source, template, style, subject) key.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import logging
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from queue import Empty, SimpleQueue
 
 from .corpus import CANONICAL_STYLES, Corpus, PoemRecord, load_corpus
 
@@ -286,21 +289,26 @@ def _prune_failures(
     path: Path, source: str, done: set[tuple[str, str, str]], specs: list[PromptSpec]
 ) -> None:
     """Drop the source's sidecar rows of specs done or requested, and rows that are not
-    JSON objects; delete it once empty. A row without a source counts as the source's."""
+    JSON objects; delete it once empty. A row without a source counts as the source's.
+
+    A line that is not UTF-8 JSON, such as one torn by a killed run, even inside a UTF-8
+    sequence, is dropped with a warning.
+    """
     if not path.exists():
         return
     settled = done | {spec_key(s) for s in specs}
     kept = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_bytes().splitlines():
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError:
+            raw = json.loads(line.decode("utf-8"))
+        except ValueError:  # a UnicodeDecodeError or a JSONDecodeError
+            logger.warning("%s: dropping torn trailing line during resume", path)
             continue
         if isinstance(raw, dict) and (raw.get("source", source) != source
                                       or _row_key(raw) not in settled):
-            kept.append(line + "\n")
+            kept.append(line + b"\n")
     if kept:
-        path.write_text("".join(kept), encoding="utf-8")
+        path.write_bytes(b"".join(kept))
     else:
         path.unlink()
 
@@ -324,21 +332,36 @@ def check_specs(model: str, specs: list[PromptSpec]) -> None:
             )
 
 
-def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
-    """Collect all pending specs, appending each completion as it arrives.
+class _Prompt:
+    """A pending spec's retries so far and the backoff its next transient failure waits."""
 
-    Progress is persisted after every response; rerunning with resume skips
-    specs already present in the output file with the model's source.
+    __slots__ = ("spec", "retries", "backoff")
+
+    def __init__(self, spec: PromptSpec, backoff: float):
+        self.spec, self.retries, self.backoff = spec, 0, backoff
+
+
+def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
+    """Collect all pending specs, appending each one's row as soon as it finishes.
+
+    Rerunning with resume skips specs already present in the output file
+    with the model's source.
     Completed, failed and retried counts are logged at INFO every
     PROGRESS_EVERY finished specs short of the last, and once at the end.
-    Requests hitting throttle or server errors are retried with exponential
-    backoff, or after the delay a 429 or 503 asked for, each sleep capped at
-    MAX_BACKOFF_S; specs that still fail are recorded in a ".failures.jsonl"
-    sidecar and skipped; the source's rows from earlier runs are dropped for
-    specs complete or requested again. Any other error, AuthenticationError
-    included, stops the run: specs not yet started are dropped and the error
-    propagates. Specs that check_specs rejects raise ValueError before the
-    output file is touched.
+
+    At most job.concurrency requests are in flight, each one attempt at one
+    spec. A spec hitting a throttle or server error waits out exponential
+    backoff, or the delay a 429 or 503 asked for, capped at MAX_BACKOFF_S,
+    without holding a request slot; its warning states the delay. A free slot
+    goes first to a retry that is due, then to the next pending spec if the
+    shortest request that has returned a completion so far would end before
+    every waiting retry left without a slot is due. Specs that still fail
+    are recorded in a ".failures.jsonl" sidecar and skipped; the source's
+    rows from earlier runs are dropped for specs complete or requested
+    again. Any other error, AuthenticationError included, stops the run: the
+    requests in flight are awaited and discarded, specs not yet started and
+    specs waiting to retry are dropped, and the error propagates. Specs that
+    check_specs rejects raise ValueError before the output file is touched.
     """
     check_specs(job.model, job.specs)
     output_path = Path(job.output_path)
@@ -357,88 +380,106 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     )
 
     limiter = _RateLimiter(job.rate_limit_per_sec)
-    write_lock = threading.Lock()
-    # Finished specs by outcome, and retries made; read and written under write_lock.
+    # Finished specs by outcome, and retries scheduled.
     progress = {"completed": 0, "failed": 0, "retried": 0}
+    unstarted = iter(pending)
+    next_spec = next(unstarted, None)
+    # Specs waiting out a backoff, as (due time, order of scheduling, prompt): a heap.
+    waiting: list[tuple[float, int, _Prompt]] = []
+    order = itertools.count()
+    # Each finished attempt, put there by its future's callback.
+    replies: SimpleQueue[tuple[_Prompt, Future]] = SimpleQueue()
+    in_flight = 0
+    # The shortest request so far that returned a completion; None until one has.
+    shortest: float | None = None
 
     def log_progress(when: str) -> None:
         logger.info("%s: %d of %d pending specs finished, %d completed, %d failed, %d retries",
                     when, progress["completed"] + progress["failed"], len(pending),
                     progress["completed"], progress["failed"], progress["retried"])
 
-    def finish(path: Path, row: dict, outcome: str, retries: int) -> None:
+    def finish(path: Path, row: dict, outcome: str) -> None:
         """Append a finished spec's row and count it."""
-        with write_lock:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
-            progress[outcome] += 1
-            progress["retried"] += retries
-            finished = progress["completed"] + progress["failed"]
-            # The last spec's counts are logged once, by the end-of-run line.
-            if finished % PROGRESS_EVERY == 0 and finished < len(pending):
-                log_progress("progress")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+        progress[outcome] += 1
+        finished = progress["completed"] + progress["failed"]
+        # The last spec's counts are logged once, by the end-of-run line.
+        if finished % PROGRESS_EVERY == 0 and finished < len(pending):
+            log_progress("progress")
 
-    def fetch(spec: PromptSpec) -> None:
-        text: str | None = None
-        last_error: Exception | None = None
-        backoff = job.backoff_base
-        retries = 0
-        for attempt in range(job.max_retries + 1):
-            limiter.wait()
-            try:
-                text = client.complete(
-                    job.model, spec.rendered, job.temperature, job.max_output_tokens
-                )
-                break
-            except TransientRequestError as exc:
-                last_error = exc
-                if attempt < job.max_retries:
-                    logger.warning(
-                        "retrying %s after %s (attempt %d)", spec_key(spec), exc, attempt + 1
-                    )
-                    delay = backoff if exc.retry_after is None else exc.retry_after
-                    time.sleep(min(delay, MAX_BACKOFF_S))
-                    backoff *= 2
-                    retries += 1
-            except RequestFailed as exc:
-                last_error = exc
-                break
-        if text is None:
+    def attempt(spec: PromptSpec) -> tuple[str, float] | tuple[Exception, None]:
+        """One request, in a worker: the completion and its seconds, or the request's error."""
+        limiter.wait()
+        start = time.monotonic()
+        try:
+            text = client.complete(job.model, spec.rendered, job.temperature, job.max_output_tokens)
+        except (TransientRequestError, RequestFailed) as exc:
+            return exc, None
+        return text, time.monotonic() - start
+
+    def settle(prompt: _Prompt, reply: str | Exception) -> None:
+        """Write a completion or a failure row, or put a transient failure on the waiting heap."""
+        spec = prompt.spec
+        if isinstance(reply, str):
+            record = PoemRecord(
+                id=record_id_for(job.model, spec), text=reply, source=source,
+                style=spec.style, subject=spec.subject, template=spec.template,
+            )
+            finish(output_path, {**record.to_json_dict(), "model": job.model}, "completed")
+        elif isinstance(reply, TransientRequestError) and prompt.retries < job.max_retries:
+            delay = min(prompt.backoff if reply.retry_after is None else reply.retry_after,
+                        MAX_BACKOFF_S)
+            prompt.retries += 1
+            prompt.backoff *= 2
+            progress["retried"] += 1
+            logger.warning("retrying %s in %g s after %s (attempt %d)",
+                           spec_key(spec), delay, reply, prompt.retries)
+            heapq.heappush(waiting, (time.monotonic() + delay, next(order), prompt))
+        else:
             finish(failures_path, {
                 "source": source,
                 "template": spec.template,
                 "style": spec.style,
                 "subject": spec.subject,
-                "error": str(last_error),
-            }, "failed", retries)
-            logger.error("giving up on %s: %s", spec_key(spec), last_error)
-            return
-        record = PoemRecord(
-            id=record_id_for(job.model, spec), text=text, source=source,
-            style=spec.style, subject=spec.subject, template=spec.template,
-        )
-        finish(output_path, {**record.to_json_dict(), "model": job.model}, "completed", retries)
+                "error": str(reply),
+            }, "failed")
+            logger.error("giving up on %s: %s", spec_key(spec), reply)
 
-    # Set by the first fetch that raises. Cancelling the queue alone would still let a
-    # worker start the next spec before the main thread sees the error.
-    stop = threading.Event()
+    def new_spec_fits(now: float, free: int) -> bool:
+        """Whether a new spec started now in one of free slots is expected to end before
+        every waiting retry that the other free - 1 slots cannot take is due."""
+        if len(waiting) < free:
+            return True
+        return now + (shortest or 0.0) <= heapq.nsmallest(free, waiting)[-1][0]
 
-    def fetch_unless_stopped(spec: PromptSpec) -> None:
-        if stop.is_set():
-            return
-        try:
-            fetch(spec)
-        except BaseException:
-            stop.set()
-            raise
-
-    if pending:
-        executor = ThreadPoolExecutor(max_workers=job.concurrency)
-        try:
-            for future in [executor.submit(fetch_unless_stopped, spec) for spec in pending]:
-                future.result()
-        finally:  # an error, or an interrupt in this thread, drops the specs not yet started
-            executor.shutdown(cancel_futures=True)
-            with write_lock:
-                log_progress("run ended")
+    executor = ThreadPoolExecutor(job.concurrency, thread_name_prefix="poemetrics-generate")
+    try:
+        while in_flight or waiting or next_spec is not None:
+            now = time.monotonic()
+            while in_flight < job.concurrency:
+                if waiting and waiting[0][0] <= now:
+                    prompt = heapq.heappop(waiting)[2]
+                elif next_spec is not None and new_spec_fits(now, job.concurrency - in_flight):
+                    prompt = _Prompt(next_spec, job.backoff_base)
+                    next_spec = next(unstarted, None)
+                else:
+                    break
+                future = executor.submit(attempt, prompt.spec)
+                future.add_done_callback(lambda f, p=prompt: replies.put((p, f)))
+                in_flight += 1
+            # With every slot busy only a reply can free one, so a due time is not waited on.
+            timeout = waiting[0][0] - now if waiting and in_flight < job.concurrency else None
+            try:
+                prompt, future = replies.get(timeout=timeout)
+            except Empty:
+                continue
+            in_flight -= 1
+            reply, seconds = future.result()
+            if seconds is not None:
+                shortest = seconds if shortest is None else min(shortest, seconds)
+            settle(prompt, reply)
+    finally:  # an error, or an interrupt in this thread, drops every spec not yet written
+        executor.shutdown(cancel_futures=True)
+        log_progress("run ended")
     return load_corpus(output_path, "json-lines")

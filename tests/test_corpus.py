@@ -309,6 +309,15 @@ def test_chunk_read_names_the_line_of_its_fault(tmp_path):
         list(reader.read(slice(3, 4)))
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_not_utf8_names_the_line_at_any_line_end(end, tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = ["id,text,source", "a,x,human", "b,caf\xe9,human", ""]
+    path.write_bytes(end.join(rows).encode("latin-1"))
+    with pytest.raises(CorpusError, match=rf"^{path}: line 3: byte 0xe9 is not UTF-8$"):
+        load_corpus(path)
+
+
 def test_open_corpus_raises_a_fault_in_its_records_place(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("id,text,source\na,x,human\nb, ,human\nc,y,human\n")

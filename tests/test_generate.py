@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import json
+import re
 import socket
+import sys
 import threading
+import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poemetrics import generate
 from poemetrics.corpus import load_corpus
@@ -233,6 +239,72 @@ def test_resume_tolerates_tear_inside_a_utf8_sequence(tmp_path):
     assert len(corpus) == 3
 
 
+def test_resume_drops_a_sidecar_row_torn_inside_a_utf8_sequence(tmp_path, caplog):
+    specs = build_grid(styles=("sonnet",), subjects=("café", "love"), templates=("general",))
+    out = tmp_path / "out.jsonl"
+    failures = tmp_path / "out.jsonl.failures.jsonl"
+    with MockChatEndpoint(fail_first={"café": [400]}) as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        assert [r.subject for r in run_job(_job(specs, out), client)] == ["love"]
+        row = failures.read_bytes()
+        failures.write_bytes(row[:row.index("é".encode()) + 1])  # killed inside the é
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="poemetrics.generate"):
+            corpus = run_job(_job(specs, out), client)
+        assert len(endpoint.requests) == 3
+    assert sorted(r.subject for r in corpus) == ["café", "love"]
+    assert not failures.exists()
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{failures}: dropping torn trailing line during resume"]
+
+
+@pytest.fixture(scope="module")
+def shared_endpoint():
+    with MockChatEndpoint() as endpoint:
+        yield endpoint
+
+
+# Per subject, the statuses the endpoint sends before a completion. At max_retries=1
+# café fails the first run (429, 503) and completes the next; love fails two runs hard;
+# nature completes on its retry; birth always fails.
+_RESUME_SCRIPTS = {"café": [429, 503, 429], "love": [400, 400], "nature": [503],
+                   "birth": [400] * 9}
+
+
+def _cut_points(data: bytes) -> st.SearchStrategy[int]:
+    """Any byte offset in data, with offsets inside a UTF-8 sequence drawn more often."""
+    inside = [i for i, byte in enumerate(data) if 0x80 <= byte < 0xC0]
+    anywhere = st.integers(0, len(data))
+    return anywhere | st.sampled_from(inside) if inside else anywhere
+
+
+@settings(max_examples=50, deadline=None)
+@given(cut=st.sampled_from(["output", "sidecar", "both"]), data=st.data())
+def test_every_spec_is_settled_once_after_any_cut_and_two_resumes(shared_endpoint,
+                                                                  tmp_path_factory, cut, data):
+    specs = build_grid(styles=("sonnet",), templates=("general",),
+                       subjects=(*_RESUME_SCRIPTS, "living", "religion"))
+    shared_endpoint.fail_first.clear()
+    shared_endpoint.fail_first.update({f"subject of {subject} ": list(statuses)
+                                       for subject, statuses in _RESUME_SCRIPTS.items()})
+    out = tmp_path_factory.mktemp("resume") / "out.jsonl"
+    failures = out.parent / "out.jsonl.failures.jsonl"
+    client = ChatCompletionsClient(shared_endpoint.url, "test-key")
+    run_job(_job(specs, out, max_retries=1), client)
+    for path in {"output": [out], "sidecar": [failures], "both": [out, failures]}[cut]:
+        whole = path.read_bytes()
+        path.write_bytes(whole[:data.draw(_cut_points(whole), label=path.name)])
+    for _ in range(2):
+        run_job(_job(specs, out, max_retries=1), client)
+        written = Counter(spec_key(r) for r in load_corpus(out, "json-lines"))
+        failed = Counter(generate._row_key(json.loads(line))
+                         for line in failures.read_text(encoding="utf-8").splitlines()
+                         ) if failures.exists() else Counter()
+        for spec in specs:
+            assert (written[spec_key(spec)], failed[spec_key(spec)]) in [(1, 0), (0, 1)], spec
+        assert set(written) | set(failed) == {spec_key(s) for s in specs}
+
+
 def test_resume_terminates_a_complete_last_row(tmp_path):
     specs = _small_grid()
     out = tmp_path / "out.jsonl"
@@ -285,6 +357,18 @@ def test_non_object_sidecar_row_is_dropped(tmp_path):
     with MockChatEndpoint() as endpoint:
         client = ChatCompletionsClient(endpoint.url, "test-key")
         assert len(run_job(_job(specs, out), client)) == 3
+    assert failures.read_text(encoding="utf-8") == other + "\n"
+
+
+def test_sidecar_rows_split_only_at_line_feeds(tmp_path):
+    failures = tmp_path / "out.jsonl.failures.jsonl"
+    # json.dumps leaves U+2028 and U+0085 unescaped; str.splitlines would split there.
+    other = json.dumps({"template": "general", "style": "ode", "subject": "love",
+                        "error": "a\u2028b\x85c"}, ensure_ascii=False)
+    failures.write_text(other + "\n", encoding="utf-8")
+    with MockChatEndpoint() as endpoint:
+        client = ChatCompletionsClient(endpoint.url, "test-key")
+        assert len(run_job(_job(_small_grid(), tmp_path / "out.jsonl"), client)) == 3
     assert failures.read_text(encoding="utf-8") == other + "\n"
 
 
@@ -399,32 +483,168 @@ def test_malformed_completion_fails_only_its_spec(body, tmp_path):
     assert all(row["error"].startswith("malformed completion response: ") for row in rows)
 
 
-def test_backoff_sleep_is_capped(tmp_path, monkeypatch):
-    sleeps = []
-    monkeypatch.setattr("poemetrics.generate.time.sleep", sleeps.append)
+@pytest.fixture
+def instant_backoff(monkeypatch):
+    """generate's clock jumps an hour at each reading, so a retry is due as soon as the
+    dispatcher looks again and no backoff is waited out in real time."""
+    clock = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(generate, "time", SimpleNamespace(monotonic=clock.__next__,
+                                                          sleep=time.sleep))
+
+
+def _scheduled_delays(caplog) -> list[float]:
+    """The delay each "retrying" warning states, in order."""
+    return [float(re.fullmatch(r"retrying .* in (\S+) s after .*", r.getMessage())[1])
+            for r in caplog.records if r.getMessage().startswith("retrying")]
+
+
+def test_backoff_sleep_is_capped(tmp_path, caplog, instant_backoff):
     out = tmp_path / "out.jsonl"
     with MockChatEndpoint(fail_first={"love": [500] * 13}) as endpoint:
         client = ChatCompletionsClient(endpoint.url, "test-key")
-        run_job(_job(_small_grid()[:1], out, max_retries=12, backoff_base=0.5), client)
+        with caplog.at_level("WARNING", logger="poemetrics.generate"):
+            run_job(_job(_small_grid()[:1], out, max_retries=12, backoff_base=0.5), client)
         assert len(endpoint.requests) == 13
-    assert sleeps[:4] == [0.5, 1.0, 2.0, 4.0]
-    assert len(sleeps) == 12 and max(sleeps) == MAX_BACKOFF_S == 30.0
+    delays = _scheduled_delays(caplog)
+    assert delays[:4] == [0.5, 1.0, 2.0, 4.0]
+    assert len(delays) == 12 and max(delays) == MAX_BACKOFF_S == 30.0
 
 
 @pytest.mark.parametrize("retry_after, expected", [
     (2, [2.0, 2.0, 1.0]),
     (3600, [MAX_BACKOFF_S, MAX_BACKOFF_S, 1.0]),
 ])
-def test_retry_after_is_honored_on_429_and_503(retry_after, expected, tmp_path, monkeypatch):
-    sleeps = []
-    monkeypatch.setattr("poemetrics.generate.time.sleep", sleeps.append)
+def test_retry_after_is_honored_on_429_and_503(retry_after, expected, tmp_path, caplog,
+                                               instant_backoff):
     out = tmp_path / "out.jsonl"
-    with MockChatEndpoint(fail_first={"love": [429, 503, 500]}, retry_after=retry_after) as endpoint:
+    scripts = {"love": [429, 503, 500]}
+    with MockChatEndpoint(fail_first=scripts, retry_after=retry_after) as endpoint:
         client = ChatCompletionsClient(endpoint.url, "test-key")
-        corpus = run_job(_job(_small_grid()[:1], out, backoff_base=0.25), client)
+        with caplog.at_level("WARNING", logger="poemetrics.generate"):
+            corpus = run_job(_job(_small_grid()[:1], out, backoff_base=0.25), client)
     assert len(corpus) == 1
-    # the 500 ignores the header: it sleeps the third backoff step, 0.25 * 2 ** 2
-    assert sleeps == expected
+    # the 500 ignores the header: it waits the third backoff step, 0.25 * 2 ** 2
+    assert _scheduled_delays(caplog) == expected
+
+
+# --- the dispatcher: request slots, backoff and order ----------------------------
+
+class _WatchedClient:
+    """Passes complete() calls through to inner, recording each call's prompt in start
+    order and the most calls in progress at once. script maps a prompt substring to
+    exceptions raised in turn, one per call, before its calls pass through; slow maps a
+    prompt substring to seconds slept before passing through."""
+
+    def __init__(self, inner, script=None, slow=None):
+        self.inner = inner
+        self.script = {key: list(errors) for key, errors in (script or {}).items()}
+        self.slow = slow or {}
+        self.prompts: list[str] = []
+        self.running = self.most = 0
+        self._lock = threading.Lock()
+
+    def complete(self, model, prompt, temperature, max_tokens):
+        with self._lock:
+            self.prompts.append(prompt)
+            self.running += 1
+            self.most = max(self.most, self.running)
+            error = next((errors.pop(0) for key, errors in self.script.items()
+                          if key in prompt and errors), None)
+        try:
+            if error is not None:
+                raise error
+            time.sleep(next((s for key, s in self.slow.items() if key in prompt), 0))
+            return self.inner.complete(model, prompt, temperature, max_tokens)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+    def subjects(self) -> list[str]:
+        """The subject of each call, in start order."""
+        return [re.search(r"subject of (.+?) in the", p)[1] for p in self.prompts]
+
+
+def _slow_reply(payload):
+    time.sleep(0.005)
+    return "The morning light\nupon the hill"
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 3])
+def test_in_flight_requests_never_exceed_concurrency(concurrency, tmp_path):
+    specs = build_grid(styles=("sonnet", "haiku"), subjects=DEFAULT_SUBJECTS[:8],
+                       templates=("general",))
+    scripts = {"subject of love ": [429, 503, 429], "subject of nature ": [503, 503],
+               "subject of religion ": [429]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MockChatEndpoint(reply=_slow_reply, fail_first=scripts) as endpoint:
+            client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"))
+            corpus = run_job(_job(specs, tmp_path / "out.jsonl", concurrency=concurrency,
+                                  backoff_base=0.01), client)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(corpus) == len(specs)
+    assert len(client.prompts) == len(specs) + 6
+    assert client.most == concurrency
+
+
+def test_a_spec_waiting_out_retry_after_lends_its_slot(tmp_path):
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint() as endpoint:
+        client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"), script={
+            "love": [TransientRequestError("endpoint returned 429", retry_after=0.3)]})
+        started = time.monotonic()
+        corpus = run_job(_job(_small_grid(), out, concurrency=1), client)
+        elapsed = time.monotonic() - started
+    assert elapsed >= 0.3
+    assert client.subjects() == ["love", "nature", "religion", "love"]
+    assert [r.subject for r in corpus] == ["nature", "religion", "love"]
+
+
+def test_a_due_retry_starts_before_a_pending_spec(tmp_path):
+    specs = build_grid(styles=("sonnet",), subjects=("love", "nature", "religion", "birth"),
+                       templates=("general",))
+    with MockChatEndpoint() as endpoint:
+        # love's retry falls due while nature's slow request holds the only slot.
+        client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"),
+                                script={"love": [TransientRequestError("endpoint returned 503")]},
+                                slow={"nature": 0.4})
+        run_job(_job(specs, tmp_path / "out.jsonl", concurrency=1, backoff_base=0.1), client)
+    assert client.subjects() == ["love", "nature", "love", "religion", "birth"]
+
+
+def test_a_new_spec_waits_when_it_would_delay_a_retry(tmp_path):
+    specs = build_grid(styles=("sonnet",), subjects=("love", "nature", "religion"),
+                       templates=("general",))
+    with MockChatEndpoint() as endpoint:
+        # Every completion takes 0.15 s, so religion, started when nature's retry is 0.05 s
+        # from due, would hold the only slot past it.
+        client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"), script={
+            "nature": [TransientRequestError("endpoint returned 429", retry_after=0.05)]},
+            slow={"": 0.15})
+        run_job(_job(specs, tmp_path / "out.jsonl", concurrency=1), client)
+    assert client.subjects() == ["love", "nature", "nature", "religion"]
+
+
+def _generate_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("poemetrics-generate")]
+
+
+def test_error_while_specs_wait_out_backoff_drops_them(tmp_path):
+    out = tmp_path / "out.jsonl"
+    with MockChatEndpoint() as endpoint:
+        client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"), script={
+            "love": [TransientRequestError("endpoint returned 429", retry_after=5)],
+            "nature": [KeyError("unexpected")]})
+        started = time.monotonic()
+        with pytest.raises(KeyError):
+            run_job(_job(_small_grid(), out, concurrency=1), client)
+        assert time.monotonic() - started < 4  # love's retry was not waited for
+    assert client.subjects() == ["love", "nature"]
+    assert out.read_bytes() == b""
+    assert not (tmp_path / "out.jsonl.failures.jsonl").exists()
+    assert _generate_threads() == []
 
 
 # --- ChatCompletionsClient error paths -----------------------------------------
