@@ -9,12 +9,21 @@ also reads the full published file.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+
+# hashlib maps OpenSSL's libcrypto, megabytes of resident memory, to hash one file; the
+# interpreter's builtin SHA-256 (_sha2 from Python 3.12, _sha256 before) gives the same digest.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +161,7 @@ def load_dictionary(path: str | Path) -> PronouncingDictionary:
         logger.warning("%s: skipped %d malformed dictionary lines", path, skipped)
     return PronouncingDictionary(
         entries={w: tuple(vs) for w, vs in entries.items()},
-        source_sha256=hashlib.sha256(data).hexdigest(),
+        source_sha256=_sha256(data).hexdigest(),
         skipped_lines=skipped,
     )
 

@@ -200,6 +200,15 @@ _CHUNK_POEMS = 100
 # must fit its buffer (64 KiB on Linux, 4 KiB at least).
 _MAX_CHUNKS = 1000
 
+# A fold keeps each poem's id as this hash of it, 8 bytes; a name of its own, so that a
+# test can make ids collide. Every scoring process is forked from the one that calls
+# _score_corpora, so all of them hash a str alike.
+_id_hash = hash
+
+# The duplicate check builds a set of this many to twice this many id hashes at a time
+# (of all of a smaller corpus's).
+_BUCKET_POEMS = 4096
+
 
 def _chunks(corpora, size: int) -> list[tuple[int, slice]]:
     """Each corpus cut into runs of size consecutive poems, as (corpus index, slice of its
@@ -248,13 +257,13 @@ def _fold_chunks(run, chunks, claims, grids):
     Returns the totals, (scored, grids, counted): per corpus its ALL group,
     groups by style and an empty list for its spooled lines, float sums in
     claim order; and the WordCounts. Also returns per claimed chunk index what
-    the checks and _replay read: its poems' ids and styles (one str object per
-    style), arrays of their rhymed fractions and iambic scores (NaN when
-    unscannable), each empty when its family was not scored, and (spool file,
-    start, end) of its --per-poem lines, or None. A chunk with a record fault
-    has the CorpusError instead, and the fold then claims every chunk left and
-    stops: no process folds a chunk past it, and none before it is left
-    unfolded.
+    the checks and _replay read: an array of its poems' id hashes (_id_hash,
+    not the ids), their styles (one str object per style), arrays of their
+    rhymed fractions and iambic scores (NaN when unscannable), each empty
+    when its family was not scored, and (spool file, start, end) of its
+    --per-poem lines, or None. A chunk with a record fault has the
+    CorpusError instead, and the fold then claims every chunk left and stops:
+    no process folds a chunk past it, and none before it is left unfolded.
     """
     corpora, families, dictionary, threshold, strip, spool, compared, stopwords = run
     scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
@@ -268,12 +277,12 @@ def _fold_chunks(run, chunks, claims, grids):
             i, span = chunks[k]
             corpus, (everything, by_style, _) = corpora[i], scored[i]
             grid, counting = grids[i], counted[i] if i < compared else None
-            ids, kinds, fractions, scores = [], [], array("d"), array("d")
+            ids, kinds, fractions, scores = array("q"), [], array("d"), array("d")
             start = out and out.tell()
             try:
                 for record in _read_chunk(corpus, span, strip):
                     style = styles.setdefault(record.style, record.style)
-                    ids.append(record.id)
+                    ids.append(_id_hash(record.id))
                     kinds.append(style)
                     poem = parse_structure(record)
                     if grid is not None:
@@ -332,7 +341,9 @@ def _check_input(corpora, chunks, parts) -> None:
     duplicate id.
 
     parts are every fold's; a chunk may be missing only past a record fault (see
-    _fold_chunks), so every chunk before the first one is here.
+    _fold_chunks), so every chunk before the first one is here. They hold id
+    hashes, not ids: only when two of a corpus's hashes are equal (_repeats)
+    are its ids read again through its reader, and checked as strings.
     """
     for i, corpus in enumerate(corpora):
         mine = [parts.get(k) for k, (j, _) in enumerate(chunks) if j == i]
@@ -341,14 +352,30 @@ def _check_input(corpora, chunks, parts) -> None:
                 raise part
         if not len(corpus):
             raise CorpusError(f"corpus has no poems: {corpus.name}")
+        if not _repeats([part[0] for part in mine], len(corpus)):
+            continue
         seen: set[str] = set()
-        for ids, *_ in mine:
-            for poem_id in ids:
-                if poem_id in seen:
-                    # Named by load_corpus's label, the file's stem: only a file can repeat an id.
-                    raise CorpusError(f"duplicate poem id {poem_id!r} in corpus "
-                                      f"{Path(corpus.name).stem!r}")
-                seen.add(poem_id)
+        for record in corpus.read(slice(None)):
+            if record.id in seen:
+                # Named by load_corpus's label, the file's stem: only a file can repeat an id.
+                raise CorpusError(f"duplicate poem id {record.id!r} in corpus "
+                                  f"{Path(corpus.name).stem!r}")
+            seen.add(record.id)
+
+
+def _repeats(columns, count: int) -> bool:
+    """Whether some value occurs twice in columns, arrays of count hashes in all.
+
+    The hashes are parted by their remainder into count // _BUCKET_POEMS
+    arrays, one at least, and a set is built of one of those at a time: a set
+    of every hash would hold an int object per poem.
+    """
+    n = max(1, count // _BUCKET_POEMS)
+    buckets = [array("q") for _ in range(n)]
+    for column in columns:
+        for value in column:
+            buckets[value % n].append(value)
+    return any(len(set(bucket)) < len(bucket) for bucket in buckets)
 
 
 def _replay(scored, chunks, parts) -> None:
@@ -470,9 +497,10 @@ def _score_corpora(corpora, families, dictionary, threshold, strip, spool, compa
     and every chunk is read and folded by _fold_chunks: here, in chunk order,
     when min(processes, chunks) is 1 or fork is unavailable; otherwise by that
     many processes, this one included, each with its own memos (_fork_join).
-    Either way _check_input then raises the input's first fault, and _replay
-    redoes the float sums and lists the spooled lines in input order, so the
-    bytes do not depend on processes.
+    Either way _check_input then raises the input's first fault, reading a
+    corpus again only if two of its id hashes are equal, and _replay redoes
+    the float sums and lists the spooled lines in input order, so the bytes do
+    not depend on processes.
     """
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()

@@ -16,10 +16,8 @@ import logging
 import re
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from queue import Empty, SimpleQueue
 
 from .corpus import CANONICAL_STYLES, Corpus, PoemRecord, load_corpus
 
@@ -362,7 +360,13 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     requests in flight are awaited and discarded, specs not yet started and
     specs waiting to retry are dropped, and the error propagates. Specs that
     check_specs rejects raise ValueError before the output file is touched.
+
+    concurrent.futures and queue are imported here, as complete() imports the
+    HTTP stack, so that a process that only analyzes loads none of them.
     """
+    from concurrent.futures import Future, ThreadPoolExecutor
+    from queue import Empty, SimpleQueue
+
     check_specs(job.model, job.specs)
     output_path = Path(job.output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)

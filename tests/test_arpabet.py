@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import string
+import subprocess
+import sys
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from poemetrics import arpabet
 from poemetrics.arpabet import (
     VOWELS,
     _valid_phones,
+    bundled_dictionary_path,
     is_vowel,
     load_dictionary,
     rhyme_part,
@@ -66,6 +73,46 @@ def test_leading_byte_order_mark_is_dropped(tmp_path):
     assert d.words() == ["day", "way"]
     assert d.lookup("day") == (("D", "EY1"),)
     assert d.source_sha256 == hashlib.sha256(data).hexdigest()
+
+
+def test_digest_of_the_bundled_dictionary_is_its_sha256(dictionary):
+    assert dictionary.source_sha256 == hashlib.sha256(
+        bundled_dictionary_path().read_bytes()).hexdigest()
+
+
+@given(st.binary(max_size=300) | st.text(alphabet="AHBEY012 ;\n\r\ufeff\u00e9", max_size=60)
+       .map(str.encode))
+def test_digest_of_any_dictionary_file_is_its_sha256(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "drawn.dict"
+        path.write_bytes(data)
+        assert load_dictionary(path).source_sha256 == hashlib.sha256(data).hexdigest()
+
+
+def test_digest_comes_from_the_builtin_sha256_of_this_python():
+    # Python 3.12 merged _sha256 into _sha2; hashlib would map OpenSSL's libcrypto.
+    assert arpabet._sha256.__module__ == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+
+
+FALLBACK_DIGEST = """
+import hashlib
+import sys
+
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # as a build without them
+from poemetrics import arpabet
+
+assert arpabet._sha256 is hashlib.sha256
+print(arpabet.load_bundled_dictionary().source_sha256)
+"""
+
+
+def test_digest_without_a_builtin_sha256_falls_back_to_hashlib(dictionary):
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", FALLBACK_DIGEST],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == dictionary.source_sha256 + "\n"
 
 
 def test_bundled_entries(dictionary):

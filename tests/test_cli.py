@@ -948,6 +948,31 @@ def test_import_loads_no_process_pool():
         {"multiprocessing", "concurrent.futures.process", "pickle"}) == "[]\n"
 
 
+FOOTPRINT = """
+import sys
+
+# OpenSSL's libcrypto (loaded by hashlib) and a thread pool: megabytes that analyze never uses.
+HEAVY = {"_hashlib", "ssl", "concurrent.futures"}
+import poemetrics
+print(sorted(HEAVY & set(sys.modules)))
+from poemetrics import cli
+code = cli.main(sys.argv[1:])
+print(sorted(HEAVY & set(sys.modules)))
+sys.exit(code)
+"""
+
+
+def test_analysis_loads_no_openssl_or_thread_pool(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, "analyze", HUMAN, GPT, "--compare", "--min-docs", "1",
+         "--per-poem", "--threads", "2", "--out", str(tmp_path / "report")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
 TRACED_ANALYZE = """
 import sys
 sys.path.insert(0, "perfbench")

@@ -6,22 +6,28 @@ token's stress memoized on the run's copy of the dictionary. Each line is
 tokenized once, and pronoun, touchstone and log-odds counts come from those
 tokens. These tests rebuild the rows and the per-word results with plain
 loops over the reference functions, or with the library functions that
-tokenize each poem whole, and require exact equality.
+tokenize each poem whole, and require exact equality. The duplicate-id
+check, which keeps id hashes, must report what a set of the id strings finds.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import sys
 import tempfile
+from array import array
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr
 from dataclasses import replace
 from functools import reduce
 from operator import add
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from poemetrics import cli
 from poemetrics.arpabet import load_bundled_dictionary, load_dictionary, rhyme_part, stress_pattern
@@ -484,3 +490,70 @@ def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
         # _Group, WordCounts and the stats dataclasses compare field by field, floats by ==.
         assert (_unspooled(scored), counted) == expected
     assert [(g.poems, g.cells) for g in grids] == [(g.poems, g.cells) for g in expected_grids]
+
+
+@given(st.lists(st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), max_size=6),
+                max_size=4),
+       st.integers(1, 4))
+def test_repeats_is_a_set_of_every_hash(columns, bucket):
+    # Buckets of 1 to 4 hashes part even a few hashes among several sets.
+    values = [value for column in columns for value in column]
+    with mock.patch.object(cli, "_BUCKET_POEMS", bucket):
+        found = cli._repeats([array("q", column) for column in columns], len(values))
+    assert found == (len(set(values)) < len(values))
+
+
+@st.composite
+def _id_corpora(draw):
+    """Up to three corpora of ids p0, p1, ..., in each up to two ids copied to later poems."""
+    corpora = []
+    for n in draw(st.lists(st.integers(1, 8), min_size=1, max_size=3), label="sizes"):
+        ids = [f"p{j}" for j in range(n)]
+        for _ in range(draw(st.integers(0, 2 if n > 1 else 0), label="duplicates")):
+            first, later = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                                unique=True)))
+            ids[later] = ids[first]
+        corpora.append(ids)
+    return corpora
+
+
+def _first_duplicate_error(paths, corpora) -> str:
+    """The error line for the first repeated id, by a set of the id strings: corpora in
+    order, in each the first id already seen; empty when no id repeats."""
+    for path, ids in zip(paths, corpora):
+        seen = set()
+        for poem_id in ids:
+            if poem_id in seen:
+                return f"error: duplicate poem id {poem_id!r} in corpus {Path(path).stem!r}\n"
+            seen.add(poem_id)
+    return ""
+
+
+@settings(max_examples=30, deadline=None)
+@given(corpora=_id_corpora(), threads=st.integers(1, 3), bucket=st.integers(1, 3))
+def test_duplicate_id_error_equals_a_string_set_reference(corpora, threads, bucket):
+    # Chunks of one poem put a duplicate and its first copy in chunks that any process may
+    # claim. A constant hash makes every id collide, so each corpus is read again and
+    # checked by its id strings.
+    with tempfile.TemporaryDirectory() as work:
+        paths = []
+        for i, ids in enumerate(corpora):
+            path = Path(work) / f"c{i}.jsonl"
+            path.write_text("".join(json.dumps({"id": poem_id, "text": "one\ntwo", "source": "human"})
+                                    + "\n" for poem_id in ids), encoding="utf-8")
+            paths.append(str(path))
+        expected = _first_duplicate_error(paths, corpora)
+        reports = []
+        for name, id_hash in (("real", hash), ("constant", lambda poem_id: 0)):
+            out = Path(work) / name
+            with (mock.patch.object(cli, "_CHUNK_POEMS", 1),
+                  mock.patch.object(cli, "_BUCKET_POEMS", bucket),
+                  mock.patch.object(cli, "_id_hash", id_hash),
+                  redirect_stderr(io.StringIO()) as err):
+                code = main(["analyze", *paths, "--per-poem", "--threads", str(threads),
+                             "--out", str(out)])
+            assert (code, err.getvalue()) == (1 if expected else 0, expected), name
+            reports.append({str(f.relative_to(out)): f.read_bytes()
+                            for f in sorted(out.rglob("*")) if f.is_file()})
+        assert reports[0] == reports[1]
+        assert ("report.json" in reports[0]) != bool(expected)
