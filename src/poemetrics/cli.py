@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import math
@@ -99,25 +98,8 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_table(out_dir: Path, name: str, columns: list[str], rows: list[dict], text: str,
-                 fmt: str) -> None:
-    """Write one table as CSV, or as text, its rows' _json_text."""
-    tables = out_dir / "tables"
-    tables.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
-        (tables / f"{name}.csv").write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        (tables / f"{name}.json").write_text(text + "\n", encoding="utf-8")
-
-
-class _JSONText(str):
-    """Text that _json_text gave at nesting level 0, placed as is in a later _json_text."""
-
+# Table rows encoded by the C encoder in one call; each batch's text is written, then dropped.
+_ROW_BATCH = 256
 
 # The types whose values the C encoder writes as the indenting encoder does.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -127,18 +109,17 @@ def _json_chunks(obj, level: int = 0):
     """The pieces of json.dumps(obj, indent=2, sort_keys=True), for JSON data with string keys.
 
     json.dumps runs its pure-Python encoder whenever indent is set. Here each
-    object or list of scalars, and each list of non-empty objects of scalars
-    (table rows), is encoded by the C encoder in one call with a raw NUL, which
-    encoded JSON never holds, between its items, and the NULs become the
-    indented layout; other containers are laid out item by item. level is
-    obj's nesting depth, two spaces of indent each; a _JSONText is re-indented
-    to it.
+    object or list of scalars, and each batch of _ROW_BATCH items of a list of
+    non-empty objects of scalars (table rows), is encoded by the C encoder in
+    one call with a raw NUL, which encoded JSON never holds, between its
+    items, and the NULs become the indented layout; other containers are laid
+    out item by item. level is obj's nesting depth, two spaces of indent each.
+    No piece holds a raw newline but the layout's, so a piece given at level 0
+    becomes the piece at level k when each "\n" is followed by 2k spaces.
     """
     pad = "\n" + "  " * level
     inner = pad + "  "
-    if isinstance(obj, _JSONText):
-        yield obj.replace("\n", pad)
-    elif not isinstance(obj, (dict, list, tuple)):
+    if not isinstance(obj, (dict, list, tuple)):
         yield json.dumps(obj)
     elif not obj:
         yield "{}" if isinstance(obj, dict) else "[]"
@@ -153,21 +134,19 @@ def _json_chunks(obj, level: int = 0):
     elif ({dict}.issuperset(map(type, obj)) and all(obj)
             and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
         # A row's items end in a scalar, never "}", so "}\0{" parts two rows.
-        text = json.dumps(obj, separators=("\0", ": "), sort_keys=True)
         key = inner + "  "
-        yield "[" + inner + "{" + key
-        yield text[2:-2].replace("}\0{", inner + "}," + inner + "{" + key).replace("\0", "," + key)
+        between = inner + "}," + inner + "{" + key
+        for start in range(0, len(obj), _ROW_BATCH):
+            text = json.dumps(obj[start:start + _ROW_BATCH], separators=("\0", ": "),
+                              sort_keys=True)
+            yield (between if start else "[" + inner + "{" + key) + text[2:-2].replace(
+                "}\0{", between).replace("\0", "," + key)
         yield inner + "}" + pad + "]"
     else:
         for i, value in enumerate(obj):
             yield ("," if i else "[") + inner
             yield from _json_chunks(value, level + 1)
         yield pad + "]"
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), from _json_chunks."""
-    return "".join(_json_chunks(obj))
 
 
 @dataclass
@@ -594,11 +573,14 @@ def _fold_tables(corpora, scored, families):
 def _compare_tables(a: WordCounts, b: WordCounts, s: AnalysisSettings) -> dict:
     cols = ["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"]
     def rows_for(results):
-        return [
-            {"word": r.word, "delta": r.delta, "variance": r.variance,
-             "z": r.z_score, "doc_freq_a": r.doc_freq_a, "doc_freq_b": r.doc_freq_b}
-            for r in results
-        ]
+        # Each result is dropped as its row is made, so the two are not all held at once.
+        results.reverse()
+        rows = []
+        while results:
+            r = results.pop()
+            rows.append({"word": r.word, "delta": r.delta, "variance": r.variance,
+                         "z": r.z_score, "doc_freq_a": r.doc_freq_a, "doc_freq_b": r.doc_freq_b})
+        return rows
     return {
         "logodds": (cols, rows_for(fold_logodds(a, b, s.min_docs, s.alpha_total))),
         "first_words": (cols, rows_for(fold_first_word_logodds(a, b, s.min_docs,
@@ -638,6 +620,27 @@ def _write_annotations(out_dir: Path, corpora, scored) -> None:
                     handle.write(spool.read(end - start).decode())
 
 
+def _write_table(tables: Path, name: str, columns: list[str], rows: list[dict], fmt: str,
+                 report) -> None:
+    """Write one table's file under tables, CSV row by row or JSON, and its rows' JSON, at
+    nesting level 2, to report, the open report.json.
+
+    The rows are encoded once, _ROW_BATCH at a time (see _json_chunks); each
+    batch's text goes to the JSON table file as is and to report re-indented.
+    """
+    with open(tables / f"{name}.{fmt}", "w", encoding="utf-8") as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+        for piece in _json_chunks(rows):
+            if fmt == "json":
+                handle.write(piece)
+            report.write(piece.replace("\n", "\n    "))
+        if fmt == "json":
+            handle.write("\n")
+
+
 def _write_report(
     out_dir: Path,
     fmt: str,
@@ -647,18 +650,16 @@ def _write_report(
     settings: AnalysisSettings,
     corpora: list,
 ) -> None:
-    """Write each table, each grid and report.json, which holds every table's JSON rows.
+    """Write each grid, each table and report.json, which holds every table's JSON rows.
 
-    Each table's rows are encoded once, for its JSON table file and report.json alike.
+    report.json is written as it is laid out: its metadata, then each table
+    in name order, streamed by _write_table along with the table's own file,
+    so no whole table's text is held.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    texts = {name: _JSONText(_json_text(rows)) for name, (_, rows) in sorted(tables.items())}
-    for name, text in texts.items():
-        columns, rows = tables[name]
-        _write_table(out_dir, name, columns, rows, text, fmt)
     if grids:
         grid_dir = out_dir / "grids"
-        grid_dir.mkdir(parents=True, exist_ok=True)
+        grid_dir.mkdir(exist_ok=True)
         for label in sorted(grids):
             grid = grids[label]
             (grid_dir / f"occupancy_{label}.csv").write_text(grid.to_csv(), encoding="utf-8")
@@ -670,10 +671,17 @@ def _write_report(
         "settings": asdict(settings),
         "corpora": {c.label: len(c) for c in corpora},
     }
-    report = {"metadata": metadata, "tables": texts}
-    with open(out_dir / "report.json", "w", encoding="utf-8") as handle:
-        handle.writelines(_json_chunks(report))
-        handle.write("\n")
+    if tables:
+        (out_dir / "tables").mkdir(exist_ok=True)
+    # The layout of _json_chunks({"metadata": metadata, "tables": {name: rows, ...}}).
+    with open(out_dir / "report.json", "w", encoding="utf-8") as report:
+        report.write('{\n  "metadata": ')
+        report.writelines(_json_chunks(metadata, 1))
+        report.write(',\n  "tables": ' + ("{" if tables else "{}"))
+        for i, name in enumerate(sorted(tables)):
+            report.write(("," if i else "") + "\n    " + json.dumps(name) + ": ")
+            _write_table(out_dir / "tables", name, *tables[name], fmt, report)
+        report.write("\n  }\n}\n" if tables else "\n}\n")
 
 
 def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
@@ -747,6 +755,7 @@ def cmd_analyze(args) -> int:
         tables, boxplots = _fold_tables(corpora, scored, families)
         if compare:
             tables.update(_compare_tables(*counted, settings))
+        counted.clear()  # the word counts are not needed past here
         if per_poem:
             _write_annotations(out_dir, corpora, scored)
     _write_report(out_dir, args.format, tables, grids, dictionary, settings, corpora)

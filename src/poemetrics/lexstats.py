@@ -131,7 +131,7 @@ def load_stopwords() -> frozenset[str]:
     return frozenset(words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogOddsResult:
     word: str
     delta: float
@@ -152,9 +152,10 @@ def _score_counts(
 ) -> list[LogOddsResult]:
     # The token totals cover every counted word; words below the
     # document-frequency cutoff stay in them but are not scored.
-    vocabulary = sorted(
-        w for w in set(doc_freq_a) | set(doc_freq_b) if doc_freq_a[w] + doc_freq_b[w] >= min_docs
-    )
+    # Read from the Counters themselves: a set of either's keys would copy the vocabulary.
+    vocabulary = [w for w in doc_freq_a if doc_freq_a[w] + doc_freq_b[w] >= min_docs]
+    vocabulary += [w for w in doc_freq_b if w not in doc_freq_a and doc_freq_b[w] >= min_docs]
+    vocabulary.sort()
     if not vocabulary:
         raise ValueError(f"empty {feature} after document-frequency filtering")
     n_a, n_b = sum(counts_a.values()), sum(counts_b.values())

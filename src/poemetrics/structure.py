@@ -234,19 +234,24 @@ class OccupancyGrid:
         self._count()
         return self.__dict__
 
+    def _shares(self):
+        """The rows of cells, each a list made as it is reached."""
+        self._count()
+        n = self.poems
+        return ([v / n for v in row] for row in self._ink)
+
     @property
     def cells(self) -> tuple[tuple[float, ...], ...]:
         """Each cell's share of the poems added with a non-whitespace character there."""
-        self._count()
-        n = self.poems
-        return tuple(tuple(v / n for v in row) for row in self._ink)
+        return tuple(map(tuple, self._shares()))
 
     def to_csv(self) -> str:
-        return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in self.cells)
+        return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in self._shares())
 
     def to_json(self) -> str:
-        cells = [list(row) for row in self.cells]
-        return json.dumps({"rows": self.rows, "cols": self.cols, "cells": cells})
+        """json.dumps of rows, cols and cells, encoded one row of cells at a time."""
+        cells = ", ".join(map(json.dumps, self._shares()))
+        return f'{{"rows": {self.rows}, "cols": {self.cols}, "cells": [{cells}]}}'
 
 
 def occupancy_heatmap(corpus: Corpus, rows: int = 60, cols: int = 80) -> OccupancyGrid:

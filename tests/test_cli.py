@@ -1,24 +1,30 @@
 from __future__ import annotations
 
+import csv
 import errno
 import hashlib
+import io
 import json
 import logging
 import os
+import random
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from poemetrics import cli, lexstats, meter, rhyme, structure
+from poemetrics import __version__, cli, lexstats, meter, rhyme, structure
 from poemetrics import corpus as corpus_module
 from poemetrics.cli import main
 from poemetrics.corpus import EXPECTED_FORM_LENGTHS, load_corpus, strip_prefatory
@@ -1068,7 +1074,126 @@ _JSON_VALUES = st.recursive(_JSON_SCALARS | _JSON_ROWS,
 @given(_JSON_VALUES)
 @example({"tables": {"t": [{"a": float("nan"), "b": [], "c": {}}, {"a": -float("inf")}]}})
 @example([{}, {"a": 1}])
+@example([{"a": i, "b": "}\0{"} for i in range(2 * cli._ROW_BATCH + 1)])
 def test_json_text_equals_indented_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
-    nested = {"k": cli._JSONText(cli._json_text(obj))}
-    assert cli._json_text(nested) == json.dumps({"k": obj}, indent=2, sort_keys=True)
+    assert "".join(cli._json_chunks(obj)) == json.dumps(obj, indent=2, sort_keys=True)
+    # A piece given at level 0 is the piece at level 2 once each newline is indented by 4.
+    assert ([piece.replace("\n", "\n    ") for piece in cli._json_chunks(obj)]
+            == list(cli._json_chunks(obj, 2)))
+
+
+_COLUMNS = ["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"]
+_SETTINGS = cli.AnalysisSettings(min_docs=10, alpha_total=None, iambic_threshold=0.75,
+                                 heatmap_rows=60, heatmap_cols=80, strip_prefatory=True,
+                                 top_k=15)
+_DICTIONARY = SimpleNamespace(source_sha256="0" * 64)
+
+
+class _Corpus:
+    def __init__(self, label: str, poems: int) -> None:
+        self.label, self.poems = label, poems
+
+    def __len__(self) -> int:
+        return self.poems
+
+
+_CORPORA = [_Corpus("gpt", 3), _Corpus("human\u00e9", 2)]
+
+
+def _logodds_rows(count: int, words: list[str], seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    floats = [float("nan"), float("inf"), -0.0, 1e-300, 123456789.125]
+    return [{"word": f"{words[i % len(words)]}{i}",
+             "delta": rng.choice(floats) if i % 7 == 3 else rng.uniform(-5, 5),
+             "variance": rng.random(), "z": rng.uniform(-9, 9),
+             "doc_freq_a": rng.randrange(1000), "doc_freq_b": rng.randrange(1000)}
+            for i in range(count)]
+
+
+def _csv_reference(columns: list[str], rows: list[dict]) -> str:
+    def cell(value):
+        return f"{value:.6f}" if isinstance(value, float) else "" if value is None else str(value)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(row.get(c)) for c in columns])
+    return buf.getvalue()
+
+
+def _check_streamed_files(out: Path, fmt: str, metadata: dict, tables: dict) -> None:
+    """report.json and each table file of out hold the bytes json.dumps and csv.writer give."""
+    report = {"metadata": metadata, "tables": {name: rows for name, (_, rows) in tables.items()}}
+    assert ((out / "report.json").read_bytes().decode()
+            == json.dumps(report, indent=2, sort_keys=True) + "\n")
+    written = {p.name for p in (out / "tables").iterdir()} if tables else set()
+    assert written == {f"{name}.{fmt}" for name in tables}
+    for name, (columns, rows) in tables.items():
+        data = (out / "tables" / f"{name}.{fmt}").read_bytes().decode()
+        if fmt == "json":
+            assert data == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        else:
+            assert data == _csv_reference(columns, rows)
+
+
+# Words with non-ASCII letters, quotes, backslashes, a comma, a newline and U+2028.
+_WORDS = st.lists(st.text(alphabet="a\u00e9\u4e00\U0001f600\"'\\,\n\u2028", min_size=1,
+                          max_size=5), min_size=1, max_size=6)
+# Row counts on each side of the batch edges.
+_ROW_COUNTS = [0, 1, cli._ROW_BATCH - 1, cli._ROW_BATCH, cli._ROW_BATCH + 1,
+               2 * cli._ROW_BATCH + 1]
+_TABLES = st.dictionaries(st.sampled_from(["first_words", "logodds", "t\u00e9", "z"]),
+                          st.tuples(st.sampled_from(_ROW_COUNTS), _WORDS, st.integers(0, 2**32)),
+                          max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TABLES, st.sampled_from(["csv", "json"]))
+def test_streamed_report_equals_json_dumps_of_its_tables(drawn, fmt):
+    tables = {name: (_COLUMNS, _logodds_rows(*spec)) for name, spec in drawn.items()}
+    metadata = {"tool": "poemetrics", "version": __version__,
+                "dictionary_sha256": _DICTIONARY.source_sha256, "settings": asdict(_SETTINGS),
+                "corpora": {c.label: len(c) for c in _CORPORA}}
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out"
+        cli._write_report(out, fmt, tables, {}, _DICTIONARY, _SETTINGS, _CORPORA)
+        _check_streamed_files(out, fmt, metadata, tables)
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (["analyze", HUMAN, GPT, "--compare", "--format", "json"], "json"),
+    (["analyze", HUMAN, GPT, "--compare", "--format", "csv"], "csv"),
+    (["compare", GPT, HUMAN], "csv"),
+    (["meter", GPT, "--format", "json"], "json"),
+])
+def test_written_report_equals_json_dumps_of_its_tables(argv, fmt, tmp_path, monkeypatch):
+    # Batches small enough that the fixtures' tables span several.
+    monkeypatch.setattr(cli, "_ROW_BATCH", 3)
+    out = tmp_path / "out"
+    assert main([*argv, "--min-docs", "1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_bytes())
+    tables = {}
+    for name, rows in report["tables"].items():
+        columns = list(rows[0])
+        if fmt == "csv":  # the header gives the columns' order, which JSON keys sort away
+            with open(out / "tables" / f"{name}.csv", encoding="utf-8", newline="") as handle:
+                columns = next(csv.reader(handle))
+            assert sorted(columns) == sorted(rows[0])
+        tables[name] = columns, rows
+    assert max(len(rows) for _, rows in tables.values()) > cli._ROW_BATCH
+    _check_streamed_files(out, fmt, report["metadata"], tables)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writing_a_report_holds_a_small_share_of_its_bytes(fmt, tmp_path):
+    rows = _logodds_rows(20_000, ["heart", "embrace\u00e9", "whisper"], 1)
+    tables = {"logodds": (_COLUMNS, rows)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_report(tmp_path, fmt, tables, {}, _DICTIONARY, _SETTINGS, _CORPORA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
+    assert peak - before < written / 4

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -314,3 +315,9 @@ def test_grid_serialization_round_trip():
     csv_text = grid.to_csv()
     assert csv_text == "1.000000,0.500000\n"
     assert '"rows": 1' in grid.to_json()
+
+
+def test_grid_json_is_json_dumps_of_its_cells():
+    grid = occupancy_heatmap(make_corpus(["ab\n c\td", "a\n\n  x", "é"]), rows=4, cols=7)
+    assert grid.to_json() == json.dumps({"rows": 4, "cols": 7,
+                                         "cells": [list(row) for row in grid.cells]})
