@@ -63,18 +63,19 @@ def _valid_phoneme(phoneme: str) -> bool:
     return digit is None
 
 
-def _valid_phones(phones: list[str], valid: set[str]) -> bool:
-    """Whether every phone is well formed (see _valid_phoneme).
+def _shared_variant(phones: list[str], shared: dict[str, str]) -> Variant | None:
+    """phones as a variant, or None if one is malformed (see _valid_phoneme).
 
-    valid holds the phones already found well formed, and gains these when
-    they all are, so that a load checks each distinct phone once.
+    shared maps each phone already found well formed to the one string that
+    every variant holds for it, and gains these phones when they all are, so
+    that a load checks each distinct phone once and keeps one copy of it.
     """
-    if valid.issuperset(phones):
-        return True
-    if all(map(_valid_phoneme, phones)):
-        valid.update(phones)
-        return True
-    return False
+    try:
+        return tuple(map(shared.__getitem__, phones))
+    except KeyError:
+        if not all(map(_valid_phoneme, phones)):
+            return None
+        return tuple(map(shared.setdefault, phones, phones))
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def load_dictionary(path: str | Path) -> PronouncingDictionary:
     text = _decode(data)
     entries: dict[str, list[Variant]] = {}
     skipped = 0
-    valid: set[str] = set()
+    shared: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith(";;;"):
@@ -153,10 +154,11 @@ def load_dictionary(path: str | Path) -> PronouncingDictionary:
         m = _VARIANT_KEY_RE.match(word)
         if m:
             word = m.group(1)
-        if not word or not _valid_phones(phones, valid):
+        variant = _shared_variant(phones, shared) if word else None
+        if variant is None:
             skipped += 1
             continue
-        entries.setdefault(word.lower(), []).append(tuple(phones))
+        entries.setdefault(word.lower(), []).append(variant)
     if skipped:
         logger.warning("%s: skipped %d malformed dictionary lines", path, skipped)
     return PronouncingDictionary(

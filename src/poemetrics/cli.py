@@ -36,18 +36,8 @@ from pathlib import Path
 
 from . import __version__
 from .arpabet import PronouncingDictionary, bundled_dictionary_path, load_dictionary
-from .corpus import CorpusError, EXPECTED_FORM_LENGTHS, open_corpus, strip_prefatory
-from .generate import (
-    AuthenticationError,
-    ChatCompletionsClient,
-    DEFAULT_STYLES,
-    DEFAULT_SUBJECTS,
-    DEFAULT_TEMPLATES,
-    GenerationJob,
-    build_grid,
-    check_specs,
-    run_job,
-)
+from .corpus import (CANONICAL_STYLES, TEMPLATE_NAMES, CorpusError, EXPECTED_FORM_LENGTHS,
+                     open_corpus, strip_prefatory)
 from .lexstats import (
     DEFAULT_TOUCHSTONE_GROUPS,
     PRONOUN_CATEGORIES,
@@ -701,9 +691,8 @@ def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
             svgplot.barchart_svg(bars, title="poems with rhyme (%)"), encoding="utf-8"
         )
     for label in sorted(grids):
-        (plot_dir / f"occupancy_{label}.svg").write_text(
-            svgplot.heatmap_svg(grids[label], title=f"occupancy: {label}"), encoding="utf-8"
-        )
+        with open(plot_dir / f"occupancy_{label}.svg", "w", encoding="utf-8") as out:
+            svgplot.heatmap_svg(grids[label], out, title=f"occupancy: {label}")
     for name in ("logodds", "first_words"):
         if name not in tables:
             continue
@@ -766,6 +755,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    # Imported here, so that the analysis commands never load the generation client.
+    from .generate import (AuthenticationError, ChatCompletionsClient, DEFAULT_STYLES,
+                           DEFAULT_SUBJECTS, DEFAULT_TEMPLATES, GenerationJob, build_grid,
+                           check_specs, run_job)
+
     styles = tuple(args.styles) if args.styles else DEFAULT_STYLES
     subjects = tuple(args.subjects) if args.subjects else DEFAULT_SUBJECTS
     templates = tuple(args.templates) if args.templates else DEFAULT_TEMPLATES
@@ -802,7 +796,11 @@ def cmd_generate(args) -> int:
         concurrency=args.concurrency,
         resume=not args.no_resume,
     )
-    corpus = run_job(job, client)
+    try:
+        corpus = run_job(job, client)
+    except AuthenticationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{len(corpus)} poems in {args.out}")
     return 0
 
@@ -898,10 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--api-key-env", default="OPENAI_API_KEY",
                           help="environment variable holding the API key")
     generate.add_argument("--out", default=None, help="output JSON Lines file")
-    generate.add_argument("--styles", nargs="+", default=None, choices=DEFAULT_STYLES)
+    generate.add_argument("--styles", nargs="+", default=None, choices=CANONICAL_STYLES)
     generate.add_argument("--subjects", nargs="+", default=None)
-    generate.add_argument("--templates", nargs="+", default=None,
-                          choices=DEFAULT_TEMPLATES)
+    generate.add_argument("--templates", nargs="+", default=None, choices=TEMPLATE_NAMES)
     generate.add_argument("--temperature", type=_bounded(float, 0), default=1.0)
     generate.add_argument("--max-output-tokens", type=_bounded(int, 1), default=1024)
     generate.add_argument("--max-retries", type=_bounded(int, 0), default=3)
@@ -925,7 +922,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=args.log_level, format="%(message)s")
     try:
         return args.func(args)
-    except (CorpusError, ValueError, OSError, AuthenticationError) as exc:
+    except (CorpusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import CANONICAL_STYLES, Corpus, PoemRecord, load_corpus
+from .corpus import CANONICAL_STYLES, TEMPLATE_NAMES, Corpus, PoemRecord, load_corpus
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +31,7 @@ PROMPT_TEMPLATES = {
     "specific": _BASE + " Make the poem about something specific.",
 }
 
-DEFAULT_TEMPLATES = ("general", "figurative", "specific")
+DEFAULT_TEMPLATES = TEMPLATE_NAMES
 
 DEFAULT_STYLES = CANONICAL_STYLES
 

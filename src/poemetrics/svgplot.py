@@ -7,6 +7,8 @@ Output is deterministic for identical inputs, and text is XML-escaped.
 
 from __future__ import annotations
 
+from typing import TextIO
+
 from .structure import LengthSummary, OccupancyGrid
 
 _FONT = 'font-family="monospace" font-size="11"'
@@ -17,12 +19,15 @@ def _text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _svg(width: int, height: int, body: list[str]) -> str:
-    head = (
+def _head(width: int, height: int) -> str:
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+
+
+def _svg(width: int, height: int, body: list[str]) -> str:
+    return "\n".join([_head(width, height), *body, "</svg>"]) + "\n"
 
 
 def boxplot_svg(summaries: list[tuple[str, LengthSummary]], title: str = "") -> str:
@@ -57,27 +62,31 @@ def boxplot_svg(summaries: list[tuple[str, LengthSummary]], title: str = "") -> 
     return _svg(width, height, body)
 
 
-def heatmap_svg(grid: OccupancyGrid, title: str = "") -> str:
-    """Occupancy grid as grayscale 8-unit squares; darker means more occupied."""
+def heatmap_svg(grid: OccupancyGrid, out: TextIO, title: str = "") -> None:
+    """Write the occupancy grid to out as grayscale 8-unit squares; darker means more occupied.
+
+    The SVG is written one grid row at a time, so no more than a row of it is held.
+    """
     cell = 8
     top = 24 if title else 4
-    width = 4 + grid.cols * cell + 4
-    height = top + grid.rows * cell + 4
-    body = [f'<text x="4" y="16" {_FONT}>{_text(title)}</text>'] if title else []
-    for i, row in enumerate(grid.cells):
+    out.write(_head(4 + grid.cols * cell + 4, top + grid.rows * cell + 4) + "\n")
+    if title:
+        out.write(f'<text x="4" y="16" {_FONT}>{_text(title)}</text>\n')
+    for i, row in enumerate(grid._shares()):
+        rects = []
         for j, value in enumerate(row):
             if value <= 0:
                 continue
             shade = int(round(255 * (1 - value)))
-            body.append(
+            rects.append(
                 f'<rect x="{4 + j * cell}" y="{top + i * cell}" width="{cell}" '
-                f'height="{cell}" fill="rgb({shade},{shade},{shade})"/>'
+                f'height="{cell}" fill="rgb({shade},{shade},{shade})"/>\n'
             )
-    body.append(
+        out.write("".join(rects))
+    out.write(
         f'<rect x="4" y="{top}" width="{grid.cols * cell}" height="{grid.rows * cell}" '
-        f'fill="none" stroke="#999"/>'
+        f'fill="none" stroke="#999"/>\n</svg>\n'
     )
-    return _svg(width, height, body)
 
 
 def barchart_svg(rows: list[tuple[str, float]], title: str = "", max_value: float = 100.0) -> str:

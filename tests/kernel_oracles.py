@@ -50,3 +50,35 @@ def summarize_lengths_reference(line_counts: list[int]) -> tuple:
     high = max(v for v in values if v <= q3 + reach)
     outliers = tuple(v for v in values if v < low or v > high)
     return median, q1, q3, low, high, outliers, len(values)
+
+
+def heatmap_svg_reference(grid, title: str = "") -> str:
+    """svgplot.heatmap_svg as it was: every rect of grid.cells in a list, joined into one string."""
+    font = 'font-family="monospace" font-size="11"'
+
+    def text(s: str) -> str:
+        return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+    cell = 8
+    top = 24 if title else 4
+    width = 4 + grid.cols * cell + 4
+    height = top + grid.rows * cell + 4
+    body = [f'<text x="4" y="16" {font}>{text(title)}</text>'] if title else []
+    for i, row in enumerate(grid.cells):
+        for j, value in enumerate(row):
+            if value <= 0:
+                continue
+            shade = int(round(255 * (1 - value)))
+            body.append(
+                f'<rect x="{4 + j * cell}" y="{top + i * cell}" width="{cell}" '
+                f'height="{cell}" fill="rgb({shade},{shade},{shade})"/>'
+            )
+    body.append(
+        f'<rect x="4" y="{top}" width="{grid.cols * cell}" height="{grid.rows * cell}" '
+        f'fill="none" stroke="#999"/>'
+    )
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    )
+    return "\n".join([head, *body, "</svg>"]) + "\n"

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from poemetrics import arpabet
 from poemetrics.arpabet import (
     VOWELS,
-    _valid_phones,
+    _shared_variant,
     bundled_dictionary_path,
     is_vowel,
     load_dictionary,
@@ -121,6 +121,19 @@ def test_bundled_entries(dictionary):
     assert dictionary.source_sha256
 
 
+def test_bundled_entries_equal_an_independent_parse_with_one_string_per_phone():
+    expected: dict[str, list] = {}
+    for line in bundled_dictionary_path().read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith(";;;"):
+            key, *phones = line.split()
+            expected.setdefault(key.split("(")[0].lower(), []).append(tuple(phones))
+    loaded = load_dictionary(bundled_dictionary_path())
+    assert loaded.entries == {word: tuple(variants) for word, variants in expected.items()}
+    assert loaded.skipped_lines == 0
+    phones = [p for variants in loaded.entries.values() for v in variants for p in v]
+    assert len({id(p) for p in phones}) == len(set(phones))
+
+
 def test_lookup_case_insensitive(dictionary):
     assert dictionary.lookup("HAZE") == dictionary.lookup("haze")
     assert "Praise" in dictionary
@@ -196,14 +209,17 @@ def test_memoized_phone_check_agrees_with_the_phone_rule():
     symbols = ["".join(p) for n in (1, 2, 3) for p in product(string.ascii_uppercase, repeat=n)]
     phones = [s + d for s in symbols for d in ("", "0", "1", "2")]
     phones += ["AH3", "ah0", "B1", "ABCD", "", "AH01", "1", "AH 0", "\u0391H0"]
-    warm: set[str] = set()
+    warm: dict[str, str] = {}
     for phone in phones:
         expected = phone_reference(phone)
-        assert _valid_phones([phone], set()) is expected, phone
-        assert _valid_phones([phone], warm) is expected, phone
+        assert (_shared_variant([phone], {}) is not None) is expected, phone
+        assert (_shared_variant([phone], warm) is not None) is expected, phone
         assert (phone in warm) is expected
-        assert _valid_phones([phone], warm) is expected  # answered from the memo when valid
-    assert _valid_phones(["AH0", "AH3"], warm) is False
+        # Answered from the memo when valid, with the phone object it holds.
+        again = _shared_variant([phone], warm)
+        assert (again is not None) is expected
+        assert again is None or again[0] is warm[phone]
+    assert _shared_variant(["AH0", "AH3"], warm) is None
 
 
 def test_load_skips_each_line_with_a_bad_phone_after_good_ones(tmp_path):

@@ -754,12 +754,13 @@ def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
     (["generate", "--styles", "free-verse"], "invalid choice: 'free-verse'"),
     (["compare", HUMAN, GPT, "--min-docs", "-3"], "must be at least 0, got -3"),
     (["analyze", GPT, "--threads", "0"], "must be at least 1, got 0"),
+    (["generate", "--templates", "bogus"], "invalid choice: 'bogus'"),
 ], ids=["heatmap-rows", "heatmap-cols", "top-k", "concurrency", "max-retries",
         "timeout-zero", "timeout-inf", "rate-limit-zero", "rate-limit-negative", "rate-limit-nan",
         "alpha-total-zero", "alpha-total-negative", "alpha-total-nan", "iambic-threshold-nan",
         "iambic-threshold-above-1", "iambic-threshold-negative", "temperature-nan",
         "temperature-negative", "temperature-inf", "max-output-tokens-zero", "styles-free-verse",
-        "min-docs-negative", "threads-zero"])
+        "min-docs-negative", "threads-zero", "templates-bogus"])
 def test_out_of_range_flag_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     from mock_server import MockChatEndpoint
 

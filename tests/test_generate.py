@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poemetrics import generate
-from poemetrics.corpus import load_corpus
+from poemetrics.corpus import CANONICAL_STYLES, TEMPLATE_NAMES, load_corpus
 from poemetrics.generate import (
     MAX_BACKOFF_S,
     AuthenticationError,
@@ -48,6 +48,13 @@ def test_full_grid_dimensions():
     assert set(per_style.values()) == {120}
     assert set(per_subject.values()) == {72}
     assert len({(s.template, s.style, s.subject) for s in specs}) == 2880
+
+
+def test_grid_defaults_are_the_corpus_tuples():
+    # The generate subcommand's --styles and --templates choices are the corpus tuples.
+    assert generate.DEFAULT_TEMPLATES is TEMPLATE_NAMES
+    assert generate.DEFAULT_STYLES is CANONICAL_STYLES
+    assert tuple(generate.PROMPT_TEMPLATES) == TEMPLATE_NAMES
 
 
 def test_rendered_templates_are_byte_exact():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ from itertools import chain
 import pytest
 from hypothesis import example, given, strategies as st
 
-from poemetrics import structure
+from poemetrics import structure, svgplot
 from poemetrics.corpus import Corpus, PoemRecord
 from poemetrics.lexstats import tokenize
 from poemetrics.structure import (
@@ -22,7 +23,7 @@ from poemetrics.structure import (
 )
 
 from conftest import DATA_DIR, LIMERICK, QUATRAINS, make_corpus
-from kernel_oracles import summarize_lengths_reference
+from kernel_oracles import heatmap_svg_reference, summarize_lengths_reference
 
 
 def brute_force_summary(counts):
@@ -321,3 +322,17 @@ def test_grid_json_is_json_dumps_of_its_cells():
     grid = occupancy_heatmap(make_corpus(["ab\n c\td", "a\n\n  x", "é"]), rows=4, cols=7)
     assert grid.to_json() == json.dumps({"rows": 4, "cols": 7,
                                          "cells": [list(row) for row in grid.cells]})
+
+
+@given(rows=st.integers(1, 5), cols=st.integers(1, 5),
+       poems=st.lists(st.lists(st.text(" x", max_size=6), min_size=1, max_size=6).map("\n".join),
+                      min_size=1, max_size=4),
+       title=st.text("a &<>\"é", max_size=8))
+@example(rows=2, cols=4, poems=["x x", "xx\nx"], title="a&<b>")  # shares 1, 0.5 and 0
+def test_streamed_heatmap_svg_equals_the_joined_svg(rows, cols, poems, title):
+    grid = structure.OccupancyGrid(rows, cols)
+    for text in poems:
+        grid.add(text)
+    out = io.StringIO()
+    svgplot.heatmap_svg(grid, out, title=title)
+    assert out.getvalue() == heatmap_svg_reference(grid, title)
