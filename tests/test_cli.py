@@ -945,7 +945,8 @@ def _loaded_by_importing_cli(modules: set[str]) -> str:
 
 
 def test_import_loads_no_http_stack():
-    # generate imports urllib.request only when it sends a request.
+    # generate imports http.client only when a client is made, and urllib.request never
+    # unless a proxy variable is set.
     assert _loaded_by_importing_cli({"requests", "http.client", "urllib.request"}) == "[]\n"
 
 

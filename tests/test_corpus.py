@@ -330,3 +330,32 @@ def test_open_corpus_raises_a_fault_in_its_records_place(tmp_path):
     assert len(missing) == 1
     with pytest.raises(CorpusError, match="does not exist"):
         list(missing.read(slice(0, 1)))
+
+
+def _two_rows(name: str) -> str:
+    """Two generated poems with every label, and their titles, alike."""
+    rows = [{"id": f"p{n}", "text": f"poem {n}", "source": "gpt4", "style": "sonnet",
+             "subject": "love", "template": "general", "title": "Untitled"} for n in (1, 2)]
+    if name.endswith(".csv"):
+        return "id,text,source,style,subject,template,title\n" + "".join(
+            ",".join(row.values()) + "\n" for row in rows)
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("name", ["labels.jsonl", "labels.csv"])
+def test_records_of_one_file_share_their_label_strings(name, tmp_path):
+    path = tmp_path / name
+    path.write_text(_two_rows(name), encoding="utf-8")
+    for a, b in [load_corpus(path).records, list(open_corpus(path).read(slice(None)))]:
+        assert a.style == "sonnet"
+        for key in ("source", "style", "subject", "template"):
+            assert getattr(a, key) is getattr(b, key), key
+        assert a.title == b.title and a.title is not b.title
+
+
+def test_the_label_table_holds_labels_only(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    path.write_text(_two_rows(path.name), encoding="utf-8")
+    reader = open_corpus(path)
+    assert len(list(reader.read(slice(None)))) == 2
+    assert sorted(reader.rows.labels) == ["general", "gpt4", "love", "sonnet"]
