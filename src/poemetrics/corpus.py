@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -175,27 +176,25 @@ def _not_utf8(path: Path) -> CorpusError:
             return CorpusError(f"{file}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8")
 
 
-# The fields whose values recur across a file's records: each distinct value is kept once.
+# The fields whose values recur across records: each is interned, so a distinct value is
+# kept once however many records hold it.
 _LABELS = frozenset(("source", "style", "subject", "template"))
 
 
 class _Rows:
     """What the records of one file share: the start of their error locations, such as
-    "<path>: line", the stem of their fallback ids, the default source and style, and
-    one string object per distinct label value (labels), which its records hold."""
+    "<path>: line", the stem of their fallback ids, and the default source and style."""
 
-    __slots__ = ("where", "stem", "default_source", "default_style", "labels")
+    __slots__ = ("where", "stem", "default_source", "default_style")
 
     def __init__(self, path: Path, unit: str, default_source, default_style):
         self.where, self.stem = f"{path}: {unit}", path.stem
         self.default_source, self.default_style = default_source, default_style
-        self.labels: dict[str, str] = {}
 
 
 def _record_from_mapping(raw: dict, n: int, rows: _Rows) -> PoemRecord:
     """The record of row or line n of a file; without an id its id is "<stem>-<n:04d>"."""
     values = {"source": rows.default_source, "style": rows.default_style}
-    labels = rows.labels
     for key in _FIELDS:
         value = raw.get(key)
         if value is None or value == "":
@@ -205,7 +204,7 @@ def _record_from_mapping(raw: dict, n: int, rows: _Rows) -> PoemRecord:
                 raise CorpusError(f"{rows.where} {n}: field {key!r} must be a string or a "
                                   f"number, not {_NOT_TEXT[type(value)]}")
             value = str(value)  # as a CSV cell reads: a JSON number becomes its text
-        values[key] = labels.setdefault(value, value) if key in _LABELS else value
+        values[key] = sys.intern(value) if key in _LABELS else value
     if "text" not in values:
         raise CorpusError(f"{rows.where} {n}: missing required field 'text'")
     if not values["source"]:

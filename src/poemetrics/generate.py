@@ -20,12 +20,8 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .corpus import CANONICAL_STYLES, TEMPLATE_NAMES, Corpus, PoemRecord, load_corpus
-
-if TYPE_CHECKING:
-    from http.client import HTTPConnection
 
 logger = logging.getLogger(__name__)
 
@@ -171,13 +167,8 @@ class RequestFailed(RuntimeError):
 
 
 class ChatCompletionsClient:
-    """Minimal client for an OpenAI-compatible chat-completions endpoint.
+    """Minimal client for an OpenAI-compatible chat-completions endpoint, one connection per call.
 
-    Each thread that calls complete() has a connection of its own, which it
-    reuses while the server keeps it open. One the server has closed, after a
-    response (as HTTP/1.0 servers do) or while idle, is replaced before the
-    next request; a request once sent is never sent again. close() closes
-    every connection the client has opened, and a later call opens a new one.
     The http_proxy, https_proxy and no_proxy environment variables, as they
     are when the client is made, are honored as urllib.request.urlopen
     honors them.
@@ -192,9 +183,10 @@ class ChatCompletionsClient:
 
         self.endpoint = endpoint
         self.timeout = timeout
-        # The User-Agent that urlopen sends.
+        # The User-Agent and Connection headers that urlopen sends.
         self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json",
-                         "User-Agent": f"Python-urllib/{sys.version_info[0]}.{sys.version_info[1]}"}
+                         "User-Agent": f"Python-urllib/{sys.version_info[0]}.{sys.version_info[1]}",
+                         "Connection": "close"}
         url = urlsplit(endpoint)
         scheme, host = url.scheme, url.netloc
         self._target = url.path + (f"?{url.query}" if url.query else "")
@@ -210,21 +202,6 @@ class ChatCompletionsClient:
                 self._headers.update(headers)
         self._connection_type = HTTPSConnection if scheme == "https" else HTTPConnection
         self._host = host
-        # Each calling thread's connection, by thread id.
-        self._connections: dict[int, HTTPConnection] = {}
-
-    def _connection(self) -> HTTPConnection:
-        """The calling thread's connection, made ready to send a request."""
-        thread = threading.get_ident()
-        connection = self._connections.get(thread)
-        if connection is None:
-            connection = self._connection_type(self._host, timeout=self.timeout)
-            if self._tunnel is not None:
-                connection.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
-            self._connections[thread] = connection
-        elif connection.sock is not None and _readable(connection.sock):
-            connection.close()  # the server closed it while idle; request() opens a new one
-        return connection
 
     def complete(self, model: str, prompt: str, temperature: float, max_tokens: int) -> str:
         from http.client import HTTPException
@@ -235,16 +212,17 @@ class ChatCompletionsClient:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        connection = self._connection()
+        connection = self._connection_type(self._host, timeout=self.timeout)
+        if self._tunnel is not None:
+            connection.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
         try:
             connection.request("POST", self._target, json.dumps(payload).encode(), self._headers)
             with connection.getresponse() as response:
                 status, headers, body = response.status, response.headers, response.read()
-        except BaseException as exc:
-            connection.close()  # in a state no request can follow; the next one opens anew
-            if isinstance(exc, (OSError, HTTPException)):
-                raise TransientRequestError(f"request failed: {exc}") from exc
-            raise
+        except (OSError, HTTPException) as exc:
+            raise TransientRequestError(f"request failed: {exc}") from exc
+        finally:
+            connection.close()
         if status in (401, 403):
             raise AuthenticationError(f"endpoint returned {status}")
         if status == 429 or status >= 500:
@@ -262,12 +240,6 @@ class ChatCompletionsClient:
         if not content.strip():
             raise RequestFailed("empty completion text")
         return content
-
-    def close(self) -> None:
-        """Close every connection this client has opened."""
-        connections, self._connections = self._connections, {}
-        for connection in connections.values():
-            connection.close()
 
 
 def _proxy_for(scheme: str, host: str) -> tuple[str, str, str | None] | None:
@@ -293,18 +265,6 @@ def _proxy_for(scheme: str, host: str) -> tuple[str, str, str | None] | None:
         credentials = f"{unquote(parts.username)}:{unquote(parts.password)}"
         authorization = f"Basic {b64encode(credentials.encode()).decode('ascii')}"
     return parts.scheme or scheme, unquote(parts.netloc.rpartition("@")[2]), authorization
-
-
-def _readable(sock) -> bool:
-    """Whether an idle connection's socket has something to read, without waiting: the
-    server has closed it, or sent bytes that answer no request. Either way it is done."""
-    import select
-
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
 
 
 @dataclass
@@ -455,8 +415,6 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     requests in flight are awaited and discarded, specs not yet started and
     specs waiting to retry are dropped, and the error propagates. Specs that
     check_specs rejects raise ValueError before the output file is touched.
-    However the run ends, once its requests are done it calls client.close(),
-    when the client has one.
 
     concurrent.futures and queue are imported here, as the client imports the
     HTTP stack, so that a process that only analyzes loads none of them.
@@ -582,7 +540,5 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
             settle(prompt, reply)
     finally:  # an error, or an interrupt in this thread, drops every spec not yet written
         executor.shutdown(cancel_futures=True)
-        if hasattr(client, "close"):
-            client.close()
         log_progress("run ended")
     return load_corpus(output_path, "json-lines")

@@ -16,21 +16,15 @@ class MockChatEndpoint:
     raw_body, when set, is sent as the body of every 200 response in place of
     a completion. retry_after, when set, is sent as a Retry-After header with
     each scripted 429 and 503.
-
-    By default it speaks HTTP/1.0 and closes each connection after its
-    response. keep_alive makes it speak HTTP/1.1 and keep a connection open
-    until the client closes it, or, when idle_timeout is set, until it has
-    been idle that many seconds. connections counts the connections accepted,
-    and open_connections those not yet closed; paths holds each request's
-    target as sent, an absolute URL when it came through as a proxy.
+    paths holds each request's target as sent, an absolute URL when it came
+    through as a proxy, and request_headers each request's headers.
     """
 
     def __init__(self, reply=None, fail_first=None, expect_key=None, *,
-                 host="127.0.0.1", port=0, raw_body=None, retry_after=None,
-                 keep_alive=False, idle_timeout=None):
+                 host="127.0.0.1", port=0, raw_body=None, retry_after=None):
         self.requests: list[dict] = []
         self.paths: list[str] = []
-        self.connections = self.open_connections = 0
+        self.request_headers: list = []
         self.reply = reply or (lambda payload: "The morning light\nupon the hill")
         self.fail_first = {k: list(v) for k, v in (fail_first or {}).items()}
         self.expect_key = expect_key
@@ -40,28 +34,13 @@ class MockChatEndpoint:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
-            timeout = idle_timeout
-
-            def setup(self):
-                with outer._lock:
-                    outer.connections += 1
-                    outer.open_connections += 1
-                super().setup()
-
-            def finish(self):
-                try:
-                    super().finish()
-                finally:
-                    with outer._lock:
-                        outer.open_connections -= 1
-
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 payload = json.loads(self.rfile.read(length))
                 with outer._lock:
                     outer.requests.append(payload)
                     outer.paths.append(self.path)
+                    outer.request_headers.append(self.headers)
                     if outer.expect_key is not None:
                         auth = self.headers.get("Authorization", "")
                         if auth != f"Bearer {outer.expect_key}":

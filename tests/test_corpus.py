@@ -353,9 +353,13 @@ def test_records_of_one_file_share_their_label_strings(name, tmp_path):
         assert a.title == b.title and a.title is not b.title
 
 
-def test_the_label_table_holds_labels_only(tmp_path):
-    path = tmp_path / "labels.jsonl"
-    path.write_text(_two_rows(path.name), encoding="utf-8")
-    reader = open_corpus(path)
-    assert len(list(reader.read(slice(None)))) == 2
-    assert sorted(reader.rows.labels) == ["general", "gpt4", "love", "sonnet"]
+@pytest.mark.parametrize("name", ["labels.jsonl", "labels.csv"])
+def test_only_labels_are_shared_across_files(name, tmp_path):
+    path = tmp_path / name
+    path.write_text(_two_rows(name), encoding="utf-8")
+    first, again = load_corpus(path).records[0], load_corpus(path).records[0]
+    for key in ("source", "style", "subject", "template"):
+        assert getattr(first, key) is getattr(again, key), key
+    for key in ("id", "text", "title"):
+        assert getattr(first, key) == getattr(again, key)
+        assert getattr(first, key) is not getattr(again, key), key

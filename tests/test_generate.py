@@ -768,101 +768,22 @@ def test_rate_limiter_spaces_requests():
     assert time.monotonic() - start < 0.5
 
 
-# --- connections: reuse, replacement, closing and proxies -------------------------
+# --- http.client in place of urlopen: rows, proxies and imports -------------------
 
 def _reply_with_prompt_tail(payload):
     return "Café light “dawn”\n" + payload["messages"][0]["content"][-20:]
 
 
-@pytest.mark.parametrize("keep_alive", [False, True], ids=["http-1.0", "keep-alive"])
-def test_written_rows_match_their_recorded_digest(keep_alive, tmp_path):
-    # The digest of the rows this run wrote before the client kept connections alive.
+def test_written_rows_match_their_recorded_digest(tmp_path):
+    # The digest of the rows this run wrote when the client went through urllib.request.
     specs = build_grid(styles=("sonnet", "ballad"), subjects=("love", "father's day"),
                        templates=("general", "figurative"))
     out = tmp_path / "out.jsonl"
-    with MockChatEndpoint(reply=_reply_with_prompt_tail, keep_alive=keep_alive) as endpoint:
+    with MockChatEndpoint(reply=_reply_with_prompt_tail) as endpoint:
         run_job(_job(specs, out, concurrency=1), ChatCompletionsClient(endpoint.url, "test-key"))
     data = out.read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (
         1600, "34e6d4f0ae4ab2043e15a292318029641d3cff735d26f4485ec3fc2530c2b9e8")
-
-
-def _six_specs():
-    return build_grid(styles=("sonnet", "haiku"), subjects=("love", "nature", "religion"),
-                      templates=("general",))
-
-
-def _all_closed(endpoint) -> bool:
-    """Whether the endpoint has seen every connection it accepted closed, within 5 s."""
-    deadline = time.monotonic() + 5
-    while endpoint.open_connections and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return endpoint.open_connections == 0
-
-
-# An HTTP/1.0 server closes every connection after its response: one per request.
-@pytest.mark.parametrize("keep_alive, concurrency, fewest, most", [
-    (True, 1, 1, 1),
-    (True, 3, 1, 3),
-    (False, 1, 6, 6),
-    (False, 3, 6, 6),
-])
-def test_a_request_slot_keeps_its_connection_while_the_server_does(keep_alive, concurrency,
-                                                                   fewest, most, tmp_path):
-    with MockChatEndpoint(reply=_slow_reply, keep_alive=keep_alive) as endpoint:
-        client = ChatCompletionsClient(endpoint.url, "test-key")
-        corpus = run_job(_job(_six_specs(), tmp_path / "out.jsonl", concurrency=concurrency),
-                         client)
-        assert len(corpus) == len(endpoint.requests) == 6
-        assert fewest <= endpoint.connections <= most
-        assert _all_closed(endpoint)
-
-
-def test_a_connection_closed_while_idle_is_replaced_without_a_retry(tmp_path, caplog):
-    out = tmp_path / "out.jsonl"
-    with MockChatEndpoint(keep_alive=True, idle_timeout=0.05) as endpoint:
-        # Each call waits 0.3 s before its request, so the server has closed the connection.
-        client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"), slow={"": 0.3})
-        with caplog.at_level("WARNING", logger="poemetrics.generate"):
-            corpus = run_job(_job(_small_grid(), out, concurrency=1), client)
-        client.inner.close()
-        assert endpoint.connections == 3
-    assert len(corpus) == 3
-    assert caplog.records == []
-    assert not (tmp_path / "out.jsonl.failures.jsonl").exists()
-
-
-def test_a_read_timeout_on_a_reused_connection_is_transient_and_replaces_it():
-    release = threading.Event()
-
-    def reply(payload):
-        if "slow" in payload["messages"][0]["content"]:
-            release.wait(10)
-        return "The morning light\nupon the hill"
-
-    with MockChatEndpoint(reply=reply, keep_alive=True) as endpoint:
-        client = ChatCompletionsClient(endpoint.url, "test-key", timeout=0.2)
-        try:
-            assert client.complete("gpt-4", "a", 1.0, 16)
-            assert client.complete("gpt-4", "b", 1.0, 16) and endpoint.connections == 1
-            with pytest.raises(TransientRequestError, match="timed out"):
-                client.complete("gpt-4", "slow", 1.0, 16)
-            release.set()
-            assert client.complete("gpt-4", "c", 1.0, 16)
-            assert endpoint.connections == 2
-        finally:
-            release.set()
-            client.close()
-        assert _all_closed(endpoint)
-
-
-def test_run_job_closes_its_connections_when_authentication_fails(tmp_path):
-    with MockChatEndpoint(expect_key="right-key", keep_alive=True) as endpoint:
-        client = ChatCompletionsClient(endpoint.url, "wrong-key")
-        with pytest.raises(AuthenticationError):
-            run_job(_job(_six_specs(), tmp_path / "out.jsonl"), client)
-        assert endpoint.connections >= 1
-        assert _all_closed(endpoint)
 
 
 def _closed_port_url() -> str:
@@ -882,12 +803,11 @@ def proxy_env(monkeypatch):
 
 def test_http_proxy_gets_the_absolute_url(proxy_env, tmp_path):
     target = _closed_port_url()
-    with MockChatEndpoint(keep_alive=True) as proxy:
+    with MockChatEndpoint() as proxy:
         proxy_env.setenv("http_proxy", proxy.url.split("/v1/")[0])
         corpus = run_job(_job(_small_grid()[:2], tmp_path / "out.jsonl", concurrency=1),
                          ChatCompletionsClient(target, "test-key"))
         assert proxy.paths == [target, target]
-        assert proxy.connections == 1
     assert len(corpus) == 2
 
 
@@ -902,6 +822,24 @@ def test_no_proxy_goes_straight_to_the_endpoint(proxy_env, tmp_path):
     assert len(corpus) == 0
     [row] = (tmp_path / "out.jsonl.failures.jsonl").read_text().splitlines()
     assert json.loads(row)["error"].startswith("request failed: ")
+
+
+def test_requests_carry_the_headers_urlopen_sent(proxy_env):
+    # urlopen itself would keep the opener, and with it the proxy variables read now.
+    from urllib.request import Request, build_opener
+
+    payload = {"model": "gpt-4", "messages": [{"role": "user", "content": "a"}],
+               "temperature": 1.0, "max_tokens": 16}
+    headers = {"Authorization": "Bearer test-key", "Content-Type": "application/json"}
+    with MockChatEndpoint() as endpoint:
+        _complete(endpoint.url)
+        request = Request(endpoint.url, json.dumps(payload).encode(), headers)
+        with build_opener().open(request, timeout=10):
+            pass
+        assert endpoint.requests == [payload, payload]
+    ours, urlopens = endpoint.request_headers
+    assert sorted(ours.items()) == sorted(urlopens.items())
+    assert ours["User-Agent"].startswith("Python-urllib/") and ours["Connection"] == "close"
 
 
 @contextmanager
@@ -932,7 +870,7 @@ def _refusing_proxy(connections: int):
 
 
 def test_https_goes_through_the_tunnel_urlopen_asks_for(proxy_env):
-    from urllib.request import Request, urlopen
+    from urllib.request import Request, build_opener
 
     endpoint = "https://127.0.0.1:9/v1/chat/completions"
     with _refusing_proxy(2) as (proxy, heads):
@@ -940,9 +878,8 @@ def test_https_goes_through_the_tunnel_urlopen_asks_for(proxy_env):
         client = ChatCompletionsClient(endpoint, "test-key")
         with pytest.raises(TransientRequestError, match="Tunnel connection failed: 502"):
             client.complete("gpt-4", "a", 1.0, 16)
-        client.close()
         with pytest.raises(OSError, match="Tunnel connection failed: 502"):
-            urlopen(Request(endpoint, b"{}"), timeout=10)
+            build_opener().open(Request(endpoint, b"{}"), timeout=10)  # as urlopen does
     assert len(heads) == 2 and heads[0] == heads[1]
     assert heads[0].startswith(b"CONNECT 127.0.0.1:9 HTTP/1.")
     assert b"\r\nProxy-Authorization: Basic dXNAZXI6cDpzcw==\r\n" in heads[0]  # us@er:p:ss
