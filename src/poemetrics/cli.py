@@ -11,8 +11,8 @@ byte-identical reports. Every poem is scored once, by one fold over chunks of
 consecutive poems, which reads each chunk of a JSON Lines corpus from its file
 as it folds it. --threads N runs that fold in up to N processes, this one
 included, which claim chunks and fold them into their own totals; those are
-merged here, integers exactly, and the float sums are redone in input order
-whatever N is, so the bytes do not depend on N.
+merged here. Every total is a count or an exact sum, merged exactly, so the
+bytes depend neither on N nor on the order chunks are folded and merged in.
 """
 
 from __future__ import annotations
@@ -224,12 +224,9 @@ def _fold_chunks(run, chunks, claims, grids):
     With a spool, the --per-poem lines go to a file of this fold's own there.
 
     Returns the totals, (scored, grids, counted): per corpus its ALL group,
-    groups by style and an empty list for its spooled lines, float sums in
-    claim order; and the WordCounts. Also returns per claimed chunk index what
-    the checks and _replay read: an array of its poems' id hashes (_id_hash,
-    not the ids), their styles (one str object per style), arrays of their
-    rhymed fractions and iambic scores (NaN when unscannable), each empty
-    when its family was not scored, and (spool file, start, end) of its
+    groups by style and an empty list for its spooled lines; and the
+    WordCounts. Also returns per claimed chunk index an array of its poems' id
+    hashes (_id_hash, not the ids) and (spool file, start, end) of its
     --per-poem lines, or None. A chunk with a record fault has the
     CorpusError instead, and the fold then claims every chunk left and stops:
     no process folds a chunk past it, and none before it is left unfolded.
@@ -238,7 +235,6 @@ def _fold_chunks(run, chunks, claims, grids):
     scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
     counted = [WordCounts(stopwords) for _ in corpora[:compared]]
     rhymes, meters, lexical = (family in families for family in ("rhyme", "meter", "lexstats"))
-    styles = {}
     parts = {}
     with (tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="", dir=spool,
                                       delete=False) if spool else nullcontext()) as out:
@@ -246,13 +242,11 @@ def _fold_chunks(run, chunks, claims, grids):
             i, span = chunks[k]
             corpus, (everything, by_style, _) = corpora[i], scored[i]
             grid, counting = grids[i], counted[i] if i < compared else None
-            ids, kinds, fractions, scores = array("q"), [], array("d"), array("d")
+            ids = array("q")
             start = out and out.tell()
             try:
                 for record in _read_chunk(corpus, span, strip):
-                    style = styles.setdefault(record.style, record.style)
                     ids.append(_id_hash(record.id))
-                    kinds.append(style)
                     poem = parse_structure(record)
                     if grid is not None:
                         grid.add(record.text)
@@ -263,16 +257,14 @@ def _fold_chunks(run, chunks, claims, grids):
                     if rhymes:
                         annotation = annotate_rhymes(poem, dictionary)
                         rhyme = annotation.counts()
-                        fractions.append(rhyme[1])
                         if out:
                             out.write(json.dumps({**annotation.to_json_dict(), "id": record.id},
                                                  ensure_ascii=False, sort_keys=True) + "\n")
                     if meters:
                         scan = scan_poem(poem, dictionary, threshold)
-                        scores.append(scan[0] if scan else math.nan)
                     if lexical:
                         pronouns, hits = pronoun_counts(words), touchstone_hits(words)
-                    for group in (everything, by_style[style]):
+                    for group in (everything, by_style[record.style]):
                         group.line_counts[poem.line_count] += 1
                         group.quatrains.add(poem.stanza_sizes)
                         if rhymes:
@@ -286,7 +278,7 @@ def _fold_chunks(run, chunks, claims, grids):
                 parts[k] = exc
                 deque(claims, maxlen=0)  # claim every chunk left: none comes before this one
                 break
-            parts[k] = ids, kinds, fractions, scores, out and (out.name, start, out.tell())
+            parts[k] = ids, out and (out.name, start, out.tell())
     return (scored, grids, counted), parts
 
 
@@ -347,27 +339,6 @@ def _repeats(columns, count: int) -> bool:
     return any(len(set(bucket)) < len(bucket) for bucket in buckets)
 
 
-def _replay(scored, chunks, parts) -> None:
-    """Redo every group's float sums from the chunks' parts, each poem's value added to its
-    style's group, and list their --per-poem spool ranges, in chunk order, that is in
-    input order, whatever order the chunks were claimed and merged in."""
-    for everything, by_style, _ in scored:
-        for group in (everything, *by_style.values()):
-            group.rhyme.rhymed_fraction_sum = group.meter.iambic_score_sum = 0.0
-    for k, (i, _) in enumerate(chunks):
-        _, styles, fractions, scores, spooled = parts[k]
-        everything, by_style, all_spooled = scored[i]
-        for style, fraction in zip(styles, fractions):
-            for group in (everything, by_style[style]):
-                group.rhyme.rhymed_fraction_sum += fraction
-        for style, score in zip(styles, scores):
-            if not math.isnan(score):
-                for group in (everything, by_style[style]):
-                    group.meter.iambic_score_sum += score
-        if spooled:
-            all_spooled.append(spooled)
-
-
 class _WorkerTraceback(Exception):
     """The traceback of an error raised in a scoring process, shown as that error's cause."""
 
@@ -397,10 +368,10 @@ def _fork_join(run, chunks, processes, grids):
     Every chunk index is written to a pipe first; each process claims chunks by
     reading 4-byte indices from it until it is empty, and folds them with
     _fold_chunks. Each worker sends its totals and parts once; this process
-    merges the totals, which are integers but for the float sums that _replay
-    redoes, and returns them with every chunk's parts, as _fold_chunks does for
-    all chunks. An error in any process, a worker that did not exit normally or
-    a failed fork raises here after every worker is ended and reaped.
+    merges the totals, exactly, in the order the workers were forked, and
+    returns them with every chunk's parts, as _fold_chunks does for all chunks.
+    An error in any process, a worker that did not exit normally or a failed
+    fork raises here after every worker is ended and reaped.
     """
     import pickle
     import signal
@@ -467,9 +438,9 @@ def _score_corpora(corpora, families, dictionary, threshold, strip, spool, compa
     when min(processes, chunks) is 1 or fork is unavailable; otherwise by that
     many processes, this one included, each with its own memos (_fork_join).
     Either way _check_input then raises the input's first fault, reading a
-    corpus again only if two of its id hashes are equal, and _replay redoes
-    the float sums and lists the spooled lines in input order, so the bytes do
-    not depend on processes.
+    corpus again only if two of its id hashes are equal, and each corpus's
+    spooled lines are listed in chunk order, that is in input order. The totals
+    merge exactly, so the bytes do not depend on processes.
     """
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
@@ -485,7 +456,9 @@ def _score_corpora(corpora, families, dictionary, threshold, strip, spool, compa
         logger.info("scoring %d poems in process", poems)
         (scored, _, counted), parts = _fold_chunks(run, chunks, range(len(chunks)), grids)
     _check_input(corpora, chunks, parts)
-    _replay(scored, chunks, parts)
+    for k, (i, _) in enumerate(chunks):
+        if parts[k][1]:
+            scored[i][2].append(parts[k][1])
     return scored, counted
 
 

@@ -80,13 +80,19 @@ class PronounProfile:
     total_tokens: int
 
 
+# Each pronoun, and each pronoun contraction ("we'll", "i'm", "it's"), by its category's
+# index in pronoun_counts.
 _PRONOUN_INDEX = {
-    word: k for k, words in enumerate(PRONOUN_CATEGORIES.values(), start=1) for word in words
+    word + clitic: k for k, words in enumerate(PRONOUN_CATEGORIES.values(), start=1)
+    for word in words for clitic in ("", "'m", "'re", "'ve", "'ll", "'d", "'s")
 }
 
 
 def pronoun_counts(tokens: Sequence[str]) -> tuple[int, ...]:
-    """A poem's token count, then its count of each PRONOUN_CATEGORIES entry in order."""
+    """A poem's token count, then its count of each PRONOUN_CATEGORIES entry in order.
+
+    A pronoun followed by 'm, 're, 've, 'll, 'd or 's counts as that pronoun.
+    """
     counts = [len(tokens)] + [0] * len(PRONOUN_CATEGORIES)
     for k in filter(None, map(_PRONOUN_INDEX.get, tokens)):
         counts[k] += 1

@@ -16,7 +16,7 @@ from itertools import chain, filterfalse
 from .arpabet import PronouncingDictionary, stress_pattern
 from .corpus import Corpus
 from .lexstats import tokenize
-from .structure import PoemStructure, parse_structure
+from .structure import PoemStructure, exact, exact_mean, parse_structure
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -135,11 +135,15 @@ def iambic_score(
 
 @dataclass
 class CorpusMeterStats:
-    """Meter counts of a group, added poem by poem; scores are summed in input order."""
+    """Meter counts of a group, added poem by poem.
+
+    Scores are summed exactly (see structure.exact) and their mean rounded
+    once, so it does not depend on the order poems are added or groups merged in.
+    """
 
     dominant_poems: int = 0
     poem_count: int = 0
-    iambic_score_sum: float = 0.0
+    iambic_score_sum: int = 0  # in units of 2**-structure.EXACT_SCALE
     unscannable_poems: int = 0
 
     def add(self, scan: tuple[float, bool] | None) -> None:
@@ -148,14 +152,11 @@ class CorpusMeterStats:
         if scan is None:
             self.unscannable_poems += 1
         else:
-            self.iambic_score_sum += scan[0]
+            self.iambic_score_sum += exact(scan[0])
             self.dominant_poems += scan[1]
 
     def merge(self, other: CorpusMeterStats) -> None:
-        """Add the counts of other, another group's poems, to these.
-
-        iambic_score_sum is then summed in merge order, not input order.
-        """
+        """Add the counts of other, another group's poems, to these, exactly."""
         self.dominant_poems += other.dominant_poems
         self.poem_count += other.poem_count
         self.iambic_score_sum += other.iambic_score_sum
@@ -169,7 +170,7 @@ class CorpusMeterStats:
     @property
     def mean_iambic_score(self) -> float:
         scanned = self.poem_count - self.unscannable_poems
-        return self.iambic_score_sum / scanned if scanned else 0.0
+        return exact_mean(self.iambic_score_sum, scanned) if scanned else 0.0
 
 
 def scan_poem(

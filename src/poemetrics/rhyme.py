@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
 from .corpus import Corpus
 from .lexstats import tokenize
-from .structure import PoemStructure, parse_structure
+from .structure import PoemStructure, exact, exact_mean, parse_structure
 
 
 def _last_word(tokens: Sequence[str]) -> str | None:
@@ -142,12 +142,14 @@ class RhymeStats:
     """Rhyme counts of a group, added poem by poem.
 
     avg_rhymed_fraction is the unweighted mean of per-poem fractions, summed
-    in input order; pooled_rhymed_fraction pools rhymed and total lines.
+    exactly (see structure.exact) and rounded once, so it does not depend on
+    the order poems are added or groups merged in; pooled_rhymed_fraction
+    pools rhymed and total lines.
     """
 
     poems_with_rhyme: int = 0
     poem_count: int = 0
-    rhymed_fraction_sum: float = 0.0
+    rhymed_fraction_sum: int = 0  # in units of 2**-structure.EXACT_SCALE
     rhymed_lines: int = 0
     lines: int = 0
 
@@ -156,15 +158,12 @@ class RhymeStats:
         rhymed, fraction, rhymed_lines, lines = counts
         self.poems_with_rhyme += rhymed
         self.poem_count += 1
-        self.rhymed_fraction_sum += fraction
+        self.rhymed_fraction_sum += exact(fraction)
         self.rhymed_lines += rhymed_lines
         self.lines += lines
 
     def merge(self, other: RhymeStats) -> None:
-        """Add the counts of other, another group's poems, to these.
-
-        rhymed_fraction_sum is then summed in merge order, not input order.
-        """
+        """Add the counts of other, another group's poems, to these, exactly."""
         self.poems_with_rhyme += other.poems_with_rhyme
         self.poem_count += other.poem_count
         self.rhymed_fraction_sum += other.rhymed_fraction_sum
@@ -177,7 +176,7 @@ class RhymeStats:
 
     @property
     def avg_rhymed_fraction(self) -> float:
-        return self.rhymed_fraction_sum / self.poem_count
+        return exact_mean(self.rhymed_fraction_sum, self.poem_count)
 
     @property
     def pooled_rhymed_fraction(self) -> float:

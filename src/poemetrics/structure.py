@@ -58,6 +58,22 @@ def parse_structure(poem: PoemRecord | str) -> PoemStructure:
     )
 
 
+# Every finite float is an integer multiple of 2**-EXACT_SCALE, the least subnormal, so
+# floats held as those integers add exactly, to the same total in any order.
+EXACT_SCALE = 1074
+
+
+def exact(x: float) -> int:
+    """x as an integer multiple of 2**-EXACT_SCALE, exactly."""
+    n, d = x.as_integer_ratio()
+    return n << (EXACT_SCALE + 1 - d.bit_length())
+
+
+def exact_mean(total: int, count: int) -> float:
+    """The mean of count floats whose exact() values sum to total, correctly rounded."""
+    return total / (count << EXACT_SCALE)
+
+
 @dataclass
 class QuatrainStats:
     """Quatrain counts of a group, added poem by poem."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from poemetrics.arpabet import load_bundled_dictionary
 from poemetrics.corpus import Corpus, PoemRecord, load_corpus
@@ -82,3 +83,21 @@ def make_corpus(texts, label="test", source="human", **kwargs) -> Corpus:
         for i, t in enumerate(texts)
     )
     return Corpus(label=label, records=records)
+
+
+def fold_and_merge(stats_type, items, data):
+    """stats_type's fold of items, and the merge of its folds of drawn runs of items in a
+    drawn order, as scoring processes fold chunks and have their totals merged."""
+    def fold(run):
+        stats = stats_type()
+        for item in run:
+            stats.add(item)
+        return stats
+
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=4), label="cuts"))
+    merged = stats_type()
+    for part in data.draw(st.permutations([fold(items[start:end]) for start, end in
+                                           zip([0, *cuts], [*cuts, len(items)])]),
+                          label="merge order"):
+        merged.merge(part)
+    return fold(items), merged

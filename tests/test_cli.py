@@ -471,7 +471,7 @@ GOLDEN_DIGESTS = {
     "plots/rhyme_pct.svg":
         "6a336616303bbc8b62cd29205d5984834bae49fb3b7a1a2096eef03c2e646342",
     "report.json":
-        "bb76051bf31fcfd32c1e41b0c0b1e3968593a654616463e24c96736f86d2e069",
+        "d4cf7df9854307e670091a52c2393612368475bf6c6b623b1b7e949655bfd5be",
     "tables/first_words.csv":
         "f9f8ad43046840e9a6bc8a17a942b008e0c9b13188a699e408dc6b5cbc245599",
     "tables/lengths.csv":
@@ -1040,8 +1040,8 @@ for i, threads in enumerate([None, *sys.argv[3:]]):
 
 # report.json of each analyze benchmark workload at seed 101, run with its flags.
 BENCHMARK_DIGESTS = {
-    "styled-pair": "6d6f69eae8f67cf4126ace902f4528e3babd9ea035bfa8fbf5985af2f83b483d",
-    "wide-vocab": "dcae773f58ec6e7ebace44c007591705e9271b9a0e490fa30e5ca59a1dbf6507",
+    "styled-pair": "8168b86014772870a2fbbe345199845c654b2e8b06aab744faee5780d5b651a0",
+    "wide-vocab": "5b1c4b594d65e3ed150ec89881b935663b69541bb7503542f587f8aaa631146e",
 }
 
 # The workloads run --threads 2 and 1; each is also run at the other's count.

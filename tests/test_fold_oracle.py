@@ -21,8 +21,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr
 from dataclasses import replace
-from functools import reduce
-from operator import add
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -58,7 +57,8 @@ from conftest import DATA_DIR, make_corpus
 
 STYLES = ("sonnet", "haiku", "free verse", "ballad", None)
 VOWEL_LESS = ("qzz", "xvv", "brr", "tsk", "pfft", "hmm")
-PRONOUNS = ("i", "we", "you", "thou", "she", "his", "they", "it", "our", "me")
+PRONOUNS = ("i", "we", "you", "thou", "she", "his", "they", "it", "our", "me",
+            "we'll", "I’m", "you're", "it's", "let's", "we''d")
 # Touchstone members and prefix matches, and tokens the tokenizer must keep whole.
 LEXICAL_PROBES = ("grace", "dance", "dreams", "echoes", "whispering", "embraced",
                   "don’t", "o'er", "naïve", "1914", "café")
@@ -90,6 +90,18 @@ def _write_corpus(path, rng, words, n):
             if style is not None:
                 record["style"] = style
             handle.write(json.dumps(record) + "\n")
+
+
+def _pronoun_head(token: str) -> str:
+    """The word a token counts as among pronouns: the part before its first apostrophe
+    when what follows that is m, re, ve, ll, d or s ("we'll" is "we"), else the token."""
+    head, _, tail = token.partition("'")
+    return head if tail in ("m", "re", "ve", "ll", "d", "s") else token
+
+
+def _exact_mean(values) -> float:
+    """The mean of values, exactly, rounded once to a float."""
+    return float(sum(map(Fraction, values)) / len(values))
 
 
 def _reference_rows(corpus: Corpus, dictionary) -> dict[str, list[dict]]:
@@ -138,7 +150,7 @@ def _reference_rows(corpus: Corpus, dictionary) -> dict[str, list[dict]]:
             words = tokenize(record.text)
             tokens += len(words)
             for category, members in PRONOUN_CATEGORIES.items():
-                pronouns[category] += sum(1 for w in words if w in members)
+                pronouns[category] += sum(1 for w in words if _pronoun_head(w) in members)
 
         n = len(records)
         tables["quatrains"].append({
@@ -149,14 +161,14 @@ def _reference_rows(corpus: Corpus, dictionary) -> dict[str, list[dict]]:
         })
         tables["rhyme"].append({
             **key, "poems": n, "poems_with_rhyme_pct": 100.0 * with_rhyme / n,
-            "avg_rhymed_fraction": reduce(add, fractions, 0.0) / n,
+            "avg_rhymed_fraction": _exact_mean(fractions),
             "pooled_rhymed_fraction": flagged / lines,
         })
         scanned = n - unscannable
         tables["meter"].append({
             **key, "poems": n,
             "pct_dominant_iambic": 100.0 * dominant / scanned if scanned else 0.0,
-            "mean_iambic_score": reduce(add, scores, 0.0) / len(scores) if scores else 0.0,
+            "mean_iambic_score": _exact_mean(scores) if scores else 0.0,
             "unscannable_poems": unscannable,
         })
         tables["pronouns"].append({
@@ -445,29 +457,29 @@ def _grids(corpora):
     return [OccupancyGrid(6, 20) for _ in corpora]
 
 
-def _unspooled(scored):
-    """scored with each corpus's spool ranges replaced by the --per-poem text they hold."""
-    def text(spooled):
-        parts = []
-        for name, start, end in spooled:
-            with open(name, "rb") as handle:
-                handle.seek(start)
-                parts.append(handle.read(end - start).decode())
-        return "".join(parts)
-    return [(everything, by_style, text(spooled)) for everything, by_style, spooled in scored]
+def _spooled_text(spooled) -> str:
+    """The --per-poem text that (spool file, start, end) ranges hold."""
+    parts = []
+    for name, start, end in spooled:
+        with open(name, "rb") as handle:
+            handle.seek(start)
+            parts.append(handle.read(end - start).decode())
+    return "".join(parts)
 
 
 @given(corpora=_FOLD_CORPORA, size=st.integers(1, 5), data=st.data())
 def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
-    # However the chunks are shared among processes and claimed, merging each process's
-    # totals and replaying the chunks' floats and lines in order gives the in-process fold.
+    # However the chunks are shared among processes, claimed and merged, the merged totals
+    # are the in-process fold's, and the chunks' --per-poem lines in chunk order are its.
     families = ("structure", "rhyme", "meter", "lexstats")
     compared = data.draw(st.integers(0, min(2, len(corpora))), label="compared")
     expected_grids = _grids(corpora)
     with tempfile.TemporaryDirectory() as spool:
-        expected, expected_counted = cli._score_corpora(
-            corpora, families, dictionary, 0.75, True, spool, compared, 1, expected_grids)
-        expected = _unspooled(expected), expected_counted
+        # In chunks of size poems too, so that its spool ranges are listed across chunks.
+        with mock.patch.object(cli, "_CHUNK_POEMS", size):
+            expected, expected_counted = cli._score_corpora(
+                corpora, families, dictionary, 0.75, True, spool, compared, 1, expected_grids)
+        expected_text = [_spooled_text(spooled) for _, _, spooled in expected]
         chunks = cli._chunks(corpora, size)
         processes = data.draw(st.integers(1, 4), label="processes")
         owners = data.draw(st.lists(st.integers(0, processes - 1), min_size=len(chunks),
@@ -485,10 +497,12 @@ def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
             cli._merge_totals(totals, their_totals)
             parts.update(their_parts)
         scored, grids, counted = totals
+        # _Group, WordCounts and the stats dataclasses compare field by field, sums by ==.
+        assert ([(everything, by_style) for everything, by_style, _ in scored], counted) == (
+            [(everything, by_style) for everything, by_style, _ in expected], expected_counted)
         cli._check_input(corpora, chunks, parts)
-        cli._replay(scored, chunks, parts)
-        # _Group, WordCounts and the stats dataclasses compare field by field, floats by ==.
-        assert (_unspooled(scored), counted) == expected
+        assert [_spooled_text(parts[k][1] for k, (j, _) in enumerate(chunks) if j == i)
+                for i in range(len(corpora))] == expected_text
     assert [(g.poems, g.cells) for g in grids] == [(g.poems, g.cells) for g in expected_grids]
 
 

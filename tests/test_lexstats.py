@@ -115,6 +115,33 @@ def test_limerick_first_plural_rate():
     assert profile.per_100_words["first_plural"] == pytest.approx(16.67, abs=0.01)
 
 
+@pytest.mark.parametrize("text,category", [
+    ("we'll", "first_plural"),
+    ("We\u2019ll", "first_plural"),
+    ("We\u02bcve", "first_plural"),
+    ("I'm", "first_singular"),
+    ("I\u2019M", "first_singular"),
+    ("i'd", "first_singular"),
+    ("you\u2019re", "second"),
+    ("YOU'VE", "second"),
+    ("thou'rt", None),
+    ("she's", "third_feminine"),
+    ("He'll", "third_masculine"),
+    ("they'd", "third"),
+    ("it's", "third"),
+    ("let's", None),
+    ("o'er", None),
+    ("we't", None),
+    ("we''ll", None),
+    ("'we'", "first_plural"),
+])
+def test_pronoun_contractions_count_as_their_pronoun(text, category):
+    # A pronoun with 'm, 're, 've, 'll, 'd or 's after it, however the apostrophe is written.
+    profile = pronoun_profile(make_corpus([text]))
+    assert profile.total_tokens == 1
+    assert {c: n for c, n in profile.counts.items() if n} == ({category: 1} if category else {})
+
+
 def test_no_pronouns_gives_zero():
     profile = pronoun_profile(make_corpus(["golden morning sun"]))
     assert all(v == 0.0 for v in profile.per_100_words.values())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -22,7 +23,7 @@ from poemetrics.meter import (
 )
 from poemetrics.structure import parse_structure
 
-from conftest import IAMBIC_LINE, make_corpus
+from conftest import IAMBIC_LINE, fold_and_merge, make_corpus
 
 
 def test_word_stress_rules(dictionary):
@@ -151,13 +152,24 @@ def test_alignment_matches_per_symbol_reference(digits, pattern):
     assert alignment_score(digits, pattern) == alignment_reference(digits, pattern)
 
 
-def test_fold_meter_stats_adds_scores_left_to_right():
-    # sum() of floats rounds this to 0.1 from Python 3.12 on; reports must not
-    # depend on the Python version.
+def test_fold_meter_stats_mean_is_exact():
+    # Added left to right in floats this is 0.09999999999999999, and sum() of floats rounds
+    # it to 0.1 from Python 3.12 on; reports must not depend on the Python version.
     stats = CorpusMeterStats()
     for _ in range(10):
         stats.add((0.1, False))
-    assert stats.mean_iambic_score == 0.09999999999999999
+    assert stats.mean_iambic_score == 0.1
+
+
+@given(st.lists(st.none() | st.floats(0, 1), min_size=1, max_size=40), st.data())
+def test_meter_stats_merged_in_any_order_hold_the_exact_mean(scores, data):
+    # None stands for an unscannable poem.
+    scans = [None if s is None else (s, s >= 0.75) for s in scores]
+    one, merged = fold_and_merge(CorpusMeterStats, scans, data)
+    assert merged == one
+    scanned = [s for s in scores if s is not None]
+    assert merged.mean_iambic_score == (
+        float(sum(map(Fraction, scanned)) / len(scanned)) if scanned else 0.0)
 
 
 def test_corpus_meter_stats(dictionary):

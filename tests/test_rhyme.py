@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from poemetrics.rhyme import (
 )
 from poemetrics.structure import parse_structure
 
-from conftest import LIMERICK, QUATRAINS, make_corpus
+from conftest import LIMERICK, QUATRAINS, fold_and_merge, make_corpus
 
 
 def test_end_word_extraction():
@@ -251,11 +252,19 @@ def test_corpus_stats_permutation_invariant(dictionary):
     assert forward == backward
 
 
-def test_fold_rhyme_stats_adds_fractions_left_to_right():
-    # sum() of floats rounds this to 0.1 from Python 3.12 on.
+def test_fold_rhyme_stats_mean_is_exact():
+    # Added left to right in floats this is 0.09999999999999999, and sum() of floats rounds
+    # it to 0.1 from Python 3.12 on; the exact mean does not depend on the Python version.
     annotation = RhymeAnnotation(end_words=(None,), rhymed_line_flags=(False,), schemes=(),
                                  rhymed_fraction=0.1, oov_end_words=())
     stats = RhymeStats()
     for _ in range(10):
         stats.add(annotation.counts())
-    assert stats.avg_rhymed_fraction == 0.09999999999999999
+    assert stats.avg_rhymed_fraction == 0.1
+
+
+@given(st.lists(st.floats(0, 1), min_size=1, max_size=40), st.data())
+def test_rhyme_stats_merged_in_any_order_hold_the_exact_mean(fractions, data):
+    one, merged = fold_and_merge(RhymeStats, [(f > 0, f, 0, 1) for f in fractions], data)
+    assert merged == one
+    assert merged.avg_rhymed_fraction == float(sum(map(Fraction, fractions)) / len(fractions))
