@@ -37,7 +37,7 @@ from pathlib import Path
 from . import __version__
 from .arpabet import PronouncingDictionary, bundled_dictionary_path, load_dictionary
 from .corpus import (CANONICAL_STYLES, TEMPLATE_NAMES, CorpusError, EXPECTED_FORM_LENGTHS,
-                     open_corpus, strip_prefatory)
+                     check_unique_ids, open_corpus, strip_prefatory)
 from .lexstats import (
     DEFAULT_TOUCHSTONE_GROUPS,
     PRONOUN_CATEGORIES,
@@ -315,13 +315,8 @@ def _check_input(corpora, chunks, parts) -> None:
             raise CorpusError(f"corpus has no poems: {corpus.name}")
         if not _repeats([part[0] for part in mine], len(corpus)):
             continue
-        seen: set[str] = set()
-        for record in corpus.read(slice(None)):
-            if record.id in seen:
-                # Named by load_corpus's label, the file's stem: only a file can repeat an id.
-                raise CorpusError(f"duplicate poem id {record.id!r} in corpus "
-                                  f"{Path(corpus.name).stem!r}")
-            seen.add(record.id)
+        # Named by load_corpus's label, the file's stem: only a file can repeat an id.
+        check_unique_ids(corpus.read(slice(None)), Path(corpus.name).stem)
 
 
 def _repeats(columns, count: int) -> bool:

@@ -5,8 +5,8 @@ the fields (id, text, source, style, subject, template, title); the CSV and
 directory loaders normalize into the same records. Unknown fields are
 ignored. A leading UTF-8 byte order mark is dropped, and line endings are
 normalized CRLF -> LF at load time; text is otherwise preserved byte-exactly.
-load_corpus reads a corpus whole; open_corpus gives a reader of chunks of
-it, which for JSON Lines holds only an index of the record lines.
+open_corpus gives a reader of chunks of a corpus, which for JSON Lines holds
+only an index of the record lines; load_corpus reads that reader whole.
 """
 
 from __future__ import annotations
@@ -130,29 +130,46 @@ class PoemRecord:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class Corpus:
-    """An ordered, immutable collection of poems with a display label."""
+    """An ordered collection of poems with a display label.
+
+    name is the path it was read from, as given. A corpus that open_corpus
+    read up to a fault holds its records up to it, and the fault counts as
+    one more record, which read raises in that record's place. Ids are not
+    checked here (see check_unique_ids).
+    """
 
     label: str
     records: tuple[PoemRecord, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for record in self.records:
-            if record.id in seen:
-                raise CorpusError(f"duplicate poem id {record.id!r} in corpus {self.label!r}")
-            seen.add(record.id)
+    fault: CorpusError | None = None
+    name: str = ""
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.records) + (self.fault is not None)
 
     def __iter__(self):
         return iter(self.records)
 
+    def read(self, span: slice) -> Iterator[PoemRecord]:
+        """The records of span, and then the fault if span reaches it."""
+        first, stop, _ = span.indices(len(self))
+        yield from self.records[first:stop]
+        if stop > len(self.records):
+            raise self.fault
+
     def styles(self) -> list[str]:
         """Distinct style labels present, sorted; None is excluded."""
         return sorted({r.style for r in self.records if r.style is not None})
+
+
+def check_unique_ids(records, label: str) -> None:
+    """Raise CorpusError naming the corpus label at the first repeated id of records."""
+    seen: set[str] = set()
+    for record in records:
+        if record.id in seen:
+            raise CorpusError(f"duplicate poem id {record.id!r} in corpus {label!r}")
+        seen.add(record.id)
 
 
 def _normalize_newlines(text: str) -> str:
@@ -245,20 +262,16 @@ def load_corpus(
 
     format is one of "json-lines", "csv", "directory-of-text-files"; when
     None it is inferred from the path (directory, .csv suffix, else JSONL).
-    Fields are read as strings, as CSV cells are. Malformed records and bytes
-    that are not UTF-8 raise CorpusError naming the file and line. A JSON
-    Lines file is read as one chunk of open_corpus's reader.
+    Fields are read as strings, as CSV cells are. This is open_corpus's
+    reader read whole, so it raises the CorpusError that reading it raises
+    (naming the file and line of a malformed record or a byte that is not
+    UTF-8), then one for the first repeated id.
     """
-    path = Path(path)
-    format = _format(path, format)
-    if format == "json-lines":
-        records = _read_jsonl(path, _Rows(path, "line", default_source, default_style))
-    else:
-        records = _LOADERS[format](path, default_source, default_style)
-    try:
-        return Corpus(label=path.stem or str(path), records=tuple(records))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    corpus = open_corpus(path, format, default_source=default_source,
+                         default_style=default_style)
+    records = tuple(corpus.read(slice(None)))
+    check_unique_ids(records, corpus.label)
+    return Corpus(corpus.label, records, name=corpus.name)
 
 
 class JsonLinesIndex:
@@ -285,32 +298,13 @@ class JsonLinesIndex:
                            stop - first)
 
 
-class LoadedCorpus:
-    """A corpus loaded whole (see open_corpus): its records up to its first fault, if any,
-    which counts as one more record and which read raises in that record's place. name
-    is the path as given."""
-
-    def __init__(self, name: str, label: str, records: tuple[PoemRecord, ...],
-                 fault: CorpusError | None = None):
-        self.name, self.label, self.records, self.fault = name, label, records, fault
-
-    def __len__(self) -> int:
-        return len(self.records) + (self.fault is not None)
-
-    def read(self, span: slice) -> Iterator[PoemRecord]:
-        first, stop, _ = span.indices(len(self))
-        yield from self.records[first:stop]
-        if stop > len(self.records):
-            raise self.fault
-
-
 def open_corpus(
     path: str | Path,
     format: str | None = None,
     *,
     default_source: str | None = None,
     default_style: str | None = None,
-) -> JsonLinesIndex | LoadedCorpus:
+) -> JsonLinesIndex | Corpus:
     """A corpus to read in chunks: len() records, read(span) gives those of a slice.
 
     A JSON Lines file is indexed here and parsed only by read, so a caller
@@ -319,8 +313,8 @@ def open_corpus(
     here: read raises each fault in its record's place, and one that spoils
     the whole file in the first, so that a caller reading in order meets the
     faults in input order. An OSError met here becomes a CorpusError with
-    its message. format and the defaults are as for load_corpus, and read
-    gives the records, ids and errors that load_corpus does.
+    its message. format and the defaults are as for load_corpus; ids are
+    not checked here.
     """
     name, path = str(path), Path(path)
     label = path.stem or str(path)
@@ -335,10 +329,10 @@ def open_corpus(
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
     except CorpusError as exc:
-        return LoadedCorpus(name, label, tuple(records), exc)
+        return Corpus(label, tuple(records), exc, name)
     except OSError as exc:
-        return LoadedCorpus(name, label, tuple(records), CorpusError(str(exc)))
-    return LoadedCorpus(name, label, tuple(records))
+        return Corpus(label, tuple(records), CorpusError(str(exc)), name)
+    return Corpus(label, tuple(records), name=name)
 
 
 _BOM = b"\xef\xbb\xbf"
@@ -381,18 +375,16 @@ def _index_jsonl(path: Path) -> tuple[array, array]:
     return starts, linenos
 
 
-def _read_jsonl(path: Path, rows: _Rows, start: int = 0, lineno: int = 1,
-                count: int = -1) -> Iterator[PoemRecord]:
-    """count records (every one when negative) of a JSON Lines file, parsed one at a time
-    from the line that starts at byte start and is numbered lineno.
+def _read_jsonl(path: Path, rows: _Rows, start: int, lineno: int,
+                count: int) -> Iterator[PoemRecord]:
+    """count records of a JSON Lines file, parsed one at a time from the line that starts
+    at byte start (past any byte order mark) and is numbered lineno.
 
     Lines are split and numbered as text mode splits them (see _text_lines),
-    blank lines are skipped, and a byte order mark is dropped at byte 0 only.
+    and blank lines are skipped.
     """
     with open(path, "rb") as handle:
         handle.seek(start)
-        if not start and handle.read(len(_BOM)) != _BOM:
-            handle.seek(0)
         for lineno, line in enumerate(_text_lines(handle), start=lineno):
             if _blank(line):
                 continue

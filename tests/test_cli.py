@@ -69,6 +69,28 @@ def test_analyze_compare_adds_logodds_tables(tmp_path):
     assert header == "word,delta,variance,z,doc_freq_a,doc_freq_b"
 
 
+def test_corpora_of_one_stem_are_relabelled_in_order(tmp_path):
+    # One corpus of each reader type: an indexed JSON Lines file and a CSV file read whole.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    shutil.copy(HUMAN, tmp_path / "a" / "poems.jsonl")
+    with open(tmp_path / "b" / "poems.csv", "w", encoding="utf-8", newline="") as handle:
+        fields = ["id", "text", "source", "style", "subject", "template", "title"]
+        writer = csv.DictWriter(handle, fields)
+        writer.writeheader()
+        writer.writerows(r.to_json_dict() for r in load_corpus(GPT))
+    out = tmp_path / "report"
+    assert main(["analyze", str(tmp_path / "a" / "poems.jsonl"), str(tmp_path / "b" / "poems.csv"),
+                 "--compare", "--min-docs", "1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["metadata"]["corpora"] == {"poems": 4, "poems-2": 4}
+    for name in SINGLE_CORPUS_TABLES:
+        assert {row["source"] for row in report["tables"][name]} == {"poems", "poems-2"}, name
+    assert sorted(p.name for p in (out / "grids").iterdir()) == [
+        "occupancy_poems-2.csv", "occupancy_poems-2.json",
+        "occupancy_poems.csv", "occupancy_poems.json"]
+
+
 def test_analyze_is_deterministic_across_thread_counts(tmp_path):
     out1 = tmp_path / "t1"
     out8 = tmp_path / "t8"

@@ -74,11 +74,19 @@ def test_json_field_that_is_not_text_names_file_line_and_field(key, value, kind,
 
 
 def test_duplicate_id_is_an_error(tmp_path):
-    path = tmp_path / "dup.jsonl"
-    row = {"id": "same", "text": "x", "source": "human"}
-    path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
-    with pytest.raises(CorpusError, match="duplicate"):
-        load_corpus(path)
+    rows = [{"id": "same", "text": text, "source": "human"} for text in ("x", "y")]
+    for name in ("dup.jsonl", "dup.csv"):
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            path.write_text("id,text,source\n" + "".join(",".join(r.values()) + "\n"
+                                                         for r in rows))
+        else:
+            path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == "duplicate poem id 'same' in corpus 'dup'"
+        # The reader leaves ids to its caller, so that it can report faults in input order.
+        assert [r.text for r in open_corpus(path).read(slice(None))] == ["x", "y"]
 
 
 def test_unknown_source_is_an_error(tmp_path):
@@ -363,3 +371,34 @@ def test_only_labels_are_shared_across_files(name, tmp_path):
     for key in ("id", "text", "title"):
         assert getattr(first, key) == getattr(again, key)
         assert getattr(first, key) is not getattr(again, key), key
+
+
+def _bad_input(kind: str, tmp_path):
+    """A path, and the format to read it as, that no reader can read."""
+    if kind == "missing":
+        return tmp_path / "missing.jsonl", None
+    if kind == "directory":
+        (tmp_path / "poems").mkdir()
+        return tmp_path / "poems", "json-lines"
+    if kind == "csv-not-utf8":
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"id,text,source\na,x,human\nb,caf\xe9,human\n")
+        return path, None
+    path = tmp_path / "rows.jsonl"
+    row = json.dumps({"text": "x", "source": "human"})
+    path.write_text(f"{row}\n{row}\nnot json\n{row}\n")
+    return path, None
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "csv-not-utf8", "jsonl-invalid"])
+def test_both_readers_raise_the_same_fault(kind, tmp_path):
+    path, format = _bad_input(kind, tmp_path)
+    faults = []
+    for read in (lambda: load_corpus(path, format),
+                 lambda: list(open_corpus(path, format).read(slice(None)))):
+        with pytest.raises(Exception) as exc:
+            read()
+        faults.append((type(exc.value), str(exc.value)))
+    assert faults[0] == faults[1]
+    assert faults[0][0] is CorpusError and str(path) in faults[0][1]
+

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from poemetrics import cli
 from poemetrics.arpabet import load_bundled_dictionary, load_dictionary, rhyme_part, stress_pattern
 from poemetrics.cli import main
-from poemetrics.corpus import (EXPECTED_FORM_LENGTHS, Corpus, LoadedCorpus, PoemRecord,
+from poemetrics.corpus import (EXPECTED_FORM_LENGTHS, Corpus, PoemRecord,
                                load_corpus, strip_prefatory)
 from poemetrics.lexstats import (
     PRONOUN_CATEGORIES,
@@ -446,7 +446,7 @@ _FOLD_CORPORA = st.lists(
              min_size=1, max_size=12),
     min_size=1, max_size=3,
 ).map(lambda corpora: [
-    LoadedCorpus(name=f"c{i}", label=f"c{i}", records=tuple(
+    Corpus(name=f"c{i}", label=f"c{i}", records=tuple(
         PoemRecord(id=f"c{i}-{j}", text=text, source="human", style=style)
         for j, (text, style) in enumerate(poems)))
     for i, poems in enumerate(corpora)
