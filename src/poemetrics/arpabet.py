@@ -113,12 +113,6 @@ class PronouncingDictionary:
     def words(self) -> list[str]:
         return sorted(self.entries)
 
-    def syllable_counts(self, word: str) -> tuple[int, ...]:
-        """Vowel-phoneme count per variant; empty tuple for missing words."""
-        return tuple(
-            sum(1 for p in variant if is_vowel(p)) for variant in self.lookup(word)
-        )
-
 
 _VARIANT_KEY_RE = re.compile(r"^(.*)\((\d+)\)$")
 

@@ -206,33 +206,35 @@ def _read_chunk(corpus, span: slice, strip: bool) -> list:
     return records
 
 
-def _fold_chunks(run, chunks, claims, grids):
+def _fold_chunks(run, chunks, claims):
     """One scoring process's fold of the chunks it claims, in claim order: the one place
     where a poem is read and scored.
 
-    run is (corpora, families, dictionary, threshold, strip, spool, compared,
-    stopwords): corpora are open_corpus readers, strip says whether to strip
-    prefatory lines, and spool is the directory for --per-poem lines or None.
-    chunks lists (corpus index, slice of its records); claims yields chunk
-    indices; grids holds one OccupancyGrid or None per corpus. Each claimed
+    run is (corpora, families, dictionary, settings, spool, compared,
+    stopwords): corpora are open_corpus readers, settings the AnalysisSettings,
+    and spool the directory for --per-poem lines or None. chunks lists (corpus
+    index, slice of its records); claims yields chunk indices. Each claimed
     chunk is read by _read_chunk, so a process holds one chunk of records at a
     time; then each poem is parsed and scored once, for the families asked for
-    only, and added straight to its corpus's ALL group, its style's group, its
-    grid and, for the first `compared` corpora, its WordCounts. Each non-blank
-    line is tokenized once, on the poem's first read of its tokens, and end
-    words, meter, pronouns, touchstones and word counts all come from them.
-    With a spool, the --per-poem lines go to a file of this fold's own there.
+    only, and added to its style's group of its corpus, to its corpus's grid
+    with structure and, for the first `compared` corpora, to its WordCounts.
+    Each non-blank line is tokenized once, on the poem's first read of its
+    tokens, and end words, meter, pronouns, touchstones and word counts all
+    come from them. With a spool, the --per-poem lines go to a file of this
+    fold's own there.
 
-    Returns the totals, (scored, grids, counted): per corpus its ALL group,
-    groups by style and an empty list for its spooled lines; and the
-    WordCounts. Also returns per claimed chunk index an array of its poems' id
-    hashes (_id_hash, not the ids) and (spool file, start, end) of its
-    --per-poem lines, or None. A chunk with a record fault has the
+    Returns the totals, (groups, grids, counted): per corpus its groups by
+    style (keyed by record.style, None for unlabeled) and its OccupancyGrid or
+    None; and the WordCounts. Also returns per claimed chunk index an array of
+    its poems' id hashes (_id_hash, not the ids) and (spool file, start, end)
+    of its --per-poem lines, or None. A chunk with a record fault has the
     CorpusError instead, and the fold then claims every chunk left and stops:
     no process folds a chunk past it, and none before it is left unfolded.
     """
-    corpora, families, dictionary, threshold, strip, spool, compared, stopwords = run
-    scored = [(_Group(), defaultdict(_Group), []) for _ in corpora]
+    corpora, families, dictionary, settings, spool, compared, stopwords = run
+    groups = [defaultdict(_Group) for _ in corpora]
+    grids = [OccupancyGrid(settings.heatmap_rows, settings.heatmap_cols)
+             if "structure" in families else None for _ in corpora]
     counted = [WordCounts(stopwords) for _ in corpora[:compared]]
     rhymes, meters, lexical = (family in families for family in ("rhyme", "meter", "lexstats"))
     parts = {}
@@ -240,14 +242,17 @@ def _fold_chunks(run, chunks, claims, grids):
                                       delete=False) if spool else nullcontext()) as out:
         for k in claims:
             i, span = chunks[k]
-            corpus, (everything, by_style, _) = corpora[i], scored[i]
-            grid, counting = grids[i], counted[i] if i < compared else None
+            by_style, grid = groups[i], grids[i]
+            counting = counted[i] if i < compared else None
             ids = array("q")
             start = out and out.tell()
             try:
-                for record in _read_chunk(corpus, span, strip):
+                for record in _read_chunk(corpora[i], span, settings.strip_prefatory):
                     ids.append(_id_hash(record.id))
                     poem = parse_structure(record)
+                    group = by_style[record.style]
+                    group.line_counts[poem.line_count] += 1
+                    group.quatrains.add(poem.stanza_sizes)
                     if grid is not None:
                         grid.add(record.text)
                     if counting is not None or lexical:
@@ -256,38 +261,29 @@ def _fold_chunks(run, chunks, claims, grids):
                         counting.add(words)
                     if rhymes:
                         annotation = annotate_rhymes(poem, dictionary)
-                        rhyme = annotation.counts()
+                        group.rhyme.add(annotation.counts())
                         if out:
                             out.write(json.dumps({**annotation.to_json_dict(), "id": record.id},
                                                  ensure_ascii=False, sort_keys=True) + "\n")
                     if meters:
-                        scan = scan_poem(poem, dictionary, threshold)
+                        group.meter.add(scan_poem(poem, dictionary, settings.iambic_threshold))
                     if lexical:
-                        pronouns, hits = pronoun_counts(words), touchstone_hits(words)
-                    for group in (everything, by_style[record.style]):
-                        group.line_counts[poem.line_count] += 1
-                        group.quatrains.add(poem.stanza_sizes)
-                        if rhymes:
-                            group.rhyme.add(rhyme)
-                        if meters:
-                            group.meter.add(scan)
-                        if lexical:
-                            group.pronouns = list(map(add, group.pronouns, pronouns))
-                            group.touchstones = list(map(add, group.touchstones, hits))
+                        group.pronouns = list(map(add, group.pronouns, pronoun_counts(words)))
+                        group.touchstones = list(map(add, group.touchstones,
+                                                     touchstone_hits(words)))
             except CorpusError as exc:  # a record fault: only reading raises one
                 parts[k] = exc
                 deque(claims, maxlen=0)  # claim every chunk left: none comes before this one
                 break
             parts[k] = ids, out and (out.name, start, out.tell())
-    return (scored, grids, counted), parts
+    return (groups, grids, counted), parts
 
 
 def _merge_totals(totals, other) -> None:
     """Add other, another process's _fold_chunks totals, to totals."""
-    (scored, grids, counted), (their_scored, their_grids, their_counted) = totals, other
-    for (everything, by_style, _), (their_all, their_styles, _) in zip(scored, their_scored):
-        everything.merge(their_all)
-        for style, group in their_styles.items():
+    (groups, grids, counted), (their_groups, their_grids, their_counted) = totals, other
+    for by_style, theirs in zip(groups, their_groups):
+        for style, group in theirs.items():
             by_style[style].merge(group)
     for grid, theirs in zip(grids, their_grids):
         if grid is not None:
@@ -338,7 +334,7 @@ class _WorkerTraceback(Exception):
     """The traceback of an error raised in a scoring process, shown as that error's cause."""
 
 
-def _serve(run, chunks, claims, grids, result_fd: int):
+def _serve(run, chunks, claims, result_fd: int):
     """A forked scoring process: fold the chunks it claims, write (None, _fold_chunks result)
     or (error, its traceback) pickled to result_fd, and exit; never returns."""
     import pickle
@@ -347,7 +343,7 @@ def _serve(run, chunks, claims, grids, result_fd: int):
     code = 1
     try:
         try:
-            result = None, _fold_chunks(run, chunks, claims, grids)
+            result = None, _fold_chunks(run, chunks, claims)
         except Exception as exc:
             result = exc, traceback.format_exc()
         with open(result_fd, "wb") as pipe:
@@ -357,7 +353,7 @@ def _serve(run, chunks, claims, grids, result_fd: int):
         os._exit(code)
 
 
-def _fork_join(run, chunks, processes, grids):
+def _fork_join(run, chunks, processes):
     """Fold the chunks in `processes` processes, this one and processes - 1 forked.
 
     Every chunk index is written to a pipe first; each process claims chunks by
@@ -389,10 +385,10 @@ def _fork_join(run, chunks, processes, grids):
                 raise
             if not pid:
                 os.close(read_end)
-                _serve(run, chunks, claims, grids, write_end)
+                _serve(run, chunks, claims, write_end)
             os.close(write_end)
             workers[pid] = open(read_end, "rb")
-        totals, parts = _fold_chunks(run, chunks, claims, grids)
+        totals, parts = _fold_chunks(run, chunks, claims)
         for pid, pipe in list(workers.items()):
             try:
                 error, result = pickle.load(pipe)
@@ -418,18 +414,18 @@ def _fork_join(run, chunks, processes, grids):
     return totals, parts
 
 
-def _score_corpora(corpora, families, dictionary, threshold, strip, spool, compared,
-                   processes, grids):
-    """Read and check every poem, and score it once into its groups and its corpus's grid.
+def _score_corpora(corpora, families, dictionary, settings, spool, compared, processes):
+    """Read and check every poem, and score it once into its group, grid and word counts.
 
-    corpora are open_corpus readers; grids holds one OccupancyGrid or None per
-    corpus. Returns per corpus its ALL group, its groups by style (keyed by
-    record.style, None for unlabeled) and the (spool file, start, end) ranges
-    of its --per-poem lines, with spool the directory for them or None; and the
-    WordCounts of the first `compared` corpora. Poems are scored on a copy of
-    dictionary whose memos start empty and are dropped on return. Each corpus
-    is cut into chunks of _CHUNK_POEMS poems, or more past _MAX_CHUNKS chunks,
-    and every chunk is read and folded by _fold_chunks: here, in chunk order,
+    corpora are open_corpus readers and settings the AnalysisSettings. Returns
+    the totals as _fold_chunks does, merged over every chunk: per corpus its
+    groups by style and its OccupancyGrid (None without structure), and the
+    WordCounts of the first `compared` corpora; and per corpus the (spool
+    file, start, end) ranges of its --per-poem lines, with spool the
+    directory for them or None. Poems are scored on a copy of dictionary
+    whose memos start empty and are dropped on return. Each corpus is cut
+    into chunks of _CHUNK_POEMS poems, or more past _MAX_CHUNKS chunks, and
+    every chunk is read and folded by _fold_chunks: here, in chunk order,
     when min(processes, chunks) is 1 or fork is unavailable; otherwise by that
     many processes, this one included, each with its own memos (_fork_join).
     Either way _check_input then raises the input's first fault, reading a
@@ -442,19 +438,20 @@ def _score_corpora(corpora, families, dictionary, threshold, strip, spool, compa
     poems = sum(map(len, corpora))
     chunks = _chunks(corpora, max(_CHUNK_POEMS, -(-poems // _MAX_CHUNKS)))
     processes = min(processes, len(chunks))
-    run = (corpora, families, dictionary, threshold, strip, spool, compared, stopwords)
+    run = (corpora, families, dictionary, settings, spool, compared, stopwords)
     if processes > 1 and hasattr(os, "fork"):
         logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
                     processes)
-        (scored, _, counted), parts = _fork_join(run, chunks, processes, grids)
+        totals, parts = _fork_join(run, chunks, processes)
     else:
         logger.info("scoring %d poems in process", poems)
-        (scored, _, counted), parts = _fold_chunks(run, chunks, range(len(chunks)), grids)
+        totals, parts = _fold_chunks(run, chunks, range(len(chunks)))
     _check_input(corpora, chunks, parts)
+    spooled = [[] for _ in corpora]
     for k, (i, _) in enumerate(chunks):
         if parts[k][1]:
-            scored[i][2].append(parts[k][1])
-    return scored, counted
+            spooled[i].append(parts[k][1])
+    return totals, spooled
 
 
 def _group_rows(group: _Group, s: LengthSummary, families: tuple[str, ...]) -> dict[str, dict]:
@@ -498,15 +495,19 @@ def _group_rows(group: _Group, s: LengthSummary, families: tuple[str, ...]) -> d
     return rows
 
 
-def _fold_tables(corpora, scored, families):
+def _fold_tables(corpora, groups, families):
     """The families' per-(corpus, style) tables, rows in order ALL, each style, then unlabeled.
 
+    groups holds each corpus's groups by style; its ALL group is their merge.
     Also returns, per corpus label, each group's line-count summary for the
     boxplots, and with lexstats the touchstones table of each corpus's ALL group.
     """
     tables: dict[str, list[dict]] = {}
     boxplots: dict[str, list[tuple[str, LengthSummary]]] = {}
-    for corpus, (everything, by_style, _) in zip(corpora, scored):
+    for corpus, by_style in zip(corpora, groups):
+        everything = _Group()
+        for group in by_style.values():
+            everything.merge(group)
         summaries = boxplots[corpus.label] = []
         labelled = [(ALL_STYLES, everything)] + [
             (UNLABELED if style is None else style, by_style[style])
@@ -565,14 +566,14 @@ def _load_corpora(paths: list[str], args) -> list:
     return corpora
 
 
-def _write_annotations(out_dir: Path, corpora, scored) -> None:
+def _write_annotations(out_dir: Path, corpora, spooled) -> None:
     """Copy each corpus's spooled --per-poem lines, in input order, to its annotation file."""
     annotations_dir = out_dir / "annotations"
     annotations_dir.mkdir(parents=True, exist_ok=True)
-    for corpus, (_, _, spooled) in zip(corpora, scored):
+    for corpus, ranges in zip(corpora, spooled):
         with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
                   encoding="utf-8") as handle:
-            for name, start, end in spooled:
+            for name, start, end in ranges:
                 with open(name, "rb") as spool:
                     spool.seek(start)
                     handle.write(spool.read(end - start).decode())
@@ -700,21 +701,18 @@ def cmd_analyze(args) -> int:
     )
     corpora = _load_corpora(args.corpus, args)
     per_poem = args.per_poem and "rhyme" in families
-    grids = {c.label: OccupancyGrid(settings.heatmap_rows, settings.heatmap_cols)
-             for c in corpora} if "structure" in families else {}
     out_dir = Path(args.out)
     # The scoring processes spool --per-poem lines here; it is removed however the run ends.
     with tempfile.TemporaryDirectory() if per_poem else nullcontext() as spool:
-        scored, counted = _score_corpora(corpora, families, dictionary,
-                                         settings.iambic_threshold, settings.strip_prefatory,
-                                         spool, 2 if compare else 0, args.threads,
-                                         [grids.get(c.label) for c in corpora])
-        tables, boxplots = _fold_tables(corpora, scored, families)
+        (groups, grids, counted), spooled = _score_corpora(
+            corpora, families, dictionary, settings, spool, 2 if compare else 0, args.threads)
+        tables, boxplots = _fold_tables(corpora, groups, families)
         if compare:
             tables.update(_compare_tables(*counted, settings))
         counted.clear()  # the word counts are not needed past here
         if per_poem:
-            _write_annotations(out_dir, corpora, scored)
+            _write_annotations(out_dir, corpora, spooled)
+    grids = {c.label: grid for c, grid in zip(corpora, grids) if grid is not None}
     _write_report(out_dir, args.format, tables, grids, dictionary, settings, corpora)
     if args.emit_plots:
         _write_plots(out_dir, tables, grids, boxplots, settings.top_k)

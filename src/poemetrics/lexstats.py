@@ -109,21 +109,11 @@ def fold_pronouns(counts: Sequence[tuple[int, ...]]) -> PronounProfile:
     return PronounProfile(per_100_words=freqs, counts=totals, total_tokens=token_total)
 
 
-def pronoun_profile(
-    corpus: Corpus,
-    exclude_subjects: set[str] | None = None,
-) -> PronounProfile:
-    """Pronoun-category frequencies per 100 words, pooled over the corpus.
-
-    exclude_subjects removes poems whose subject label is in the given set
-    before counting.
-    """
-    records = list(corpus.records)
-    if exclude_subjects:
-        records = [r for r in records if r.subject not in exclude_subjects]
-    if not records:
-        raise ValueError("no poems left after subject exclusion")
-    return fold_pronouns([pronoun_counts(tokenize(r.text)) for r in records])
+def pronoun_profile(corpus: Corpus) -> PronounProfile:
+    """Pronoun-category frequencies per 100 words, pooled over the corpus."""
+    if not len(corpus):
+        raise ValueError("empty corpus")
+    return fold_pronouns([pronoun_counts(tokenize(r.text)) for r in corpus.records])
 
 
 def load_stopwords() -> frozenset[str]:

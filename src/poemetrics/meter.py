@@ -16,7 +16,7 @@ from itertools import chain, filterfalse
 from .arpabet import PronouncingDictionary, stress_pattern
 from .corpus import Corpus
 from .lexstats import tokenize
-from .structure import PoemStructure, exact, exact_mean, parse_structure
+from .structure import PoemStructure, Totals, exact, exact_mean, parse_structure
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -134,7 +134,7 @@ def iambic_score(
 
 
 @dataclass
-class CorpusMeterStats:
+class CorpusMeterStats(Totals):
     """Meter counts of a group, added poem by poem.
 
     Scores are summed exactly (see structure.exact) and their mean rounded
@@ -154,13 +154,6 @@ class CorpusMeterStats:
         else:
             self.iambic_score_sum += exact(scan[0])
             self.dominant_poems += scan[1]
-
-    def merge(self, other: CorpusMeterStats) -> None:
-        """Add the counts of other, another group's poems, to these, exactly."""
-        self.dominant_poems += other.dominant_poems
-        self.poem_count += other.poem_count
-        self.iambic_score_sum += other.iambic_score_sum
-        self.unscannable_poems += other.unscannable_poems
 
     @property
     def pct_dominant_iambic(self) -> float:

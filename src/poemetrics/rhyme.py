@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .arpabet import PronouncingDictionary, Variant, rhyme_part
 from .corpus import Corpus
 from .lexstats import tokenize
-from .structure import PoemStructure, exact, exact_mean, parse_structure
+from .structure import PoemStructure, Totals, exact, exact_mean, parse_structure
 
 
 def _last_word(tokens: Sequence[str]) -> str | None:
@@ -138,7 +138,7 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
 
 
 @dataclass
-class RhymeStats:
+class RhymeStats(Totals):
     """Rhyme counts of a group, added poem by poem.
 
     avg_rhymed_fraction is the unweighted mean of per-poem fractions, summed
@@ -161,14 +161,6 @@ class RhymeStats:
         self.rhymed_fraction_sum += exact(fraction)
         self.rhymed_lines += rhymed_lines
         self.lines += lines
-
-    def merge(self, other: RhymeStats) -> None:
-        """Add the counts of other, another group's poems, to these, exactly."""
-        self.poems_with_rhyme += other.poems_with_rhyme
-        self.poem_count += other.poem_count
-        self.rhymed_fraction_sum += other.rhymed_fraction_sum
-        self.rhymed_lines += other.rhymed_lines
-        self.lines += other.lines
 
     @property
     def poems_with_rhyme_pct(self) -> float:

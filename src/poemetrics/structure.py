@@ -12,7 +12,7 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add
@@ -74,8 +74,17 @@ def exact_mean(total: int, count: int) -> float:
     return total / (count << EXACT_SCALE)
 
 
+class Totals:
+    """A dataclass of a group's integer totals, merged field by field."""
+
+    def merge(self, other: Totals) -> None:
+        """Add the totals of other, the same kind of totals over other poems, to these, exactly."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
 @dataclass
-class QuatrainStats:
+class QuatrainStats(Totals):
     """Quatrain counts of a group, added poem by poem."""
 
     poems_with_quatrain: int = 0
@@ -90,13 +99,6 @@ class QuatrainStats:
         self.poem_count += 1
         self.quatrain_stanzas += hits
         self.stanza_count += len(stanza_sizes)
-
-    def merge(self, other: QuatrainStats) -> None:
-        """Add the counts of other, another group's poems, to these."""
-        self.poems_with_quatrain += other.poems_with_quatrain
-        self.poem_count += other.poem_count
-        self.quatrain_stanzas += other.quatrain_stanzas
-        self.stanza_count += other.stanza_count
 
     @property
     def poems_with_quatrain_pct(self) -> float:

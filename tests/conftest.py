@@ -3,12 +3,15 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from poemetrics.arpabet import load_bundled_dictionary
 from poemetrics.corpus import Corpus, PoemRecord, load_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# A deeper run of the property tests: pytest --hypothesis-profile thorough.
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 LIMERICK = """In May we stand strong, hearts ablaze,
 For those who've seen war's smoky haze.

@@ -168,6 +168,34 @@ def test_each_poem_is_added_to_its_grid_once_in_the_scoring_fold(threads, tmp_pa
                                    for path in corpora for r in load_corpus(path))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_poem_is_added_to_one_group_in_the_scoring_fold(threads, tmp_path, monkeypatch):
+    # Each corpus's ALL rows are merged from its style groups, so a poem is added once, to
+    # its style's group. Adds made in forked scoring processes are seen through a file.
+    log = tmp_path / "added.txt"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def counting(stats_type):
+        add = stats_type.add
+
+        def counting_add(stats, item):
+            os.write(fd, (stats_type.__name__ + "\n").encode())
+            add(stats, item)
+
+        monkeypatch.setattr(stats_type, "add", counting_add)
+
+    counting(structure.QuatrainStats)
+    counting(rhyme.RhymeStats)
+    monkeypatch.setattr(cli, "_CHUNK_POEMS", 3)
+    corpora = [_styled_corpus(tmp_path / f"c{i}.jsonl", n, i) for i, n in enumerate((7, 5))]
+    try:
+        assert main(["analyze", *corpora, "--threads", str(threads),
+                     "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.close(fd)
+    assert sorted(log.read_text().splitlines()) == ["QuatrainStats"] * 12 + ["RhymeStats"] * 12
+
+
 def test_worker_error_is_one_error_line_and_leaves_no_process(tmp_path, monkeypatch, capsys):
     annotate = cli.annotate_rhymes
 

@@ -51,7 +51,7 @@ from poemetrics.meter import (
     scan_poem,
 )
 from poemetrics.rhyme import annotate_rhymes, corpus_rhyme_stats, end_word
-from poemetrics.structure import OccupancyGrid, parse_structure, summarize_lengths
+from poemetrics.structure import parse_structure, summarize_lengths
 
 from conftest import DATA_DIR, make_corpus
 
@@ -453,10 +453,6 @@ _FOLD_CORPORA = st.lists(
 ])
 
 
-def _grids(corpora):
-    return [OccupancyGrid(6, 20) for _ in corpora]
-
-
 def _spooled_text(spooled) -> str:
     """The --per-poem text that (spool file, start, end) ranges hold."""
     parts = []
@@ -473,33 +469,34 @@ def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
     # are the in-process fold's, and the chunks' --per-poem lines in chunk order are its.
     families = ("structure", "rhyme", "meter", "lexstats")
     compared = data.draw(st.integers(0, min(2, len(corpora))), label="compared")
-    expected_grids = _grids(corpora)
+    analysis = cli.AnalysisSettings(min_docs=1, alpha_total=None, iambic_threshold=0.75,
+                                    heatmap_rows=6, heatmap_cols=20, strip_prefatory=True,
+                                    top_k=15)
     with tempfile.TemporaryDirectory() as spool:
         # In chunks of size poems too, so that its spool ranges are listed across chunks.
         with mock.patch.object(cli, "_CHUNK_POEMS", size):
-            expected, expected_counted = cli._score_corpora(
-                corpora, families, dictionary, 0.75, True, spool, compared, 1, expected_grids)
-        expected_text = [_spooled_text(spooled) for _, _, spooled in expected]
+            (expected, expected_grids, expected_counted), spooled = cli._score_corpora(
+                corpora, families, dictionary, analysis, spool, compared, 1)
+        expected_text = list(map(_spooled_text, spooled))
         chunks = cli._chunks(corpora, size)
         processes = data.draw(st.integers(1, 4), label="processes")
         owners = data.draw(st.lists(st.integers(0, processes - 1), min_size=len(chunks),
                                     max_size=len(chunks)), label="owners")
-        run = (corpora, families, replace(dictionary), 0.75, True, spool, compared,
+        run = (corpora, families, replace(dictionary), analysis, spool, compared,
                load_stopwords() if compared else frozenset())
         folds = []
         for p in range(processes):
             claims = data.draw(st.permutations([k for k, owner in enumerate(owners)
                                                 if owner == p]), label=f"claims of {p}")
-            folds.append(cli._fold_chunks(run, chunks, claims, _grids(corpora)))
+            folds.append(cli._fold_chunks(run, chunks, claims))
         folds = data.draw(st.permutations(folds), label="merge order")
         (totals, parts), rest = folds[0], folds[1:]
         for their_totals, their_parts in rest:
             cli._merge_totals(totals, their_totals)
             parts.update(their_parts)
-        scored, grids, counted = totals
+        groups, grids, counted = totals
         # _Group, WordCounts and the stats dataclasses compare field by field, sums by ==.
-        assert ([(everything, by_style) for everything, by_style, _ in scored], counted) == (
-            [(everything, by_style) for everything, by_style, _ in expected], expected_counted)
+        assert (groups, counted) == (expected, expected_counted)
         cli._check_input(corpora, chunks, parts)
         assert [_spooled_text(parts[k][1] for k, (j, _) in enumerate(chunks) if j == i)
                 for i in range(len(corpora))] == expected_text

@@ -6,7 +6,6 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from poemetrics.corpus import Corpus, PoemRecord
 from poemetrics.lexstats import (
     DEFAULT_TOUCHSTONE_GROUPS,
     PRONOUN_CATEGORIES,
@@ -145,25 +144,8 @@ def test_pronoun_contractions_count_as_their_pronoun(text, category):
 def test_no_pronouns_gives_zero():
     profile = pronoun_profile(make_corpus(["golden morning sun"]))
     assert all(v == 0.0 for v in profile.per_100_words.values())
-
-
-def test_subject_exclusion():
-    records = (
-        PoemRecord(id="a", text="we sing", source="human", subject="holiday"),
-        PoemRecord(id="b", text="i walk alone", source="human", subject="nature"),
-    )
-    corpus = Corpus(label="t", records=records)
-    profile = pronoun_profile(corpus, exclude_subjects={"holiday"})
-    assert profile.counts["first_plural"] == 0
-    assert profile.counts["first_singular"] == 1
-
-
-def test_excluding_every_subject_is_an_error():
-    records = (
-        PoemRecord(id="a", text="we sing", source="human", subject="holiday"),
-    )
-    with pytest.raises(ValueError, match="exclusion"):
-        pronoun_profile(Corpus(label="t", records=records), exclude_subjects={"holiday"})
+    with pytest.raises(ValueError, match="empty corpus"):
+        pronoun_profile(make_corpus([]))
 
 
 # --- weighted log-odds -------------------------------------------------------
