@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import logging
 import re
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -78,16 +80,41 @@ def _shared_variant(phones: list[str], shared: dict[str, str]) -> Variant | None
         return tuple(map(shared.setdefault, phones, phones))
 
 
+class StressMemo(dict):
+    """A dictionary's stress memo: each token asked about, by its stress string.
+
+    Reading a token it lacks stores and returns score(token, dictionary), as the
+    one equal string in dictionary.stress_strings, so a token is scored once
+    and every later read is one probe. score is meter's stress rule, set when
+    poemetrics.meter is imported. The memo refers to its dictionary weakly,
+    so a run's copy of the dictionary is freed as soon as the run drops it.
+    """
+
+    __slots__ = ("dictionary",)
+    score: Callable[[str, PronouncingDictionary], str]
+
+    def __init__(self, dictionary: PronouncingDictionary):
+        super().__init__()
+        self.dictionary = weakref.ref(dictionary)
+
+    def __missing__(self, token: str) -> str:
+        dictionary = self.dictionary()
+        stress = self.score(token, dictionary)
+        stress = self[token] = dictionary.stress_strings.setdefault(stress, stress)
+        return stress
+
+
 @dataclass(frozen=True)
 class PronouncingDictionary:
     """Word -> pronunciation variants, keyed case-insensitively.
 
     The memo tables map each token asked about, known or not, to its rhyme
-    parts (None when unknown) and stress string; stress_strings holds one
-    copy of each distinct stress string, which every token with that string
-    shares. A scoring run fills those of its own dataclasses.replace copy,
-    which shares entries and starts empty. Threads may fill them at once
-    without a lock: a race stores equal values.
+    parts (None when unknown) and stress string (StressMemo, which fills
+    itself); stress_strings holds one copy of each distinct stress string,
+    which every token with that string shares. A scoring run fills those of
+    its own dataclasses.replace copy, which shares entries and starts empty;
+    so does a pickled copy. Threads may fill them at once without a lock: a
+    race stores equal values.
     """
 
     entries: dict[str, tuple[Variant, ...]]
@@ -95,10 +122,15 @@ class PronouncingDictionary:
     skipped_lines: int = 0
     rhyme_part_memo: dict[str, frozenset[Variant] | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    stress_memo: dict[str, str] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    stress_memo: StressMemo = field(init=False, repr=False, compare=False)
     stress_strings: dict[str, str] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stress_memo", StressMemo(self))
+
+    def __reduce__(self):
+        return type(self), (self.entries, self.source_sha256, self.skipped_lines)
 
     def lookup(self, word: str) -> tuple[Variant, ...]:
         """All pronunciation variants for a word; empty tuple if missing."""

@@ -220,8 +220,10 @@ def _fold_chunks(run, chunks, claims):
     with structure and, for the first `compared` corpora, to its WordCounts.
     Each non-blank line is tokenized once, on the poem's first read of its
     tokens, and end words, meter, pronouns, touchstones and word counts all
-    come from them. With a spool, the --per-poem lines go to a file of this
-    fold's own there.
+    come from them, the last three also from one set of the poem's distinct
+    tokens. Word counts take every token, and their stopwords are dropped
+    once, when the fold ends. With a spool, the --per-poem lines go to a
+    file of this fold's own there.
 
     Returns the totals, (groups, grids, counted): per corpus its groups by
     style (keyed by record.style, None for unlabeled) and its OccupancyGrid or
@@ -257,8 +259,9 @@ def _fold_chunks(run, chunks, claims):
                         grid.add(record.text)
                     if counting is not None or lexical:
                         words = tuple(chain.from_iterable(poem.tokens))
+                        distinct = set(words)
                     if counting is not None:
-                        counting.add(words)
+                        counting.add(words, distinct)
                     if rhymes:
                         annotation = annotate_rhymes(poem, dictionary)
                         group.rhyme.add(annotation.counts())
@@ -268,14 +271,17 @@ def _fold_chunks(run, chunks, claims):
                     if meters:
                         group.meter.add(scan_poem(poem, dictionary, settings.iambic_threshold))
                     if lexical:
-                        group.pronouns = list(map(add, group.pronouns, pronoun_counts(words)))
+                        group.pronouns = list(map(add, group.pronouns,
+                                                  pronoun_counts(words, distinct)))
                         group.touchstones = list(map(add, group.touchstones,
-                                                     touchstone_hits(words)))
+                                                     touchstone_hits(words, distinct)))
             except CorpusError as exc:  # a record fault: only reading raises one
                 parts[k] = exc
                 deque(claims, maxlen=0)  # claim every chunk left: none comes before this one
                 break
             parts[k] = ids, out and (out.name, start, out.tell())
+    for counts in counted:
+        counts.drop_stopwords()
     return (groups, grids, counted), parts
 
 

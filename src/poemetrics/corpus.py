@@ -274,28 +274,39 @@ def load_corpus(
     return Corpus(corpus.label, records, name=corpus.name)
 
 
+# A JSON Lines index keeps where every this-many-th record's line starts. Up to 100,000
+# poems the fold reads chunks of 100 records (cli._CHUNK_POEMS), each starting at one.
+_INDEX_BLOCK = 100
+
+
 class JsonLinesIndex:
     """A JSON Lines corpus read a chunk of records at a time (see open_corpus).
 
-    It holds where each record's line starts (a byte offset) and that line's
-    number, not the records: read parses only the lines of the span asked for.
-    name is the path as given.
+    It holds the record count and, for every _INDEX_BLOCK-th record, where
+    its line starts (a byte offset) and that line's number, not the records:
+    read parses only the lines of the span asked for. name is the path as
+    given.
     """
 
     def __init__(self, name: str, label: str, path: Path, rows: _Rows):
         self.name, self.label, self.path, self.rows = name, label, path, rows
-        self.starts, self.linenos = _index_jsonl(path)
+        self.count, self.starts, self.linenos = _index_jsonl(path)
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return self.count
 
     def read(self, span: slice) -> Iterator[PoemRecord]:
-        """The records of span, parsed one at a time as they are taken."""
+        """The records of span, parsed one at a time as they are taken.
+
+        Reading starts at the last indexed record at or before the span's
+        first, and passes over the records in between without parsing them.
+        """
         first, stop, _ = span.indices(len(self))
         if first >= stop:
             return iter(())
-        return _read_jsonl(self.path, self.rows, self.starts[first], self.linenos[first],
-                           stop - first)
+        block, skip = divmod(first, _INDEX_BLOCK)
+        return _read_jsonl(self.path, self.rows, self.starts[block], self.linenos[block],
+                           skip, stop - first)
 
 
 def open_corpus(
@@ -361,24 +372,28 @@ def _blank(line: bytes) -> bool:
         return False
 
 
-def _index_jsonl(path: Path) -> tuple[array, array]:
-    """The byte offset and line number of each non-blank line of a JSON Lines file."""
-    starts, linenos = array("q"), array("q")
+def _index_jsonl(path: Path) -> tuple[int, array, array]:
+    """The number of records (non-blank lines) of a JSON Lines file, and the byte offset
+    and line number of every _INDEX_BLOCK-th of them, from the first."""
+    count, starts, linenos = 0, array("q"), array("q")
     with open(path, "rb") as handle:
         offset = len(_BOM) if handle.read(len(_BOM)) == _BOM else 0
         handle.seek(offset)
         for lineno, line in enumerate(_text_lines(handle), start=1):
             if not _blank(line):
-                starts.append(offset)
-                linenos.append(lineno)
+                if not count % _INDEX_BLOCK:
+                    starts.append(offset)
+                    linenos.append(lineno)
+                count += 1
             offset += len(line)
-    return starts, linenos
+    return count, starts, linenos
 
 
-def _read_jsonl(path: Path, rows: _Rows, start: int, lineno: int,
+def _read_jsonl(path: Path, rows: _Rows, start: int, lineno: int, skip: int,
                 count: int) -> Iterator[PoemRecord]:
-    """count records of a JSON Lines file, parsed one at a time from the line that starts
-    at byte start (past any byte order mark) and is numbered lineno.
+    """count records of a JSON Lines file, parsed one at a time, after skip records that
+    are not parsed, from the line that starts at byte start (past any byte order mark)
+    and is numbered lineno.
 
     Lines are split and numbered as text mode splits them (see _text_lines),
     and blank lines are skipped.
@@ -387,6 +402,9 @@ def _read_jsonl(path: Path, rows: _Rows, start: int, lineno: int,
         handle.seek(start)
         for lineno, line in enumerate(_text_lines(handle), start=lineno):
             if _blank(line):
+                continue
+            if skip:
+                skip -= 1
                 continue
             if line.endswith((b"\r", b"\r\n")):
                 line = line.rstrip(b"\r\n") + b"\n"  # as text mode reads it

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -88,14 +88,16 @@ _PRONOUN_INDEX = {
 }
 
 
-def pronoun_counts(tokens: Sequence[str]) -> tuple[int, ...]:
+def pronoun_counts(tokens: Sequence[str], distinct: Set[str] | None = None) -> tuple[int, ...]:
     """A poem's token count, then its count of each PRONOUN_CATEGORIES entry in order.
 
     A pronoun followed by 'm, 're, 've, 'll, 'd or 's counts as that pronoun.
+    distinct is set(tokens), when the caller has it already.
     """
     counts = [len(tokens)] + [0] * len(PRONOUN_CATEGORIES)
-    for k in filter(None, map(_PRONOUN_INDEX.get, tokens)):
-        counts[k] += 1
+    # One probe per distinct token; only the pronouns found are counted in the tokens.
+    for word in _PRONOUN_INDEX.keys() & (set(tokens) if distinct is None else distinct):
+        counts[_PRONOUN_INDEX[word]] += tokens.count(word)
     return tuple(counts)
 
 
@@ -190,8 +192,9 @@ def _score_counts(
 class WordCounts:
     """One corpus's log-odds inputs, counted poem by poem.
 
-    counts and doc_freq cover the tokens outside stopwords; firsts counts
-    each poem's first token, stopwords included.
+    counts and doc_freq cover every token as poems are added; drop_stopwords
+    then removes the stopwords from them, once, before they are read or merged.
+    firsts counts each poem's first token, stopwords included.
     """
 
     stopwords: frozenset[str] = frozenset()
@@ -199,13 +202,18 @@ class WordCounts:
     doc_freq: Counter[str] = field(default_factory=Counter)
     firsts: Counter[str] = field(default_factory=Counter)
 
-    def add(self, tokens: Sequence[str]) -> None:
-        """Count one poem's tokens."""
+    def add(self, tokens: Sequence[str], distinct: Set[str] | None = None) -> None:
+        """Count one poem's tokens; distinct is set(tokens), when the caller has it already."""
         if tokens:
             self.firsts[tokens[0]] += 1
-        eligible = [t for t in tokens if t not in self.stopwords]
-        self.counts.update(eligible)
-        self.doc_freq.update(set(eligible))
+        self.counts.update(tokens)
+        self.doc_freq.update(set(tokens) if distinct is None else distinct)
+
+    def drop_stopwords(self) -> None:
+        """Remove the stopwords from counts and doc_freq."""
+        for word in self.stopwords:
+            self.counts.pop(word, None)
+            self.doc_freq.pop(word, None)
 
     def update(self, other: WordCounts) -> None:
         """Add the counts of other, counted with the same stopwords, to these."""
@@ -215,10 +223,11 @@ class WordCounts:
 
 
 def _word_counts(corpus: Corpus, stopwords: frozenset[str] = frozenset()) -> WordCounts:
-    """WordCounts of a corpus, each poem tokenized whole."""
+    """WordCounts of a corpus, each poem tokenized whole, stopwords dropped."""
     counted = WordCounts(stopwords)
     for record in corpus.records:
         counted.add(tokenize(record.text))
+    counted.drop_stopwords()
     return counted
 
 
@@ -304,11 +313,15 @@ _TOUCHSTONE_MATCHERS = tuple(
 )
 
 
-def touchstone_hits(tokens: Sequence[str]) -> tuple[bool, ...]:
-    """Whether a poem's tokens hold a member of each DEFAULT_TOUCHSTONE_GROUPS group, in order."""
-    joined = " " + " ".join(tokens)
+def touchstone_hits(tokens: Sequence[str], distinct: Set[str] | None = None) -> tuple[bool, ...]:
+    """Whether a poem's tokens hold a member of each DEFAULT_TOUCHSTONE_GROUPS group, in order.
+
+    distinct is set(tokens), when the caller has it already; only it is read.
+    """
+    words = set(tokens) if distinct is None else distinct
+    joined = " " + " ".join(words)  # in any order: a prefix is matched at a token's start
     return tuple(
-        not group.isdisjoint(tokens) or any(map(joined.__contains__, prefixes))
+        not group.isdisjoint(words) or any(map(joined.__contains__, prefixes))
         for group, prefixes in _TOUCHSTONE_MATCHERS
     )
 

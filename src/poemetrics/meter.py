@@ -9,11 +9,10 @@ per estimated syllable of out-of-vocabulary words.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, filterfalse
 
-from .arpabet import PronouncingDictionary, stress_pattern
+from .arpabet import PronouncingDictionary, StressMemo, stress_pattern
 from .corpus import Corpus
 from .lexstats import tokenize
 from .structure import PoemStructure, Totals, exact, exact_mean, parse_structure
@@ -37,29 +36,25 @@ class StressSequence:
 
 def word_stress(word: str, dictionary: PronouncingDictionary) -> str:
     """Stress symbols for one word, using its first dictionary variant."""
-    variants = dictionary.lookup(word)
+    return _token_stress(word.lower(), dictionary)
+
+
+def _token_stress(token: str, dictionary: PronouncingDictionary) -> str:
+    """word_stress of a word already lowercase, as every tokenize token is."""
+    variants = dictionary.lookup(token)
     if not variants:
-        return "?" * estimate_syllables(word)
+        return "?" * len(_VOWEL_GROUP_RE.findall(token))
     pattern = stress_pattern(variants[0])
     return "x" if len(pattern) == 1 else pattern.replace("2", "1")
 
 
-def _stress_memo(words: Iterable[str], dictionary: PronouncingDictionary) -> dict[str, str]:
-    """dictionary.stress_memo, after adding the word_stress string of each word it lacks.
-
-    Equal strings are stored once, as the one in dictionary.stress_strings.
-    """
-    memo, strings = dictionary.stress_memo, dictionary.stress_strings
-    # The filter reads the memo as it goes, so a word is scanned once however often it comes.
-    for word in filterfalse(memo.__contains__, words):
-        stress = word_stress(word, dictionary)
-        memo[word] = strings.setdefault(stress, stress)
-    return memo
+# The run's stress memo (PronouncingDictionary.stress_memo) scores each token it lacks here.
+StressMemo.score = staticmethod(_token_stress)
 
 
 def _stress_digits(tokens: Sequence[str], dictionary: PronouncingDictionary) -> str:
     """The tokens' word_stress strings joined, each memoized in dictionary.stress_memo."""
-    return "".join(map(_stress_memo(tokens, dictionary).__getitem__, tokens))
+    return "".join(map(dictionary.stress_memo.__getitem__, tokens))
 
 
 def line_stress(line: str, dictionary: PronouncingDictionary, line_index: int = 0) -> StressSequence:
@@ -104,12 +99,12 @@ def iambic_score(
 
     Lines with fewer than two resolvable (non-"?") syllables are not
     scored; they still contribute to syllables_per_line. Each token's stress
-    is memoized on the dictionary (see _stress_memo). A line's credit is
+    is memoized on the dictionary (see StressMemo). A line's credit is
     counted here, as alignment_score(digits) counts it: every "x", half of
     every "?", and each "0" at an even position and "1" at an odd one. Every
     partial sum is a multiple of 0.5, so each line's score is the same float.
     """
-    stress = _stress_memo(chain.from_iterable(poem.tokens), dictionary).__getitem__
+    stress = dictionary.stress_memo.__getitem__
     syllables = []
     total, scanned = 0.0, 0
     for tokens in poem.tokens:
@@ -174,7 +169,7 @@ def scan_poem(
     """(iambic score, dominant) of one poem, as iambic_score gives it; None when unscannable.
 
     A run scoring many poems passes every call the same dictionary, so each
-    distinct token's stress is worked out once per run (see _stress_memo).
+    distinct token's stress is worked out once per run (see StressMemo).
     """
     try:
         verdict = iambic_score(poem, dictionary, threshold)

@@ -102,32 +102,33 @@ def annotate_rhymes(poem: PoemStructure, dictionary: PronouncingDictionary) -> R
              for w in dict.fromkeys(words) if w is not None}
     # lines_rhyme's test: a missing or unknown end word rhymes with nothing.
     parts = [found.get(w) or frozenset() for w in words]
-
-    def r(i: int, j: int) -> bool:
-        return not parts[i].isdisjoint(parts[j])
-
+    oov = tuple(sorted(w for w, p in found.items() if p is None))
+    # Whether lines i and i + k share no rhyming part, for k = 1, 2, 3: each pair tested once.
+    apart = [list(map(frozenset.isdisjoint, parts, parts[k:])) for k in (1, 2, 3)]
+    if all(map(all, apart)):
+        return RhymeAnnotation(end_words=words, rhymed_line_flags=(False,) * n, schemes=(),
+                               rhymed_fraction=0 / n, oov_end_words=oov)
+    apart1, apart2, apart3 = apart
     flags = [False] * n
     schemes: list[SchemeMatch] = []
-
-    def record(scheme: str, *pairs: tuple[int, int]) -> None:
-        bound = sorted({idx for pair in pairs for idx in pair})
-        schemes.append(SchemeMatch(scheme=scheme, lines=tuple(bound)))
-        for idx in bound:
-            flags[idx] = True
-
     for i in range(n - 1):
-        if r(i, i + 1):
-            record("AA", (i, i + 1))
+        if not apart1[i]:
+            schemes.append(SchemeMatch("AA", (i, i + 1)))
+            flags[i] = flags[i + 1] = True
     for i in range(n - 3):
-        abab = r(i, i + 2) and r(i + 1, i + 3)
+        if apart2[i + 1] and apart3[i]:  # no ABAB, ABBA or ABCB here
+            continue
+        abab = not (apart2[i] or apart2[i + 1])
+        abba = not (apart3[i] or apart1[i + 1])
         if abab:
-            record("ABAB", (i, i + 2), (i + 1, i + 3))
-        if r(i, i + 3) and r(i + 1, i + 2):
-            record("ABBA", (i, i + 3), (i + 1, i + 2))
-        if r(i + 1, i + 3) and not abab:
-            record("ABCB", (i + 1, i + 3))
-
-    oov = tuple(sorted(w for w, p in found.items() if p is None))
+            schemes.append(SchemeMatch("ABAB", (i, i + 1, i + 2, i + 3)))
+        if abba:
+            schemes.append(SchemeMatch("ABBA", (i, i + 1, i + 2, i + 3)))
+        if abab or abba:
+            flags[i:i + 4] = True, True, True, True
+        if not (abab or apart2[i + 1]):
+            schemes.append(SchemeMatch("ABCB", (i + 1, i + 3)))
+            flags[i + 1] = flags[i + 3] = True
     return RhymeAnnotation(
         end_words=words,
         rhymed_line_flags=tuple(flags),

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+
+from poemetrics.arpabet import rhyme_part
+from poemetrics.rhyme import RhymeAnnotation, SchemeMatch
 
 _TOKEN_RE = re.compile(r"[^\W_']+(?:'+[^\W_']+)*")
 
@@ -82,3 +86,96 @@ def heatmap_svg_reference(grid, title: str = "") -> str:
         f'viewBox="0 0 {width} {height}">'
     )
     return "\n".join([head, *body, "</svg>"]) + "\n"
+
+
+def annotate_rhymes_reference(poem, dictionary) -> RhymeAnnotation:
+    """rhyme.annotate_rhymes as it was: every line pair of every window tested by a closure,
+    each match recorded with the sorted set of its bound lines; nothing memoized."""
+    n = poem.line_count
+    words = tuple(t[-1] if t and not t[-1].isdigit() else None for t in poem.tokens)
+    found = {}
+    for w in dict.fromkeys(words):
+        if w is None:
+            continue
+        variants = dictionary.lookup(w)
+        if not variants:
+            found[w] = None
+            continue
+        parts = set()
+        for variant in variants:
+            try:
+                parts.add(rhyme_part(variant))
+            except ValueError:
+                continue
+        found[w] = frozenset(parts)
+    parts = [found.get(w) or frozenset() for w in words]
+
+    def r(i: int, j: int) -> bool:
+        return not parts[i].isdisjoint(parts[j])
+
+    flags = [False] * n
+    schemes = []
+
+    def record(scheme: str, *pairs: tuple[int, int]) -> None:
+        bound = sorted({idx for pair in pairs for idx in pair})
+        schemes.append(SchemeMatch(scheme=scheme, lines=tuple(bound)))
+        for idx in bound:
+            flags[idx] = True
+
+    for i in range(n - 1):
+        if r(i, i + 1):
+            record("AA", (i, i + 1))
+    for i in range(n - 3):
+        abab = r(i, i + 2) and r(i + 1, i + 3)
+        if abab:
+            record("ABAB", (i, i + 2), (i + 1, i + 3))
+        if r(i, i + 3) and r(i + 1, i + 2):
+            record("ABBA", (i, i + 3), (i + 1, i + 2))
+        if r(i + 1, i + 3) and not abab:
+            record("ABCB", (i + 1, i + 3))
+
+    oov = tuple(sorted(w for w, p in found.items() if p is None))
+    return RhymeAnnotation(
+        end_words=words,
+        rhymed_line_flags=tuple(flags),
+        schemes=tuple(schemes),
+        rhymed_fraction=sum(flags) / n,
+        oov_end_words=oov,
+    )
+
+
+def word_counts_reference(poems, stopwords: frozenset[str]) -> tuple[Counter, Counter, Counter]:
+    """(counts, doc_freq, firsts) as lexstats.WordCounts.add counted them, poem by poem:
+    stopwords filtered out of each poem's tokens first, its first token counted regardless."""
+    counts, doc_freq, firsts = Counter(), Counter(), Counter()
+    for tokens in poems:
+        if tokens:
+            firsts[tokens[0]] += 1
+        eligible = [t for t in tokens if t not in stopwords]
+        counts.update(eligible)
+        doc_freq.update(set(eligible))
+    return counts, doc_freq, firsts
+
+
+def pronoun_counts_reference(tokens, categories: dict[str, frozenset[str]]) -> tuple[int, ...]:
+    """lexstats.pronoun_counts as it was: each token looked up once, in order. A pronoun
+    followed by 'm, 're, 've, 'll, 'd or 's counts as that pronoun."""
+    index = {word + clitic: k for k, words in enumerate(categories.values(), start=1)
+             for word in words for clitic in ("", "'m", "'re", "'ve", "'ll", "'d", "'s")}
+    counts = [len(tokens)] + [0] * len(categories)
+    for token in tokens:
+        if token in index:
+            counts[index[token]] += 1
+    return tuple(counts)
+
+
+def touchstone_hits_reference(tokens, groups) -> tuple[bool, ...]:
+    """lexstats.touchstone_hits as it was, over every token in order: a group is hit when a
+    token is one of its words, or " " and the space-joined tokens hold " " and the prefix of
+    one of its "*" entries."""
+    joined = " " + " ".join(tokens)
+    return tuple(
+        not group.isdisjoint(tokens)
+        or any(map(joined.__contains__, (" " + w[:-1] for w in group if w.endswith("*"))))
+        for group in groups
+    )

@@ -134,6 +134,20 @@ def test_bundled_entries_equal_an_independent_parse_with_one_string_per_phone():
     assert len({id(p) for p in phones}) == len(set(phones))
 
 
+def test_a_pickled_or_copied_dictionary_has_its_entries_and_empty_memos():
+    import copy
+    import pickle
+
+    from poemetrics import meter  # noqa: F401  (sets the stress memo's scoring rule)
+
+    loaded = load_dictionary(bundled_dictionary_path())
+    assert loaded.stress_memo["florbix"] == "??" and loaded.stress_memo["day"] == "x"
+    for other in (pickle.loads(pickle.dumps(loaded)), copy.copy(loaded), copy.deepcopy(loaded)):
+        assert other == loaded and not other.stress_memo and not other.stress_strings
+        assert other.stress_memo["day"] == "x" and list(other.stress_memo) == ["day"]
+    assert list(loaded.stress_memo) == ["florbix", "day"]
+
+
 def test_lookup_case_insensitive(dictionary):
     assert dictionary.lookup("HAZE") == dictionary.lookup("haze")
     assert "Praise" in dictionary

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from poemetrics import corpus as corpus_module
 from poemetrics.corpus import (
     CANONICAL_STYLES,
     Corpus,
@@ -315,6 +317,44 @@ def test_chunk_read_names_the_line_of_its_fault(tmp_path):
         list(reader.read(slice(1, 3)))
     with pytest.raises(CorpusError, match=rf"^{path}: line 5: byte 0xe9 is not UTF-8$"):
         list(reader.read(slice(3, 4)))
+
+
+@given(lines=_LINES, ends=st.lists(st.sampled_from(_LINE_ENDS), min_size=12, max_size=12),
+       bom=st.booleans(), block=st.integers(1, 5), data=st.data())
+def test_read_of_any_span_equals_the_slice_of_the_loaded_corpus(tmp_path_factory, lines, ends,
+                                                                bom, block, data):
+    # With a checkpoint every block records, a span starts at one or past it.
+    path = tmp_path_factory.mktemp("spans") / "poems.jsonl"
+    text = "\ufeff" if bom else ""
+    for n, line in enumerate(lines):
+        if isinstance(line, tuple):
+            line = json.dumps({"text": line[1], "source": "human"})
+        text += line + ends[n]
+    path.write_bytes(text.encode("utf-8"))
+    whole = load_corpus(path).records
+    with mock.patch.object(corpus_module, "_INDEX_BLOCK", block):
+        reader = open_corpus(path)
+        start = data.draw(st.integers(0, len(whole) + 1), label="start")
+        stop = data.draw(st.integers(0, len(whole) + 1), label="stop")
+        assert len(reader) == len(whole)
+        assert len(reader.starts) == -(-len(whole) // block)
+        assert tuple(reader.read(slice(start, stop))) == whole[start:stop]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 100])
+def test_read_past_a_checkpoint_names_the_line_of_its_fault(block, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    row = json.dumps({"text": "x", "source": "human"})
+    path.write_bytes(b"\xef\xbb\xbf" + f"{row}\r\n\r\n{row}\n{row}\r{row}\r\n \n".encode()
+                     + b"{\"text\": \"caf\xe9\"}\r\n" + f"{row}\n".encode())
+    with mock.patch.object(corpus_module, "_INDEX_BLOCK", block):
+        reader = open_corpus(path)
+        assert len(reader) == 6
+        assert [r.id for r in reader.read(slice(1, 4))] == ["bad-0003", "bad-0004", "bad-0005"]
+        assert [r.id for r in reader.read(slice(5, 6))] == ["bad-0008"]
+        for first in range(5):
+            with pytest.raises(CorpusError, match=rf"^{path}: line 7: byte 0xe9 is not UTF-8$"):
+                list(reader.read(slice(first, 6)))
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

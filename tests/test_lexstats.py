@@ -96,6 +96,19 @@ def test_tokenize_idempotent_on_joined_output(text):
         assert token.strip() == token and token != ""
 
 
+# Capital sigma and dotted I, curly apostrophes, and combining marks, among any characters.
+_CASE_TEXT = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from("Σİ’ʼÁ̇ͅ")),
+    max_size=60)
+
+
+@given(_CASE_TEXT)
+@example("ΑΣ.Β İstanbul DON’T WEʼLL Σͅ")
+def test_every_token_is_lowercase(text):
+    # The stress memo scores a token it lacks without lowercasing it again.
+    assert all(token == token.lower() for token in tokenize(text))
+
+
 # --- pronouns ---------------------------------------------------------------
 
 def test_pronoun_categories_are_disjoint():
