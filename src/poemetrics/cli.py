@@ -30,7 +30,7 @@ from collections import Counter, defaultdict, deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
 from pathlib import Path
 
@@ -91,52 +91,24 @@ def _fmt(value) -> str:
 # Table rows encoded by the C encoder in one call; each batch's text is written, then dropped.
 _ROW_BATCH = 256
 
-# The types whose values the C encoder writes as the indenting encoder does.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
 
+def _json_rows(batches):
+    """The pieces of json.dumps(rows, indent=2, sort_keys=True), one per batch of rows.
 
-def _json_chunks(obj, level: int = 0):
-    """The pieces of json.dumps(obj, indent=2, sort_keys=True), for JSON data with string keys.
-
-    json.dumps runs its pure-Python encoder whenever indent is set. Here each
-    object or list of scalars, and each batch of _ROW_BATCH items of a list of
-    non-empty objects of scalars (table rows), is encoded by the C encoder in
-    one call with a raw NUL, which encoded JSON never holds, between its
-    items, and the NULs become the indented layout; other containers are laid
-    out item by item. level is obj's nesting depth, two spaces of indent each.
-    No piece holds a raw newline but the layout's, so a piece given at level 0
-    becomes the piece at level k when each "\n" is followed by 2k spaces.
+    batches hold a table's rows, in order, as non-empty lists; a row is a
+    non-empty dict of strings to scalars (str, int, float, bool or None).
+    json.dumps runs its pure-Python encoder whenever indent is set; here each
+    batch is encoded by the C encoder in one call with a raw NUL, which
+    encoded JSON never holds, between its items, and the NULs become the
+    indented layout. No piece holds a raw newline but the layout's.
     """
-    pad = "\n" + "  " * level
-    inner = pad + "  "
-    if not isinstance(obj, (dict, list, tuple)):
-        yield json.dumps(obj)
-    elif not obj:
-        yield "{}" if isinstance(obj, dict) else "[]"
-    elif _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
-        text = json.dumps(obj, separators=("\0", ": "), sort_keys=True)
-        yield text[0] + inner + text[1:-1].replace("\0", "," + inner) + pad + text[-1]
-    elif isinstance(obj, dict):
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            yield ("," if i else "{") + inner + json.dumps(key) + ": "
-            yield from _json_chunks(value, level + 1)
-        yield pad + "}"
-    elif ({dict}.issuperset(map(type, obj)) and all(obj)
-            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))):
-        # A row's items end in a scalar, never "}", so "}\0{" parts two rows.
-        key = inner + "  "
-        between = inner + "}," + inner + "{" + key
-        for start in range(0, len(obj), _ROW_BATCH):
-            text = json.dumps(obj[start:start + _ROW_BATCH], separators=("\0", ": "),
-                              sort_keys=True)
-            yield (between if start else "[" + inner + "{" + key) + text[2:-2].replace(
-                "}\0{", between).replace("\0", "," + key)
-        yield inner + "}" + pad + "]"
-    else:
-        for i, value in enumerate(obj):
-            yield ("," if i else "[") + inner
-            yield from _json_chunks(value, level + 1)
-        yield pad + "]"
+    # A row's items end in a scalar, never "}", so "}\0{" parts two rows.
+    start, between = "[\n  {\n    ", "\n  },\n  {\n    "
+    for batch in batches:
+        text = json.dumps(batch, separators=("\0", ": "), sort_keys=True)
+        yield start + text[2:-2].replace("}\0{", between).replace("\0", ",\n    ")
+        start = between
+    yield "\n  }\n]" if start == between else "[]"
 
 
 @dataclass
@@ -164,9 +136,9 @@ class _Group:
 # Consecutive poems of one corpus per chunk that a scoring process claims.
 _CHUNK_POEMS = 100
 
-# Chunks grow past _CHUNK_POEMS poems so that a run has about this many at most: their
-# 4-byte indices are all written to the claim pipe before any process reads it, so they
-# must fit its buffer (64 KiB on Linux, 4 KiB at least).
+# Chunks grow by multiples of _CHUNK_POEMS poems so that a run has about this many at most:
+# their 4-byte indices are all written to the claim pipe before any process reads it, so
+# they must fit its buffer (64 KiB on Linux, 4 KiB at least).
 _MAX_CHUNKS = 1000
 
 # A fold keeps each poem's id as this hash of it, 8 bytes; a name of its own, so that a
@@ -430,10 +402,11 @@ def _score_corpora(corpora, families, dictionary, settings, spool, compared, pro
     file, start, end) ranges of its --per-poem lines, with spool the
     directory for them or None. Poems are scored on a copy of dictionary
     whose memos start empty and are dropped on return. Each corpus is cut
-    into chunks of _CHUNK_POEMS poems, or more past _MAX_CHUNKS chunks, and
-    every chunk is read and folded by _fold_chunks: here, in chunk order,
-    when min(processes, chunks) is 1 or fork is unavailable; otherwise by that
-    many processes, this one included, each with its own memos (_fork_join).
+    into chunks of _CHUNK_POEMS poems, or a multiple of that past
+    _MAX_CHUNKS chunks, and every chunk is read and folded by _fold_chunks:
+    here, in chunk order, when min(processes, chunks) is 1 or fork is
+    unavailable; otherwise by that many processes, this one included, each
+    with its own memos (_fork_join).
     Either way _check_input then raises the input's first fault, reading a
     corpus again only if two of its id hashes are equal, and each corpus's
     spooled lines are listed in chunk order, that is in input order. The totals
@@ -442,7 +415,8 @@ def _score_corpora(corpora, families, dictionary, settings, spool, compared, pro
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
     poems = sum(map(len, corpora))
-    chunks = _chunks(corpora, max(_CHUNK_POEMS, -(-poems // _MAX_CHUNKS)))
+    # A multiple of _CHUNK_POEMS, so that every chunk starts at a JSON Lines index checkpoint.
+    chunks = _chunks(corpora, _CHUNK_POEMS * max(1, -(-poems // (_CHUNK_POEMS * _MAX_CHUNKS))))
     processes = min(processes, len(chunks))
     run = (corpora, families, dictionary, settings, spool, compared, stopwords)
     if processes > 1 and hasattr(os, "fork"):
@@ -535,22 +509,17 @@ def _fold_tables(corpora, groups, families):
     return {name: (list(rows[0]), rows) for name, rows in tables.items()}, boxplots
 
 
-def _compare_tables(a: WordCounts, b: WordCounts, s: AnalysisSettings) -> dict:
-    cols = ["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"]
-    def rows_for(results):
-        # Each result is dropped as its row is made, so the two are not all held at once.
-        results.reverse()
-        rows = []
-        while results:
-            r = results.pop()
-            rows.append({"word": r.word, "delta": r.delta, "variance": r.variance,
-                         "z": r.z_score, "doc_freq_a": r.doc_freq_a, "doc_freq_b": r.doc_freq_b})
-        return rows
-    return {
-        "logodds": (cols, rows_for(fold_logodds(a, b, s.min_docs, s.alpha_total))),
-        "first_words": (cols, rows_for(fold_first_word_logodds(a, b, s.min_docs,
-                                                               s.alpha_total))),
-    }
+def _ranked(a: WordCounts, b: WordCounts, s: AnalysisSettings) -> dict[str, list]:
+    """Each log-odds table's LogOddsResults of a against b, by z descending, by table name."""
+    return {"logodds": fold_logodds(a, b, s.min_docs, s.alpha_total),
+            "first_words": fold_first_word_logodds(a, b, s.min_docs, s.alpha_total)}
+
+
+def _logodds_table(results: list):
+    """A log-odds table's columns and a lazy source of its rows, one per result in order."""
+    return (["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"],
+            ({"word": r.word, "delta": r.delta, "variance": r.variance, "z": r.z_score,
+              "doc_freq_a": r.doc_freq_a, "doc_freq_b": r.doc_freq_b} for r in results))
 
 
 def _load_corpora(paths: list[str], args) -> list:
@@ -585,20 +554,28 @@ def _write_annotations(out_dir: Path, corpora, spooled) -> None:
                     handle.write(spool.read(end - start).decode())
 
 
-def _write_table(tables: Path, name: str, columns: list[str], rows: list[dict], fmt: str,
-                 report) -> None:
-    """Write one table's file under tables, CSV row by row or JSON, and its rows' JSON, at
-    nesting level 2, to report, the open report.json.
+def _write_table(tables: Path, name: str, columns: list[str], rows, fmt: str, report) -> None:
+    """Write one table's file under tables, CSV or JSON, and its rows' JSON, at nesting
+    level 2, to report, the open report.json.
 
-    The rows are encoded once, _ROW_BATCH at a time (see _json_chunks); each
-    batch's text goes to the JSON table file as is and to report re-indented.
+    rows, any iterable of the table's rows, is read once, _ROW_BATCH rows at a
+    time: each batch's rows go to a CSV table file, and its JSON (see
+    _json_rows) to a JSON table file as is and to report re-indented, before
+    the next batch is read.
     """
+    rows = iter(rows)
     with open(tables / f"{name}.{fmt}", "w", encoding="utf-8") as handle:
         if fmt == "csv":
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
-        for piece in _json_chunks(rows):
+
+        def batches():
+            for batch in iter(lambda: list(islice(rows, _ROW_BATCH)), []):
+                if fmt == "csv":
+                    writer.writerows([_fmt(row.get(c)) for c in columns] for row in batch)
+                yield batch
+
+        for piece in _json_rows(batches()):
             if fmt == "json":
                 handle.write(piece)
             report.write(piece.replace("\n", "\n    "))
@@ -606,17 +583,11 @@ def _write_table(tables: Path, name: str, columns: list[str], rows: list[dict], 
             handle.write("\n")
 
 
-def _write_report(
-    out_dir: Path,
-    fmt: str,
-    tables: dict[str, tuple[list[str], list[dict]]],
-    grids: dict[str, object],
-    dictionary: PronouncingDictionary,
-    settings: AnalysisSettings,
-    corpora: list,
-) -> None:
+def _write_report(out_dir: Path, fmt: str, tables: dict, grids: dict,
+                  dictionary: PronouncingDictionary, settings: AnalysisSettings, corpora) -> None:
     """Write each grid, each table and report.json, which holds every table's JSON rows.
 
+    tables holds each table's columns and rows, an iterable read once.
     report.json is written as it is laid out: its metadata, then each table
     in name order, streamed by _write_table along with the table's own file,
     so no whole table's text is held.
@@ -638,10 +609,10 @@ def _write_report(
     }
     if tables:
         (out_dir / "tables").mkdir(exist_ok=True)
-    # The layout of _json_chunks({"metadata": metadata, "tables": {name: rows, ...}}).
+    # json.dumps({"metadata": metadata, "tables": {name: rows, ...}}, indent=2, sort_keys=True)
     with open(out_dir / "report.json", "w", encoding="utf-8") as report:
         report.write('{\n  "metadata": ')
-        report.writelines(_json_chunks(metadata, 1))
+        report.write(json.dumps(metadata, indent=2, sort_keys=True).replace("\n", "\n  "))
         report.write(',\n  "tables": ' + ("{" if tables else "{}"))
         for i, name in enumerate(sorted(tables)):
             report.write(("," if i else "") + "\n    " + json.dumps(name) + ": ")
@@ -649,7 +620,8 @@ def _write_report(
         report.write("\n  }\n}\n" if tables else "\n}\n")
 
 
-def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
+def _write_plots(out_dir: Path, tables, grids, boxplots, ranked, top_k: int) -> None:
+    """Write the SVG plots; the log-odds bars are the top_k of ranked's results (_ranked)."""
     plot_dir = out_dir / "plots"
     plot_dir.mkdir(parents=True, exist_ok=True)
     for label, summaries in boxplots.items():
@@ -668,23 +640,14 @@ def _write_plots(out_dir: Path, tables, grids, boxplots, top_k: int) -> None:
     for label in sorted(grids):
         with open(plot_dir / f"occupancy_{label}.svg", "w", encoding="utf-8") as out:
             svgplot.heatmap_svg(grids[label], out, title=f"occupancy: {label}")
-    for name in ("logodds", "first_words"):
-        if name not in tables:
-            continue
-        _, rows = tables[name]
-        # Rows are sorted by z descending; only z > 0 favors the first corpus.
-        top = [r for r in rows[:top_k] if r["z"] > 0]
-        if not top:
-            continue
-        scale = top[0]["z"]
-        (plot_dir / f"{name}_top{top_k}.svg").write_text(
-            svgplot.barchart_svg(
-                [(r["word"], r["z"]) for r in top],
+    for name, results in ranked.items():
+        # Results are sorted by z descending; only z > 0 favors the first corpus.
+        top = [r for r in results[:top_k] if r.z_score > 0]
+        if top:
+            (plot_dir / f"{name}_top{top_k}.svg").write_text(svgplot.barchart_svg(
+                [(r.word, r.z_score) for r in top],
                 title=f"most distinctive {name.replace('_', ' ')} (z)",
-                max_value=scale,
-            ),
-            encoding="utf-8",
-        )
+                max_value=top[0].z_score), encoding="utf-8")
 
 
 def cmd_analyze(args) -> int:
@@ -713,15 +676,15 @@ def cmd_analyze(args) -> int:
         (groups, grids, counted), spooled = _score_corpora(
             corpora, families, dictionary, settings, spool, 2 if compare else 0, args.threads)
         tables, boxplots = _fold_tables(corpora, groups, families)
-        if compare:
-            tables.update(_compare_tables(*counted, settings))
+        ranked = _ranked(*counted, settings) if compare else {}
         counted.clear()  # the word counts are not needed past here
+        tables.update((name, _logodds_table(results)) for name, results in ranked.items())
         if per_poem:
             _write_annotations(out_dir, corpora, spooled)
     grids = {c.label: grid for c, grid in zip(corpora, grids) if grid is not None}
     _write_report(out_dir, args.format, tables, grids, dictionary, settings, corpora)
     if args.emit_plots:
-        _write_plots(out_dir, tables, grids, boxplots, settings.top_k)
+        _write_plots(out_dir, tables, grids, boxplots, ranked, settings.top_k)
     print(f"report written to {args.out}")
     return 0
 

@@ -274,8 +274,8 @@ def load_corpus(
     return Corpus(corpus.label, records, name=corpus.name)
 
 
-# A JSON Lines index keeps where every this-many-th record's line starts. Up to 100,000
-# poems the fold reads chunks of 100 records (cli._CHUNK_POEMS), each starting at one.
+# A JSON Lines index keeps where every this-many-th record's line starts. The fold reads
+# chunks of a multiple of 100 records (cli._CHUNK_POEMS), each starting at one.
 _INDEX_BLOCK = 100
 
 

@@ -17,7 +17,9 @@ import time
 import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import asdict
+from itertools import cycle, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -344,6 +346,27 @@ def test_a_process_holds_one_chunk_of_records(threads, tmp_path, monkeypatch):
     # One chunk, and at most the last record of the chunk before, which the fold's loop
     # variable holds until the next chunk is read.
     assert max(n for _, n in counts) <= 3 + 1
+
+
+def test_grown_chunks_start_at_index_checkpoints(tmp_path, monkeypatch):
+    # Chunks grow by whole _CHUNK_POEMS, so each starts where the JSON Lines index keeps a
+    # line start, and no read passes over records before its span.
+    assert cli._CHUNK_POEMS == corpus_module._INDEX_BLOCK
+    corpora = [_styled_corpus(tmp_path / f"c{i}.jsonl", n, i) for i, n in enumerate((350, 120))]
+    argv = ["analyze", *corpora, "--compare", "--min-docs", "1", "--format", "json"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    skips, read = [], corpus_module._read_jsonl
+
+    def reading(path, rows, start, lineno, skip, count):
+        skips.append(skip)
+        return read(path, rows, start, lineno, skip, count)
+
+    monkeypatch.setattr(corpus_module, "_read_jsonl", reading)
+    # 470 poems in at most about 2 chunks: 235 poems each, rounded up to 300.
+    monkeypatch.setattr(cli, "_MAX_CHUNKS", 2)
+    assert main([*argv, "--out", str(tmp_path / "grown")]) == 0
+    assert skips == [0, 0, 0]
+    assert _tree_bytes(tmp_path / "grown") == _tree_bytes(tmp_path / "plain")
 
 
 def _fail_in_this_process(monkeypatch):
@@ -1117,21 +1140,24 @@ def test_benchmark_report_bytes_match_recorded_digests(workload, tmp_path):
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
                  | st.text(alphabet="a}{][\",:\\\0\n \u00e9\u4e00\U0001f600", max_size=6))
 _JSON_KEYS = st.text(alphabet="ab}{\"\0\u00e9", max_size=3)
-_JSON_ROWS = st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=4), max_size=4)
-_JSON_VALUES = st.recursive(_JSON_SCALARS | _JSON_ROWS,
-                            lambda inner: st.lists(inner, max_size=4)
-                            | st.dictionaries(_JSON_KEYS, inner, max_size=4), max_leaves=20)
+_JSON_ROWS = st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=4),
+                      max_size=12)
 
 
-@given(_JSON_VALUES)
-@example({"tables": {"t": [{"a": float("nan"), "b": [], "c": {}}, {"a": -float("inf")}]}})
-@example([{}, {"a": 1}])
-@example([{"a": i, "b": "}\0{"} for i in range(2 * cli._ROW_BATCH + 1)])
-def test_json_text_equals_indented_json_dumps(obj):
-    assert "".join(cli._json_chunks(obj)) == json.dumps(obj, indent=2, sort_keys=True)
-    # A piece given at level 0 is the piece at level 2 once each newline is indented by 4.
-    assert ([piece.replace("\n", "\n    ") for piece in cli._json_chunks(obj)]
-            == list(cli._json_chunks(obj, 2)))
+def _batched(rows: list, sizes: list[int]) -> list[list]:
+    """rows cut into consecutive batches of sizes[0], sizes[1], ... rows, sizes repeated."""
+    rows, sizes = iter(rows), cycle(sizes)
+    return list(iter(lambda: list(islice(rows, next(sizes))), []))
+
+
+@given(_JSON_ROWS, st.lists(st.integers(1, 4), min_size=1, max_size=4))
+@example([{"a": float("nan"), "b": float("inf")}, {"a": -float("inf")}], [1])
+@example([], [1])
+@example([{"a": i, "b": "}\0{"} for i in range(2 * cli._ROW_BATCH + 1)], [3, 1])
+def test_json_rows_equal_indented_json_dumps(rows, sizes):
+    expected = json.dumps(rows, indent=2, sort_keys=True)
+    for batches in (_batched(rows, sizes), _batched(rows, [cli._ROW_BATCH])):
+        assert "".join(cli._json_rows(batches)) == expected
 
 
 _COLUMNS = ["word", "delta", "variance", "z", "doc_freq_a", "doc_freq_b"]
@@ -1212,6 +1238,16 @@ def test_streamed_report_equals_json_dumps_of_its_tables(drawn, fmt):
         _check_streamed_files(out, fmt, metadata, tables)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_given_as_a_one_shot_generator_is_written_whole(fmt, tmp_path):
+    # A writer that read a table's rows twice would find a generator empty the second time.
+    rows = _logodds_rows(2 * cli._ROW_BATCH + 1, ["heart", "echo\u00e9"], 2)
+    for out, source in ((tmp_path / "list", rows), (tmp_path / "once", (r for r in rows))):
+        tables = {"logodds": (_COLUMNS, source), "z": (_COLUMNS, [])}
+        cli._write_report(out, fmt, tables, {}, _DICTIONARY, _SETTINGS, _CORPORA)
+    assert _tree_bytes(tmp_path / "once") == _tree_bytes(tmp_path / "list")
+
+
 @pytest.mark.parametrize("argv, fmt", [
     (["analyze", HUMAN, GPT, "--compare", "--format", "json"], "json"),
     (["analyze", HUMAN, GPT, "--compare", "--format", "csv"], "csv"),
@@ -1249,3 +1285,27 @@ def test_writing_a_report_holds_a_small_share_of_its_bytes(fmt, tmp_path):
         tracemalloc.stop()
     written = sum(p.stat().st_size for p in tmp_path.rglob("*") if p.is_file())
     assert peak - before < written / 4
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_comparing_and_writing_hold_under_500_bytes_per_scored_word(fmt, tmp_path):
+    # Every word is in both log-odds tables. The tables are lazy row sources over the ranked
+    # results, which the plots read too: no list of row dicts is held.
+    rng = random.Random(3)
+    words = [f"heart{i}\u00e9" for i in range(20_000)]
+    pair = [lexstats.WordCounts(counts=Counter({w: rng.randrange(10, 90) for w in words}),
+                                doc_freq=Counter({w: rng.randrange(5, 10) for w in words}),
+                                firsts=Counter({w: rng.randrange(5, 10) for w in words}))
+            for _ in range(2)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ranked = cli._ranked(*pair, _SETTINGS)
+        tables = {name: cli._logodds_table(results) for name, results in ranked.items()}
+        cli._write_report(tmp_path, fmt, tables, {}, _DICTIONARY, _SETTINGS, _CORPORA)
+        cli._write_plots(tmp_path, tables, {}, {}, ranked, _SETTINGS.top_k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(results) for results in ranked.values()] == [len(words)] * 2
+    assert (peak - before) / len(words) < 500
