@@ -194,16 +194,16 @@ def _fold_chunks(run, chunks, claims):
     tokens, and end words, meter, pronouns, touchstones and word counts all
     come from them, the last three also from one set of the poem's distinct
     tokens. Word counts take every token, and their stopwords are dropped
-    once, when the fold ends. With a spool, the --per-poem lines go to a
-    file of this fold's own there.
+    once, when the fold ends. With a spool, a chunk's --per-poem lines go to
+    the file there named by its index (_spool_file).
 
     Returns the totals, (groups, grids, counted): per corpus its groups by
     style (keyed by record.style, None for unlabeled) and its OccupancyGrid or
-    None; and the WordCounts. Also returns per claimed chunk index an array of
-    its poems' id hashes (_id_hash, not the ids) and (spool file, start, end)
-    of its --per-poem lines, or None. A chunk with a record fault has the
-    CorpusError instead, and the fold then claims every chunk left and stops:
-    no process folds a chunk past it, and none before it is left unfolded.
+    None; and the WordCounts. Also returns, per claimed chunk index, its part:
+    an array of its poems' id hashes (_id_hash, not the ids). A chunk with a
+    record fault has the CorpusError instead, and the fold then claims every
+    chunk left and stops: no process folds a chunk past it, and none before it
+    is left unfolded.
     """
     corpora, families, dictionary, settings, spool, compared, stopwords = run
     groups = [defaultdict(_Group) for _ in corpora]
@@ -212,15 +212,14 @@ def _fold_chunks(run, chunks, claims):
     counted = [WordCounts(stopwords) for _ in corpora[:compared]]
     rhymes, meters, lexical = (family in families for family in ("rhyme", "meter", "lexstats"))
     parts = {}
-    with (tempfile.NamedTemporaryFile("w", encoding="utf-8", newline="", dir=spool,
-                                      delete=False) if spool else nullcontext()) as out:
-        for k in claims:
-            i, span = chunks[k]
-            by_style, grid = groups[i], grids[i]
-            counting = counted[i] if i < compared else None
-            ids = array("q")
-            start = out and out.tell()
-            try:
+    for k in claims:
+        i, span = chunks[k]
+        by_style, grid = groups[i], grids[i]
+        counting = counted[i] if i < compared else None
+        ids = array("q")
+        try:
+            with (open(_spool_file(spool, k), "w", encoding="utf-8", newline="")
+                  if spool else nullcontext()) as out:
                 for record in _read_chunk(corpora[i], span, settings.strip_prefatory):
                     ids.append(_id_hash(record.id))
                     poem = parse_structure(record)
@@ -247,14 +246,19 @@ def _fold_chunks(run, chunks, claims):
                                                   pronoun_counts(words, distinct)))
                         group.touchstones = list(map(add, group.touchstones,
                                                      touchstone_hits(words, distinct)))
-            except CorpusError as exc:  # a record fault: only reading raises one
-                parts[k] = exc
-                deque(claims, maxlen=0)  # claim every chunk left: none comes before this one
-                break
-            parts[k] = ids, out and (out.name, start, out.tell())
+        except CorpusError as exc:  # a record fault: only reading raises one
+            parts[k] = exc
+            deque(claims, maxlen=0)  # claim every chunk left: none comes before this one
+            break
+        parts[k] = ids
     for counts in counted:
         counts.drop_stopwords()
     return (groups, grids, counted), parts
+
+
+def _spool_file(spool: str, k: int) -> str:
+    """The file in spool that holds chunk k's --per-poem lines."""
+    return os.path.join(spool, str(k))
 
 
 def _merge_totals(totals, other) -> None:
@@ -287,7 +291,7 @@ def _check_input(corpora, chunks, parts) -> None:
                 raise part
         if not len(corpus):
             raise CorpusError(f"corpus has no poems: {corpus.name}")
-        if not _repeats([part[0] for part in mine], len(corpus)):
+        if not _repeats(mine, len(corpus)):
             continue
         # Named by load_corpus's label, the file's stem: only a file can repeat an id.
         check_unique_ids(corpus.read(slice(None)), Path(corpus.name).stem)
@@ -334,25 +338,27 @@ def _serve(run, chunks, claims, result_fd: int):
 def _fork_join(run, chunks, processes):
     """Fold the chunks in `processes` processes, this one and processes - 1 forked.
 
-    Every chunk index is written to a pipe first; each process claims chunks by
+    At 1 nothing is forked, and pickle and signal are not imported. Every
+    chunk index is written to a pipe first; each process claims chunks by
     reading 4-byte indices from it until it is empty, and folds them with
     _fold_chunks. Each worker sends its totals and parts once; this process
     merges the totals, exactly, in the order the workers were forked, and
-    returns them with every chunk's parts, as _fold_chunks does for all chunks.
+    returns them with every chunk's part, as _fold_chunks does for all chunks.
     An error in any process, a worker that did not exit normally or a failed
     fork raises here after every worker is ended and reaped.
     """
-    import pickle
-    import signal
-
     read_claims, write_claims = os.pipe()
     os.write(write_claims, b"".join(k.to_bytes(4, "big") for k in range(len(chunks))))
     os.close(write_claims)
     claims = map(int.from_bytes, iter(partial(os.read, read_claims, 4), b""), repeat("big"))
-    sys.stdout.flush()
-    sys.stderr.flush()
     workers = {}  # pid: the read end of its result pipe
     try:
+        if processes > 1:
+            import pickle
+            import signal
+
+            sys.stdout.flush()
+            sys.stderr.flush()
         for _ in range(processes - 1):
             read_end, write_end = os.pipe()
             try:
@@ -395,43 +401,32 @@ def _fork_join(run, chunks, processes):
 def _score_corpora(corpora, families, dictionary, settings, spool, compared, processes):
     """Read and check every poem, and score it once into its group, grid and word counts.
 
-    corpora are open_corpus readers and settings the AnalysisSettings. Returns
-    the totals as _fold_chunks does, merged over every chunk: per corpus its
-    groups by style and its OccupancyGrid (None without structure), and the
-    WordCounts of the first `compared` corpora; and per corpus the (spool
-    file, start, end) ranges of its --per-poem lines, with spool the
-    directory for them or None. Poems are scored on a copy of dictionary
-    whose memos start empty and are dropped on return. Each corpus is cut
-    into chunks of _CHUNK_POEMS poems, or a multiple of that past
-    _MAX_CHUNKS chunks, and every chunk is read and folded by _fold_chunks:
-    here, in chunk order, when min(processes, chunks) is 1 or fork is
-    unavailable; otherwise by that many processes, this one included, each
-    with its own memos (_fork_join).
-    Either way _check_input then raises the input's first fault, reading a
-    corpus again only if two of its id hashes are equal, and each corpus's
-    spooled lines are listed in chunk order, that is in input order. The totals
-    merge exactly, so the bytes do not depend on processes.
+    corpora are open_corpus readers, settings the AnalysisSettings and spool
+    the directory for --per-poem lines or None. Returns the totals as
+    _fold_chunks does, merged over every chunk: per corpus its groups by style
+    and its OccupancyGrid (None without structure), and the WordCounts of the
+    first `compared` corpora; and the chunks, (corpus index, slice of its
+    records) in input order, whose --per-poem lines are in spool's files
+    (_spool_file). Poems are scored on a copy of dictionary whose memos start
+    empty and are dropped on return. Each corpus is cut into chunks of
+    _CHUNK_POEMS poems, or a multiple of that past _MAX_CHUNKS chunks, which
+    _fork_join folds in min(processes, chunks) processes, this one included,
+    or in this one alone where fork is unavailable. _check_input then raises
+    the input's first fault, reading a corpus again only if two of its id
+    hashes are equal. The totals merge exactly, so the bytes do not depend on
+    processes.
     """
     dictionary = replace(dictionary)
     stopwords = load_stopwords() if compared else frozenset()
     poems = sum(map(len, corpora))
     # A multiple of _CHUNK_POEMS, so that every chunk starts at a JSON Lines index checkpoint.
     chunks = _chunks(corpora, _CHUNK_POEMS * max(1, -(-poems // (_CHUNK_POEMS * _MAX_CHUNKS))))
-    processes = min(processes, len(chunks))
+    processes = min(processes, len(chunks) or 1) if hasattr(os, "fork") else 1
+    logger.info("scoring %d poems; chunks: %d, processes: %d", poems, len(chunks), processes)
     run = (corpora, families, dictionary, settings, spool, compared, stopwords)
-    if processes > 1 and hasattr(os, "fork"):
-        logger.info("scoring %d poems in %d chunks on %d processes", poems, len(chunks),
-                    processes)
-        totals, parts = _fork_join(run, chunks, processes)
-    else:
-        logger.info("scoring %d poems in process", poems)
-        totals, parts = _fold_chunks(run, chunks, range(len(chunks)))
+    totals, parts = _fork_join(run, chunks, processes)
     _check_input(corpora, chunks, parts)
-    spooled = [[] for _ in corpora]
-    for k, (i, _) in enumerate(chunks):
-        if parts[k][1]:
-            spooled[i].append(parts[k][1])
-    return totals, spooled
+    return totals, chunks
 
 
 def _group_rows(group: _Group, s: LengthSummary, families: tuple[str, ...]) -> dict[str, dict]:
@@ -541,17 +536,18 @@ def _load_corpora(paths: list[str], args) -> list:
     return corpora
 
 
-def _write_annotations(out_dir: Path, corpora, spooled) -> None:
-    """Copy each corpus's spooled --per-poem lines, in input order, to its annotation file."""
+def _write_annotations(out_dir: Path, corpora, spool: str, chunks) -> None:
+    """Join each corpus's chunk files in spool (see _score_corpora), in chunk order, into its
+    annotation file."""
     annotations_dir = out_dir / "annotations"
     annotations_dir.mkdir(parents=True, exist_ok=True)
-    for corpus, ranges in zip(corpora, spooled):
+    for i, corpus in enumerate(corpora):
         with open(annotations_dir / f"rhyme_{corpus.label}.jsonl", "w",
                   encoding="utf-8") as handle:
-            for name, start, end in ranges:
-                with open(name, "rb") as spool:
-                    spool.seek(start)
-                    handle.write(spool.read(end - start).decode())
+            for k, (j, _) in enumerate(chunks):
+                if j == i:
+                    with open(_spool_file(spool, k), encoding="utf-8", newline="") as part:
+                        handle.write(part.read())
 
 
 def _write_table(tables: Path, name: str, columns: list[str], rows, fmt: str, report) -> None:
@@ -673,14 +669,14 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     # The scoring processes spool --per-poem lines here; it is removed however the run ends.
     with tempfile.TemporaryDirectory() if per_poem else nullcontext() as spool:
-        (groups, grids, counted), spooled = _score_corpora(
+        (groups, grids, counted), chunks = _score_corpora(
             corpora, families, dictionary, settings, spool, 2 if compare else 0, args.threads)
         tables, boxplots = _fold_tables(corpora, groups, families)
         ranked = _ranked(*counted, settings) if compare else {}
         counted.clear()  # the word counts are not needed past here
         tables.update((name, _logodds_table(results)) for name, results in ranked.items())
         if per_poem:
-            _write_annotations(out_dir, corpora, spooled)
+            _write_annotations(out_dir, corpora, spool, chunks)
     grids = {c.label: grid for c, grid in zip(corpora, grids) if grid is not None}
     _write_report(out_dir, args.format, tables, grids, dictionary, settings, corpora)
     if args.emit_plots:

@@ -135,10 +135,8 @@ def test_process_pool_is_byte_identical_across_chunk_edges(command, sizes, flags
     assert trees[0] == trees[1] == trees[2] == trees[3]
     chunks = sum((n + 1) // 2 for n in sizes)
     assert [r.getMessage() for r in caplog.records] == [
-        f"scoring {sum(sizes)} poems in process",
-        f"scoring {sum(sizes)} poems in {chunks} chunks on 2 processes",
-        f"scoring {sum(sizes)} poems in {chunks} chunks on 3 processes",
-        f"scoring {sum(sizes)} poems in {chunks} chunks on 5 processes",
+        f"scoring {sum(sizes)} poems; chunks: {chunks}, processes: {threads}"
+        for threads in (1, 2, 3, 5)
     ]
 
 
@@ -441,7 +439,7 @@ def test_verbose_analyze_logs_how_poems_are_scored(tmp_path, monkeypatch, caplog
     monkeypatch.delattr(os, "fork")
     assert main([*args, "--threads", "2", "--out", str(tmp_path / "fallback")]) == 0
     assert [r.getMessage() for r in caplog.records] == [
-        "scoring 8 poems in 4 chunks on 2 processes", "scoring 8 poems in process"]
+        "scoring 8 poems; chunks: 4, processes: 2", "scoring 8 poems; chunks: 4, processes: 1"]
     assert _tree_bytes(tmp_path / "pool") == _tree_bytes(tmp_path / "fallback")
     assert b"scoring" not in (tmp_path / "pool" / "report.json").read_bytes()
 
@@ -450,7 +448,7 @@ def test_one_chunk_is_scored_in_process(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger=cli.__name__)
     assert main(["analyze", HUMAN, "-v", "--threads", "4", "--out", str(tmp_path / "o")]) == 0
     assert [r.getMessage() for r in caplog.records] == [
-        f"scoring {len(load_corpus(HUMAN))} poems in process"]
+        f"scoring {len(load_corpus(HUMAN))} poems; chunks: 1, processes: 1"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1027,6 +1025,19 @@ def test_import_loads_no_process_pool():
     # analyze imports pickle only to score with --threads N > 1, and no process pool at all.
     assert _loaded_by_importing_cli(
         {"multiprocessing", "concurrent.futures.process", "pickle"}) == "[]\n"
+
+
+def test_analysis_in_one_process_loads_no_pickle(tmp_path):
+    # Every --threads count folds through _fork_join; only a run that forks loads these.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from poemetrics import cli; code = cli.main(sys.argv[1:]); "
+            "print(sorted({'pickle', 'signal'} & set(sys.modules))); sys.exit(code)")
+    run = subprocess.run(
+        [sys.executable, "-c", code, "analyze", HUMAN, GPT, "--compare", "--min-docs", "1",
+         "--per-poem", "--emit-plots", "--threads", "1", "--out", str(tmp_path / "report")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 FOOTPRINT = """

@@ -453,13 +453,13 @@ _FOLD_CORPORA = st.lists(
 ])
 
 
-def _spooled_text(spooled) -> str:
-    """The --per-poem text that (spool file, start, end) ranges hold."""
+def _spooled_text(spool, chunks, i) -> str:
+    """The --per-poem text of corpus i's chunks, from their files in spool, in chunk order."""
     parts = []
-    for name, start, end in spooled:
-        with open(name, "rb") as handle:
-            handle.seek(start)
-            parts.append(handle.read(end - start).decode())
+    for k, (j, _) in enumerate(chunks):
+        if j == i:
+            with open(cli._spool_file(spool, k), encoding="utf-8", newline="") as handle:
+                parts.append(handle.read())
     return "".join(parts)
 
 
@@ -472,17 +472,17 @@ def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
     analysis = cli.AnalysisSettings(min_docs=1, alpha_total=None, iambic_threshold=0.75,
                                     heatmap_rows=6, heatmap_cols=20, strip_prefatory=True,
                                     top_k=15)
-    with tempfile.TemporaryDirectory() as spool:
-        # In chunks of size poems too, so that its spool ranges are listed across chunks.
+    with tempfile.TemporaryDirectory() as spool, tempfile.TemporaryDirectory() as shared:
+        # In chunks of size poems too, so that its --per-poem lines are spooled across chunks.
         with mock.patch.object(cli, "_CHUNK_POEMS", size):
-            (expected, expected_grids, expected_counted), spooled = cli._score_corpora(
+            (expected, expected_grids, expected_counted), chunks = cli._score_corpora(
                 corpora, families, dictionary, analysis, spool, compared, 1)
-        expected_text = list(map(_spooled_text, spooled))
-        chunks = cli._chunks(corpora, size)
+        assert chunks == cli._chunks(corpora, size)
+        expected_text = [_spooled_text(spool, chunks, i) for i in range(len(corpora))]
         processes = data.draw(st.integers(1, 4), label="processes")
         owners = data.draw(st.lists(st.integers(0, processes - 1), min_size=len(chunks),
                                     max_size=len(chunks)), label="owners")
-        run = (corpora, families, replace(dictionary), analysis, spool, compared,
+        run = (corpora, families, replace(dictionary), analysis, shared, compared,
                load_stopwords() if compared else frozenset())
         folds = []
         for p in range(processes):
@@ -498,8 +498,7 @@ def test_merged_process_folds_equal_one_fold(dictionary, corpora, size, data):
         # _Group, WordCounts and the stats dataclasses compare field by field, sums by ==.
         assert (groups, counted) == (expected, expected_counted)
         cli._check_input(corpora, chunks, parts)
-        assert [_spooled_text(parts[k][1] for k, (j, _) in enumerate(chunks) if j == i)
-                for i in range(len(corpora))] == expected_text
+        assert [_spooled_text(shared, chunks, i) for i in range(len(corpora))] == expected_text
     assert [(g.poems, g.cells) for g in grids] == [(g.poems, g.cells) for g in expected_grids]
 
 

@@ -768,6 +768,45 @@ def test_rate_limiter_spaces_requests():
     assert time.monotonic() - start < 0.5
 
 
+class _StartClock:
+    """A client that records when each complete() call starts, and returns a poem."""
+
+    def __init__(self):
+        self.starts: list[float] = []
+        self._lock = threading.Lock()
+
+    def complete(self, model, prompt, temperature, max_tokens):
+        with self._lock:
+            self.starts.append(time.monotonic())
+        return "The morning light\nupon the hill"
+
+
+def test_run_job_spaces_request_starts_by_the_rate_limit(tmp_path):
+    specs = build_grid(styles=("sonnet", "haiku"), subjects=("love", "nature", "religion"),
+                       templates=("general",))
+    client = _StartClock()
+    entered = time.monotonic()
+    corpus = run_job(_job(specs, tmp_path / "out.jsonl", rate_limit_per_sec=50, concurrency=3),
+                     client)
+    assert len(corpus) == len(specs) == 6
+    # Each call starts after its reserved slot, and the k-th slot is k / 50 s past the first;
+    # the microsecond allows for the rounding of the slots' float sums.
+    for k, start in enumerate(sorted(client.starts)):
+        assert start - entered >= k / 50 - 1e-6, k
+
+
+def test_generate_passes_the_rate_limit_to_its_job(tmp_path, monkeypatch):
+    from poemetrics.cli import main
+
+    jobs = []
+    monkeypatch.setattr(generate, "run_job", lambda job, client: jobs.append(job) or [])
+    monkeypatch.setenv("POEM_TEST_KEY", "k")
+    assert main(["generate", "--model", "gpt-4", "--out", str(tmp_path / "gen.jsonl"),
+                 "--api-key-env", "POEM_TEST_KEY", "--styles", "haiku", "--subjects", "nature",
+                 "--templates", "general", "--rate-limit", "50"]) == 0
+    assert [job.rate_limit_per_sec for job in jobs] == [50.0]
+
+
 # --- http.client in place of urlopen: rows, proxies and imports -------------------
 
 def _reply_with_prompt_tail(payload):
