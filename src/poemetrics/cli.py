@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 from array import array
 from collections import Counter, defaultdict, deque
 from contextlib import nullcontext
@@ -736,14 +737,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bounded(kind: type, low: int, high: float = math.inf, *, above: bool = False):
+def _bounded(kind: type, low: float, high: float = math.inf, *, above: bool = False):
     """argparse type: a finite kind (int or float) at least low, or greater than low when
     above, and at most high; any other value, NaN included, is a usage error."""
-    if high < math.inf:
+    if high < math.inf and not above:
         bound = f"from {low} to {high}"
     else:
         bound = f"{'greater than' if above else 'at least'} {low}"
-        bound += " and finite" if kind is float else ""
+        if high < math.inf:
+            bound += f" and at most {high}"
+        elif kind is float:
+            bound += " and finite"
 
     def parse(text: str):
         value = kind(text)
@@ -833,10 +837,13 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--temperature", type=_bounded(float, 0), default=1.0)
     generate.add_argument("--max-output-tokens", type=_bounded(int, 1), default=1024)
     generate.add_argument("--max-retries", type=_bounded(int, 0), default=3)
-    generate.add_argument("--rate-limit", type=_bounded(float, 0, above=True), default=None,
-                          help="max requests per second")
+    # The clocks that wait out a request start or a socket timeout hold at most
+    # threading.TIMEOUT_MAX seconds.
+    generate.add_argument("--rate-limit", type=_bounded(float, 1 / threading.TIMEOUT_MAX),
+                          default=None, help="max requests per second")
     generate.add_argument("--concurrency", type=_bounded(int, 1), default=4)
-    generate.add_argument("--timeout", type=_bounded(float, 0, above=True), default=120.0,
+    generate.add_argument("--timeout", type=_bounded(float, 0, threading.TIMEOUT_MAX, above=True),
+                          default=120.0,
                           help="socket timeout in seconds for each request")
     generate.add_argument("--dry-run", action="store_true",
                           help="print rendered prompts without calling the endpoint")

@@ -16,7 +16,6 @@ import logging
 import os
 import re
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -290,25 +289,6 @@ MAX_BACKOFF_S = 30.0
 PROGRESS_EVERY = 100
 
 
-class _RateLimiter:
-    """Spaces request starts at least 1/rate seconds apart."""
-
-    def __init__(self, rate_per_sec: float | None):
-        self._interval = 1.0 / rate_per_sec if rate_per_sec else 0.0
-        self._lock = threading.Lock()
-        self._next_allowed = 0.0
-
-    def wait(self) -> None:
-        if not self._interval:
-            return
-        with self._lock:
-            now = time.monotonic()
-            delay = self._next_allowed - now
-            self._next_allowed = max(now, self._next_allowed) + self._interval
-        if delay > 0:
-            time.sleep(delay)
-
-
 def _row_key(raw: dict) -> tuple[str, str, str]:
     """spec_key of a sidecar row."""
     return (raw.get("template"), raw.get("style"), raw.get("subject"))
@@ -408,7 +388,10 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     without holding a request slot; its warning states the delay. A free slot
     goes first to a retry that is due, then to the next pending spec if the
     shortest request that has returned a completion so far would end before
-    every waiting retry left without a slot is due. Specs that still fail
+    every waiting retry left without a slot is due. With job.rate_limit_per_sec,
+    request starts, retries included, are spaced at least 1 / rate seconds
+    apart; a spec waiting for its turn holds neither a slot nor a thread, and
+    a retry that falls due meanwhile still goes first. Specs that still fail
     are recorded in a ".failures.jsonl" sidecar and skipped; the source's
     rows from earlier runs are dropped for specs complete or requested
     again. Any other error, AuthenticationError included, stops the run: the
@@ -438,7 +421,9 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
         job.model, len(job.specs), len(job.specs) - len(pending), len(pending),
     )
 
-    limiter = _RateLimiter(job.rate_limit_per_sec)
+    interval = 1.0 / job.rate_limit_per_sec if job.rate_limit_per_sec else 0.0
+    # The earliest time the next request may start: starts are spaced interval apart.
+    next_start = 0.0
     # Finished specs by outcome, and retries scheduled.
     progress = {"completed": 0, "failed": 0, "retried": 0}
     unstarted = iter(pending)
@@ -469,7 +454,6 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
 
     def attempt(spec: PromptSpec) -> tuple[str, float] | tuple[Exception, None]:
         """One request, in a worker: the completion and its seconds, or the request's error."""
-        limiter.wait()
         start = time.monotonic()
         try:
             text = client.complete(job.model, spec.rendered, job.temperature, job.max_output_tokens)
@@ -516,7 +500,7 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
     try:
         while in_flight or waiting or next_spec is not None:
             now = time.monotonic()
-            while in_flight < job.concurrency:
+            while in_flight < job.concurrency and now >= next_start:
                 if waiting and waiting[0][0] <= now:
                     prompt = heapq.heappop(waiting)[2]
                 elif next_spec is not None and new_spec_fits(now, job.concurrency - in_flight):
@@ -527,8 +511,17 @@ def run_job(job: GenerationJob, client: ChatCompletionsClient) -> Corpus:
                 future = executor.submit(attempt, prompt.spec)
                 future.add_done_callback(lambda f, p=prompt: replies.put((p, f)))
                 in_flight += 1
-            # With every slot busy only a reply can free one, so a due time is not waited on.
-            timeout = waiting[0][0] - now if waiting and in_flight < job.concurrency else None
+                next_start = max(now, next_start) + interval
+            # With every slot busy only a reply can free one, so no start time is waited on.
+            # A free slot waits for next_start while a new spec could take it, else for the
+            # first due retry but not before next_start. A next_start already past is not
+            # waited on: with a new spec that does not fit, this loop would spin.
+            timeout = None
+            if in_flight < job.concurrency:
+                if now < next_start and next_spec is not None:
+                    timeout = next_start - now
+                elif waiting:
+                    timeout = max(waiting[0][0], next_start) - now
             try:
                 prompt, future = replies.get(timeout=timeout)
             except Empty:

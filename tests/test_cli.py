@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import weakref
@@ -800,6 +801,11 @@ def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+# The longest wait the clocks hold: a longer --timeout, or a --rate-limit that spaces
+# requests further apart, would overflow them.
+_CLOCK_MAX = threading.TIMEOUT_MAX
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", GPT, "--heatmap-rows", "0", "--per-poem"], "must be at least 1, got 0"),
     (["structure", GPT, "--heatmap-cols", "0"], "must be at least 1, got 0"),
@@ -807,11 +813,15 @@ def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
      "must be at least 0, got -2"),
     (["generate", "--concurrency", "0"], "must be at least 1, got 0"),
     (["generate", "--max-retries", "-1"], "must be at least 0, got -1"),
-    (["generate", "--timeout", "0"], "must be greater than 0 and finite, got 0.0"),
-    (["generate", "--timeout", "inf"], "must be greater than 0 and finite, got inf"),
-    (["generate", "--rate-limit", "0"], "must be greater than 0 and finite, got 0.0"),
-    (["generate", "--rate-limit", "-1"], "must be greater than 0 and finite, got -1.0"),
-    (["generate", "--rate-limit", "nan"], "must be greater than 0 and finite, got nan"),
+    (["generate", "--timeout", "0"], f"must be greater than 0 and at most {_CLOCK_MAX}, got 0.0"),
+    (["generate", "--timeout", "inf"], f"must be greater than 0 and at most {_CLOCK_MAX}, got inf"),
+    (["generate", "--timeout", "1e10"],
+     f"must be greater than 0 and at most {_CLOCK_MAX}, got 10000000000.0"),
+    (["generate", "--rate-limit", "0"], f"must be at least {1 / _CLOCK_MAX} and finite, got 0.0"),
+    (["generate", "--rate-limit", "-1"], f"must be at least {1 / _CLOCK_MAX} and finite, got -1.0"),
+    (["generate", "--rate-limit", "nan"], f"must be at least {1 / _CLOCK_MAX} and finite, got nan"),
+    (["generate", "--rate-limit", "1e-12"],
+     f"must be at least {1 / _CLOCK_MAX} and finite, got 1e-12"),
     (["analyze", GPT, "--alpha-total", "0"], "must be greater than 0 and finite, got 0.0"),
     (["analyze", GPT, "--alpha-total", "-1"], "must be greater than 0 and finite, got -1.0"),
     (["compare", HUMAN, GPT, "--alpha-total", "nan"], "must be greater than 0 and finite, got nan"),
@@ -827,7 +837,8 @@ def test_invalid_input_fails_before_writing(argv, message, tmp_path, capsys):
     (["analyze", GPT, "--threads", "0"], "must be at least 1, got 0"),
     (["generate", "--templates", "bogus"], "invalid choice: 'bogus'"),
 ], ids=["heatmap-rows", "heatmap-cols", "top-k", "concurrency", "max-retries",
-        "timeout-zero", "timeout-inf", "rate-limit-zero", "rate-limit-negative", "rate-limit-nan",
+        "timeout-zero", "timeout-inf", "timeout-past-clock", "rate-limit-zero",
+        "rate-limit-negative", "rate-limit-nan", "rate-limit-past-clock",
         "alpha-total-zero", "alpha-total-negative", "alpha-total-nan", "iambic-threshold-nan",
         "iambic-threshold-above-1", "iambic-threshold-negative", "temperature-nan",
         "temperature-negative", "temperature-inf", "max-output-tokens-zero", "styles-free-verse",

@@ -288,10 +288,12 @@ def _cut_points(data: bytes) -> st.SearchStrategy[int]:
     return anywhere | st.sampled_from(inside) if inside else anywhere
 
 
-@settings(max_examples=50, deadline=None)
-@given(cut=st.sampled_from(["output", "sidecar", "both"]), data=st.data())
+@settings(deadline=None)
+@given(cut=st.sampled_from(["output", "sidecar", "both"]), rate=st.sampled_from([None, 1000.0]),
+       data=st.data())
 def test_every_spec_is_settled_once_after_any_cut_and_two_resumes(shared_endpoint,
-                                                                  tmp_path_factory, cut, data):
+                                                                  tmp_path_factory, cut, rate,
+                                                                  data):
     specs = build_grid(styles=("sonnet",), templates=("general",),
                        subjects=(*_RESUME_SCRIPTS, "living", "religion"))
     shared_endpoint.fail_first.clear()
@@ -300,12 +302,12 @@ def test_every_spec_is_settled_once_after_any_cut_and_two_resumes(shared_endpoin
     out = tmp_path_factory.mktemp("resume") / "out.jsonl"
     failures = out.parent / "out.jsonl.failures.jsonl"
     client = ChatCompletionsClient(shared_endpoint.url, "test-key")
-    run_job(_job(specs, out, max_retries=1), client)
+    run_job(_job(specs, out, max_retries=1, rate_limit_per_sec=rate), client)
     for path in {"output": [out], "sidecar": [failures], "both": [out, failures]}[cut]:
         whole = path.read_bytes()
         path.write_bytes(whole[:data.draw(_cut_points(whole), label=path.name)])
     for _ in range(2):
-        run_job(_job(specs, out, max_retries=1), client)
+        run_job(_job(specs, out, max_retries=1, rate_limit_per_sec=rate), client)
         written = Counter(spec_key(r) for r in load_corpus(out, "json-lines"))
         failed = Counter(generate._row_key(json.loads(line))
                          for line in failures.read_text(encoding="utf-8").splitlines()
@@ -498,8 +500,7 @@ def instant_backoff(monkeypatch):
     """generate's clock jumps an hour at each reading, so a retry is due as soon as the
     dispatcher looks again and no backoff is waited out in real time."""
     clock = itertools.count(0.0, 3600.0)
-    monkeypatch.setattr(generate, "time", SimpleNamespace(monotonic=clock.__next__,
-                                                          sleep=time.sleep))
+    monkeypatch.setattr(generate, "time", SimpleNamespace(monotonic=clock.__next__))
 
 
 def _scheduled_delays(caplog) -> list[float]:
@@ -579,8 +580,11 @@ def _slow_reply(payload):
     return "The morning light\nupon the hill"
 
 
-@pytest.mark.parametrize("concurrency", [1, 2, 3])
-def test_in_flight_requests_never_exceed_concurrency(concurrency, tmp_path):
+# At 1,000 requests per second a start comes every 1 ms, and each reply takes 5 ms or more,
+# so the rate-limited run still fills its 3 slots.
+@pytest.mark.parametrize("concurrency, rate", [(1, None), (2, None), (3, None), (3, 1000.0)],
+                         ids=["1", "2", "3", "3-rate-limited"])
+def test_in_flight_requests_never_exceed_concurrency(concurrency, rate, tmp_path):
     specs = build_grid(styles=("sonnet", "haiku"), subjects=DEFAULT_SUBJECTS[:8],
                        templates=("general",))
     scripts = {"subject of love ": [429, 503, 429], "subject of nature ": [503, 503],
@@ -591,7 +595,7 @@ def test_in_flight_requests_never_exceed_concurrency(concurrency, tmp_path):
         with MockChatEndpoint(reply=_slow_reply, fail_first=scripts) as endpoint:
             client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"))
             corpus = run_job(_job(specs, tmp_path / "out.jsonl", concurrency=concurrency,
-                                  backoff_base=0.01), client)
+                                  backoff_base=0.01, rate_limit_per_sec=rate), client)
     finally:
         sys.setswitchinterval(interval)
     assert len(corpus) == len(specs)
@@ -635,6 +639,18 @@ def test_a_new_spec_waits_when_it_would_delay_a_retry(tmp_path):
             slow={"": 0.15})
         run_job(_job(specs, tmp_path / "out.jsonl", concurrency=1), client)
     assert client.subjects() == ["love", "nature", "nature", "religion"]
+
+
+def test_a_due_retry_is_not_queued_behind_rate_limited_prompts(tmp_path):
+    specs = build_grid(styles=("sonnet",), subjects=("love", "nature", "religion", "birth"),
+                       templates=("general",))
+    with MockChatEndpoint() as endpoint:
+        # love's retry is due at once, while nature's start is still 0.1 s off.
+        client = _WatchedClient(ChatCompletionsClient(endpoint.url, "test-key"), script={
+            "love": [TransientRequestError("endpoint returned 503", retry_after=0)]})
+        run_job(_job(specs, tmp_path / "out.jsonl", concurrency=3, rate_limit_per_sec=10),
+                client)
+    assert client.subjects() == ["love", "love", "nature", "religion", "birth"]
 
 
 def _generate_threads() -> list[threading.Thread]:
@@ -748,24 +764,6 @@ def test_output_loads_via_corpus_loader(tmp_path):
 def test_spec_key_uniqueness_over_full_grid():
     specs = build_grid()
     assert len({spec_key(s) for s in specs}) == len(specs)
-
-
-def test_rate_limiter_spaces_requests():
-    import time
-
-    from poemetrics.generate import _RateLimiter
-
-    limiter = _RateLimiter(100.0)  # at most one start per 10ms
-    start = time.monotonic()
-    for _ in range(4):
-        limiter.wait()
-    assert time.monotonic() - start >= 0.03
-
-    unlimited = _RateLimiter(None)
-    start = time.monotonic()
-    for _ in range(100):
-        unlimited.wait()
-    assert time.monotonic() - start < 0.5
 
 
 class _StartClock:
